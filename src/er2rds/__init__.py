@@ -9,7 +9,6 @@ lost.  All functions are pure apart from the CLI, which owns the I/O.
 from .er_text import emit_er, parse_er
 from .errors import (
     BadSideChoice,
-    DanglingFk,
     MissingOwnerRelation,
     MissingSupertypeRelation,
     NameCollision,
@@ -63,7 +62,6 @@ __all__ = [
     "AttributeKind",
     "BadSideChoice",
     "CardinalityPair",
-    "DanglingFk",
     "Diagnostic",
     "ERModel",
     "FkSuffix",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ from .rds_text import emit_rds, parse_rds
 from .reverse import (
     RelationKind,
     classify_relations,
+    key_owners,
     model_diff,
     normalize_model,
     reconstruct_sog_choices,
@@ -122,10 +124,7 @@ def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
     """
     diagnostics: list[Diagnostic] = []
     kinds, _ = classify_relations(schema)
-    owners: dict[str, str] = {}
-    for relation in schema.relations:
-        if kinds.get(relation.name) is RelationKind.REGULAR_ENTITY:
-            owners.setdefault(relation.pk_name(), relation.name)
+    owners = key_owners(schema, kinds)
 
     def unresolved(relation_name: str, key: str) -> str:
         diagnostics.append(
@@ -333,6 +332,9 @@ _COMMANDS = {
 }
 
 
+# Built once and reused: parse_args leaves the parser unchanged, and the
+# --sog-choice append action copies its default list before appending.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="er2rds",

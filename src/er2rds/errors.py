@@ -45,7 +45,3 @@ class PrerequisiteFailed(TransformError):
 
 class SchemaInvariantError(TransformError):
     """A relation violates a structural invariant of produced schemas."""
-
-
-class DanglingFk(TransformError):
-    """A foreign key names a primary key that no regular relation owns."""

@@ -81,10 +81,47 @@ class TransformConfig:
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One step event: the step created or extended ``relation`` to
+    ``width`` attributes, and the relation ends the schema when ``at_end``.
+    ``schema_after`` renders the schema as it stood after the event."""
+
     step: str
     subject: str
     relation: str
-    schema_after: tuple[str, ...]
+    width: int
+    at_end: bool
+    _replay: _Replay = field(repr=False, compare=False)
+    _position: int = field(repr=False, compare=False)
+
+    @property
+    def schema_after(self) -> tuple[str, ...]:
+        return self._replay.schema_after(self._position)
+
+
+# (step, subject, relation, width, at_end), as in TraceEntry
+_Event = tuple[str, str, str, int, bool]
+
+
+class _Replay:
+    """Renders intermediate schemas from one transformation's events.
+
+    Steps only ever append attributes and move a relation to the end, so
+    each intermediate relation is a prefix of its final form.  The final
+    attributes are copied once, so later changes to the returned schema
+    leave the trace as it was."""
+
+    def __init__(self, events: list[_Event], schema: RelationalSchema):
+        self.events = tuple(events)
+        self.final = {r.name: tuple(r.attributes) for r in schema.relations}
+
+    def schema_after(self, position: int) -> tuple[str, ...]:
+        widths: dict[str, int] = {}
+        for _, _, relation, width, at_end in self.events[:position + 1]:
+            if at_end:
+                widths.pop(relation, None)
+            widths[relation] = width
+        return tuple(render_relation(Relation(name, list(self.final[name][:width])))
+                     for name, width in widths.items())
 
 
 def transform_regular(entity: RegularEntityType) -> Relation:
@@ -315,8 +352,8 @@ def transform_model(model: ERModel,
     """Run all six steps; returns the schema and a step-by-step trace.
 
     Raises PrerequisiteFailed when notation validation finds errors, and the
-    step errors otherwise.  Each trace entry snapshots the rendered schema
-    after its event, newest relation states included."""
+    step errors otherwise.  Each trace entry records one event; nothing is
+    rendered until some entry's ``schema_after`` is read."""
     cfg = cfg or TransformConfig()
     diagnostics = validate_notation(model, allow_extensions=cfg.extensions)
     if has_errors(diagnostics):
@@ -324,11 +361,11 @@ def transform_model(model: ERModel,
     _check_side_choices(model, cfg)
 
     schema = RelationalSchema()
-    trace: list[TraceEntry] = []
+    events: list[_Event] = []
 
     def record(step: str, subject: str, relation: Relation) -> None:
-        snapshot = tuple(render_relation(r) for r in schema.relations)
-        trace.append(TraceEntry(step, subject, relation.name, snapshot))
+        events.append((step, subject, relation.name, len(relation.attributes),
+                       schema.relations[-1] is relation))
 
     for entity in model.entities:
         relation = transform_regular(entity)
@@ -370,4 +407,6 @@ def transform_model(model: ERModel,
         record(STEP_WEAK, weak.name, created)
 
     check_schema(schema)
-    return schema, trace
+    replay = _Replay(events, schema)
+    return schema, [TraceEntry(*event, replay, position)
+                    for position, event in enumerate(events)]

@@ -22,10 +22,9 @@ when the reversed model is re-emitted.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DanglingFk, NoDesignatedKey
+from .errors import NoDesignatedKey
 from .model import (
     Attribute,
     AttributeKind,
@@ -33,7 +32,6 @@ from .model import (
     Diagnostic,
     ERModel,
     RatioKind,
-    RdsAttribute,
     RegularEntityType,
     Relation,
     RelationalSchema,
@@ -55,28 +53,16 @@ class RelationKind(Enum):
     SUBTYPE = "subtype"
     MULTIVALUED = "multivalued"
     WEAK = "weak"
-    RELATIONSHIP = "relationship"  # reserved; relationships never own relations
 
 
-def _pk_owners(schema: RelationalSchema,
-               regular: set[str]) -> tuple[dict[str, str], list[Diagnostic]]:
+def key_owners(schema: RelationalSchema,
+               kinds: dict[str, RelationKind]) -> dict[str, str]:
     """Map each primary-key name to the first regular relation owning it."""
     owners: dict[str, str] = {}
-    diagnostics: list[Diagnostic] = []
     for relation in schema.relations:
-        if relation.name not in regular:
-            continue
-        pk = relation.pk_name()
-        if pk in owners:
-            diagnostics.append(
-                Diagnostic("CLASSIFY", Severity.WARNING,
-                           f"relations {owners[pk]!r} and {relation.name!r} both "
-                           f"own primary key {pk!r}; references resolve to "
-                           f"{owners[pk]!r}", element=relation.name)
-            )
-            continue
-        owners[pk] = relation.name
-    return owners, diagnostics
+        if kinds.get(relation.name) is RelationKind.REGULAR_ENTITY:
+            owners.setdefault(relation.pk_name(), relation.name)
+    return owners
 
 
 def classify_relations(schema: RelationalSchema
@@ -106,10 +92,17 @@ def classify_relations(schema: RelationalSchema
         if name_prefix(relation.attributes[0].name) == name_prefix(relation.name):
             kinds[relation.name] = RelationKind.REGULAR_ENTITY
 
-    regular = {name for name, kind in kinds.items()
-               if kind is RelationKind.REGULAR_ENTITY}
-    owners, owner_diags = _pk_owners(schema, regular)
-    diagnostics.extend(owner_diags)
+    # kinds holds only the regular relations at this point.
+    owners = key_owners(schema, kinds)
+    for relation in shaped:
+        pk = relation.pk_name()
+        if relation.name in kinds and owners[pk] != relation.name:
+            diagnostics.append(
+                Diagnostic("CLASSIFY", Severity.WARNING,
+                           f"relations {owners[pk]!r} and {relation.name!r} both "
+                           f"own primary key {pk!r}; references resolve to "
+                           f"{owners[pk]!r}", element=relation.name)
+            )
 
     def dependent_kind(relation: Relation) -> tuple[RelationKind | None, str]:
         lead = leading_underline_count(relation)
@@ -151,15 +144,6 @@ def classify_relations(schema: RelationalSchema
     return kinds, diagnostics
 
 
-@dataclass(frozen=True)
-class FkReading:
-    """One decoded foreign key: the relationship it encodes, plus the subtype
-    its prefix names (if any)."""
-
-    relationship: RelationshipType
-    far_subtype: Subtype | None
-
-
 def _payload_after(relation: Relation, index: int) -> tuple[Attribute, ...]:
     run: list[Attribute] = []
     for attr in relation.attributes[index + 1:]:
@@ -169,56 +153,12 @@ def _payload_after(relation: Relation, index: int) -> tuple[Attribute, ...]:
     return tuple(run)
 
 
-def interpret_fk(relation: Relation, attr: RdsAttribute,
-                 schema: RelationalSchema) -> FkReading:
-    """Decode one suffixed attribute of an entity or subtype relation.
-
-    The holding relation is the near side with pair (v2, 1); the key's owner
-    (prefix subtype, or the regular relation owning the key) is the far side
-    with pair (v3, v4).  Plain attributes following the foreign key are the
-    relationship's own attributes.  Raises DanglingFk when no regular
-    relation owns the key name."""
-    kinds, _ = classify_relations(schema)
-    if kinds.get(relation.name) not in (RelationKind.REGULAR_ENTITY,
-                                        RelationKind.SUBTYPE):
-        raise DanglingFk(
-            f"foreign key {attr.display_name()!r} sits in relation "
-            f"{relation.name!r}, which is not an entity or subtype relation"
-        )
-    regular = {name for name, kind in kinds.items()
-               if kind is RelationKind.REGULAR_ENTITY}
-    owners, _ = _pk_owners(schema, regular)
-    owner = owners.get(attr.name)
-    if owner is None:
-        raise DanglingFk(
-            f"foreign key {attr.display_name()!r} in relation {relation.name!r} "
-            f"matches no regular relation's primary key"
-        )
-    suffix = attr.suffix
-    assert suffix is not None
-    far_subtype = None
-    far_participant = owner
-    if attr.prefix is not None:
-        far_participant = attr.prefix
-        far_subtype = Subtype(attr.prefix, supertype=owner)
-    index = relation.attributes.index(attr)
-    near = RelationshipEndpoint(relation.name, CardinalityPair(suffix.v2, "1"))
-    far = RelationshipEndpoint(far_participant,
-                               CardinalityPair(suffix.v3, suffix.v4))
-    rel = RelationshipType(suffix.relationship, (near, far),
-                           _payload_after(relation, index))
-    return FkReading(rel, far_subtype)
-
-
 class _Rebuilder:
     """Accumulates model elements in schema discovery order."""
 
     def __init__(self, schema: RelationalSchema, kinds: dict[str, RelationKind]):
-        self.schema = schema
         self.kinds = kinds
-        self.regular = {name for name, kind in kinds.items()
-                        if kind is RelationKind.REGULAR_ENTITY}
-        self.owners, _ = _pk_owners(schema, self.regular)
+        self.owners = key_owners(schema, kinds)
         self.entity_attrs: dict[str, list[Attribute]] = {}
         self.subtypes: dict[str, Subtype] = {}
         self.weaks: list[WeakEntityType] = []
@@ -262,28 +202,44 @@ class _Rebuilder:
         intrinsics = _payload_after(relation, 0)
         self.add_subtype(Subtype(relation.name, owner, intrinsics), relation.name)
 
-    def take_fk(self, relation: Relation, attr: RdsAttribute) -> None:
-        try:
-            reading = interpret_fk(relation, attr, self.schema)
-        except DanglingFk as exc:
-            self.error("FK", str(exc), relation.name)
-            return
-        rel = reading.relationship
-        if rel.name in self.relationships:
+    def take_fk(self, relation: Relation, index: int) -> None:
+        """Decode the suffixed attribute at ``index`` of an entity or subtype
+        relation.
+
+        The holding relation is the near side with pair (v2, 1); the key's
+        owner (prefix subtype, or the regular relation owning the key) is the
+        far side with pair (v3, v4).  Plain attributes following the foreign
+        key are the relationship's own attributes."""
+        attr = relation.attributes[index]
+        suffix = attr.suffix
+        assert suffix is not None
+        owner = self.owners.get(attr.name)
+        if owner is None:
             self.error("FK",
-                       f"relationship {rel.name!r} is encoded by more than one "
-                       f"foreign key", relation.name)
+                       f"foreign key {attr.display_name()!r} in relation "
+                       f"{relation.name!r} matches no regular relation's "
+                       f"primary key", relation.name)
             return
-        if reading.far_subtype is not None:
-            prefix = reading.far_subtype.name
-            prefix_kind = self.kinds.get(prefix)
+        if suffix.relationship in self.relationships:
+            self.error("FK",
+                       f"relationship {suffix.relationship!r} is encoded by more "
+                       f"than one foreign key", relation.name)
+            return
+        far_participant = owner
+        if attr.prefix is not None:
+            prefix_kind = self.kinds.get(attr.prefix)
             if prefix_kind not in (None, RelationKind.SUBTYPE):
                 self.error("FK",
-                           f"prefix {prefix!r} names a {prefix_kind.value} "
+                           f"prefix {attr.prefix!r} names a {prefix_kind.value} "
                            f"relation", relation.name)
                 return
-            self.add_subtype(reading.far_subtype, relation.name)
-        self.relationships[rel.name] = rel
+            self.add_subtype(Subtype(attr.prefix, supertype=owner), relation.name)
+            far_participant = attr.prefix
+        near = RelationshipEndpoint(relation.name, CardinalityPair(suffix.v2, "1"))
+        far = RelationshipEndpoint(far_participant,
+                                   CardinalityPair(suffix.v3, suffix.v4))
+        self.relationships[suffix.relationship] = RelationshipType(
+            suffix.relationship, (near, far), _payload_after(relation, index))
 
     def take_multivalued(self, relation: Relation) -> None:
         owner = self.owners[relation.attributes[0].name]
@@ -335,9 +291,9 @@ def reverse_transform(schema: RelationalSchema
         if kind is RelationKind.SUBTYPE:
             rebuilder.take_subtype_relation(relation)
         if kind in (RelationKind.REGULAR_ENTITY, RelationKind.SUBTYPE):
-            for attr in relation.attributes:
+            for index, attr in enumerate(relation.attributes):
                 if attr.suffix is not None:
-                    rebuilder.take_fk(relation, attr)
+                    rebuilder.take_fk(relation, index)
         elif kind is RelationKind.MULTIVALUED:
             if any(a.suffix is not None for a in relation.attributes):
                 rebuilder.error("FK",
@@ -438,7 +394,8 @@ def model_diff(expected: ERModel, actual: ERModel) -> list[str]:
         elif left != right:
             differences.append(f"{path}: expected {left!r}, found {right!r}")
 
-    walk("model",
-         dataclasses.asdict(canonical_model(expected)),
-         dataclasses.asdict(canonical_model(actual)))
+    expected, actual = canonical_model(expected), canonical_model(actual)
+    if expected == actual:
+        return []
+    walk("model", dataclasses.asdict(expected), dataclasses.asdict(actual))
     return differences

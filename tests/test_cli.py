@@ -63,6 +63,14 @@ class TestTransform:
                      "--sog-choice", "Consult=Project"]) == 0
         assert capsys.readouterr().out == variant_rds_text
 
+    def test_a_side_choice_does_not_outlive_its_call(self, capsys, variant_rds_text,
+                                                     company_rds_text):
+        assert main(["transform", COMPANY_ER,
+                     "--sog-choice", "Consult=Project"]) == 0
+        assert capsys.readouterr().out == variant_rds_text
+        assert main(["transform", COMPANY_ER]) == 0
+        assert capsys.readouterr().out == company_rds_text
+
     def test_malformed_side_choice_exits_two(self, capsys):
         assert main(["transform", COMPANY_ER, "--sog-choice", "Consult"]) == 2
         assert "RELATIONSHIP=PARTICIPANT" in capsys.readouterr().err
@@ -96,6 +104,15 @@ class TestTransform:
         captured = capsys.readouterr()
         assert "step REG Employee -> Employee" in captured.err
         assert "step WAK Dependent -> Dependent" in captured.err
+
+    @pytest.mark.parametrize("extra, golden", [
+        ([], "company.trace"),
+        (["--prefer-regular"], "company_prefer_regular.trace"),
+    ])
+    def test_trace_matches_the_golden_file(self, extra, golden, capsys):
+        assert main(["transform", COMPANY_ER, "--trace", *extra]) == 0
+        assert capsys.readouterr().err == \
+            golden_path(golden).read_text(encoding="utf-8")
 
 
 class TestReverse:

@@ -84,6 +84,13 @@ class TestParseErrors:
         _, diagnostics = parse_er("entity Emp1oyee2 { key EmpNo; }")
         assert rule_ids(diagnostics) == ["R2.5.2"]
 
+    def test_a_hash_does_not_start_a_comment(self):
+        model, diagnostics = parse_er("# c")
+        assert model is None
+        first = diagnostics[0]
+        assert (first.rule_id, first.message) == ("SYNTAX", "unexpected character '#'")
+        assert (first.line, first.column) == (1, 1)
+
     def test_missing_semicolon(self):
         model, diagnostics = parse_er("entity Employee { key EmpNo }")
         assert model is None

@@ -21,6 +21,7 @@ from er2rds import (
     parse_er,
     transform_model,
 )
+from er2rds import forward
 from er2rds.forward import (
     transform_multivalued,
     transform_one_to_many,
@@ -98,6 +99,42 @@ class TestStepByStep:
 
     def test_weak_entity_borrows_the_owner_key(self, trace):
         assert states(trace, "WAK")[-1][-1] == "Dependent[_EmpNo_, _Name_, Sex, Relation]"
+
+
+class TestTraceEvents:
+    def test_each_event_records_width_and_whether_it_ends_the_schema(self, trace):
+        assert [(e.relation, e.width, e.at_end) for e in trace] == [
+            ("Employee", 4, True), ("Department", 3, True), ("Project", 3, True),
+            ("Engineer", 2, True),
+            ("Project", 4, False),
+            ("Department", 5, True), ("Engineer", 4, False),
+            ("Location", 2, True),
+            ("Dependent", 4, True),
+        ]
+
+    def test_nothing_is_rendered_until_a_state_is_read(self, company_model,
+                                                       company_rds_text,
+                                                       monkeypatch):
+        rendered = []
+        original = forward.render_relation
+
+        def counting(relation):
+            rendered.append(relation.name)
+            return original(relation)
+
+        monkeypatch.setattr(forward, "render_relation", counting)
+        _, trace = transform_model(company_model)
+        assert rendered == []
+        assert trace[-1].schema_after == tuple(company_rds_text.splitlines())
+        assert len(rendered) == 6
+
+    def test_later_changes_to_the_schema_leave_the_trace_alone(self, company_model):
+        schema, trace = transform_model(company_model)
+        before = [entry.schema_after for entry in trace]
+        schema.relations[0].attributes.append(RdsAttribute("Extra"))
+        schema.relations[1].attributes.clear()
+        schema.relations.reverse()
+        assert [entry.schema_after for entry in trace] == before
 
 
 class TestWholeSchema:

@@ -11,6 +11,7 @@ from er2rds import (
     reconstruct_sog_choices,
     reverse_transform,
 )
+from er2rds import reverse
 from er2rds.reverse import RelationKind
 
 
@@ -136,6 +137,21 @@ class TestReverseGolden:
         assert [(ep.participant, ep.pair.min, ep.pair.max)
                 for ep in controls.endpoints] == \
             [("Project", "1", "1"), ("Department", "1", "n")]
+
+
+class TestClassifiesOnce:
+    def test_reversal_classifies_the_schema_once(self, company_schema, monkeypatch):
+        calls = []
+        original = reverse.classify_relations
+
+        def counting(schema):
+            calls.append(schema)
+            return original(schema)
+
+        monkeypatch.setattr(reverse, "classify_relations", counting)
+        model, _ = reverse_transform(company_schema)
+        assert model is not None and len(model.relationships) == 3
+        assert len(calls) == 1
 
 
 class TestReverseErrors:
