@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .er_text import emit_er, parse_er
 from .errors import PrerequisiteFailed, TransformError
-from .forward import TraceEntry, TransformConfig, transform_model
+from .forward import TraceEntry, TransformConfig, _transform_steps, transform_model
 from .model import (
     Diagnostic,
     ERModel,
@@ -254,17 +254,17 @@ def cmd_transform(args: argparse.Namespace, text: str) -> int:
         return EXIT_ERRORS
     try:
         cfg = _config_from(args)
-        schema, trace = transform_model(model, cfg)
-    except PrerequisiteFailed as exc:
-        _print_diagnostics([*diagnostics, *exc.diagnostics], args.input)
-        return EXIT_ERRORS
+        notation = validate_notation(model, allow_extensions=cfg.extensions)
+        if not has_errors(notation):
+            schema, trace = _transform_steps(model, cfg)
     except (TransformError, ValueError) as exc:
         _print_diagnostics(diagnostics, args.input)
         print(f"er2rds: {exc}", file=sys.stderr)
         return EXIT_ERRORS
-    diagnostics = [*diagnostics,
-                   *validate_notation(model, allow_extensions=args.extensions)]
+    diagnostics = [*diagnostics, *notation]
     _print_diagnostics(diagnostics, args.input)
+    if has_errors(notation):
+        return EXIT_ERRORS
     if args.trace:
         _print_trace(trace)
     _write_output(emit_rds(schema), args.output)

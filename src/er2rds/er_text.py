@@ -18,6 +18,7 @@ not the parser's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import (
     MAX_MANY,
@@ -38,8 +39,7 @@ from .model import (
 _TOP_KEYWORDS = ("entity", "subtype", "weak", "rel")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name" | "number" | punctuation text | "eof"
     text: str
     line: int
@@ -64,8 +64,10 @@ def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
             column += 1
             continue
         if text.startswith("//", i):
-            while i < length and text[i] != "\n":
-                i += 1
+            end = text.find("\n", i)
+            end = length if end == -1 else end
+            column += end - i
+            i = end
             continue
         if ch.isalpha():
             start = i

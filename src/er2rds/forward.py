@@ -346,6 +346,24 @@ def _check_side_choices(model: ERModel, cfg: TransformConfig) -> None:
             )
 
 
+class _IndexedSchema(RelationalSchema):
+    """The schema under construction.  ``find`` answers from a map of each
+    name to the first relation added with it, so a lookup costs constant
+    time.  Relations enter through ``add``; one the one-to-one step moves to
+    the end keeps its entry."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._first: dict[str, Relation] = {}
+
+    def add(self, relation: Relation) -> None:
+        self.relations.append(relation)
+        self._first.setdefault(relation.name, relation)
+
+    def find(self, name: str) -> Relation | None:
+        return self._first.get(name)
+
+
 def transform_model(model: ERModel,
                     cfg: TransformConfig | None = None
                     ) -> tuple[RelationalSchema, list[TraceEntry]]:
@@ -358,9 +376,16 @@ def transform_model(model: ERModel,
     diagnostics = validate_notation(model, allow_extensions=cfg.extensions)
     if has_errors(diagnostics):
         raise PrerequisiteFailed(diagnostics)
+    return _transform_steps(model, cfg)
+
+
+def _transform_steps(model: ERModel, cfg: TransformConfig
+                     ) -> tuple[RelationalSchema, list[TraceEntry]]:
+    """The six steps of ``transform_model`` on a model that passed notation
+    validation."""
     _check_side_choices(model, cfg)
 
-    schema = RelationalSchema()
+    schema = _IndexedSchema()
     events: list[_Event] = []
 
     def record(step: str, subject: str, relation: Relation) -> None:
@@ -369,14 +394,14 @@ def transform_model(model: ERModel,
 
     for entity in model.entities:
         relation = transform_regular(entity)
-        schema.relations.append(relation)
+        schema.add(relation)
         record(STEP_REGULAR, entity.name, relation)
 
     for subtype in model.subtypes:
         if not subtype_needs_relation(subtype, model, cfg):
             continue
         relation = transform_subtype(subtype, schema)
-        schema.relations.append(relation)
+        schema.add(relation)
         record(STEP_SUBTYPE, subtype.name, relation)
 
     for rel in model.relationships:
@@ -398,15 +423,17 @@ def transform_model(model: ERModel,
             continue
         for attr in entity.multivalued_attributes():
             created = transform_multivalued(entity, attr, schema)
-            schema.relations.append(created)
+            schema.add(created)
             record(STEP_MULTIVALUED, f"{entity.name}.{attr.name}", created)
 
     for weak in model.weak_entities:
         created = transform_weak(weak, schema)
-        schema.relations.append(created)
+        schema.add(created)
         record(STEP_WEAK, weak.name, created)
 
-    check_schema(schema)
-    replay = _Replay(events, schema)
-    return schema, [TraceEntry(*event, replay, position)
+    # A plain schema, since dataclass equality compares classes.
+    result = RelationalSchema(schema.relations)
+    check_schema(result)
+    replay = _Replay(events, result)
+    return result, [TraceEntry(*event, replay, position)
                     for position, event in enumerate(events)]

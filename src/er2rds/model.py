@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import NoDesignatedKey, SchemaInvariantError
 
@@ -109,29 +110,64 @@ class RelationshipType:
         return (self.endpoints[0].participant, self.endpoints[1].participant)
 
 
+def _first_by_name(elements) -> dict:
+    index: dict = {}
+    for element in elements:
+        index.setdefault(element.name, element)
+    return index
+
+
 @dataclass(frozen=True)
 class ERModel:
-    """A complete source model; the four element lists keep declaration order."""
+    """A complete source model; the four element lists keep declaration order.
+
+    Lookups answer from name maps built on first use, so each costs constant
+    time; a repeated name resolves to its first declaration."""
 
     entities: tuple[RegularEntityType, ...] = ()
     subtypes: tuple[Subtype, ...] = ()
     weak_entities: tuple[WeakEntityType, ...] = ()
     relationships: tuple[RelationshipType, ...] = ()
 
+    @cached_property
+    def _entities_by_name(self) -> dict[str, RegularEntityType]:
+        return _first_by_name(self.entities)
+
+    @cached_property
+    def _subtypes_by_name(self) -> dict[str, Subtype]:
+        return _first_by_name(self.subtypes)
+
+    @cached_property
+    def _weak_by_name(self) -> dict[str, WeakEntityType]:
+        return _first_by_name(self.weak_entities)
+
+    @cached_property
+    def _relationships_by_name(self) -> dict[str, RelationshipType]:
+        return _first_by_name(self.relationships)
+
+    @cached_property
+    def _relationships_by_participant(self) -> dict[str, tuple[RelationshipType, ...]]:
+        index: dict[str, list[RelationshipType]] = {}
+        for rel in self.relationships:
+            # dict.fromkeys lists a self-relationship once
+            for participant in dict.fromkeys(rel.participants()):
+                index.setdefault(participant, []).append(rel)
+        return {participant: tuple(rels) for participant, rels in index.items()}
+
     def entity(self, name: str) -> RegularEntityType | None:
-        return next((e for e in self.entities if e.name == name), None)
+        return self._entities_by_name.get(name)
 
     def subtype(self, name: str) -> Subtype | None:
-        return next((s for s in self.subtypes if s.name == name), None)
+        return self._subtypes_by_name.get(name)
 
     def weak(self, name: str) -> WeakEntityType | None:
-        return next((w for w in self.weak_entities if w.name == name), None)
+        return self._weak_by_name.get(name)
 
     def relationship(self, name: str) -> RelationshipType | None:
-        return next((r for r in self.relationships if r.name == name), None)
+        return self._relationships_by_name.get(name)
 
     def relationships_involving(self, participant: str) -> tuple[RelationshipType, ...]:
-        return tuple(r for r in self.relationships if participant in r.participants())
+        return self._relationships_by_participant.get(participant, ())
 
 
 class RatioKind(Enum):

@@ -181,3 +181,38 @@ def sog_configs(model: ERModel) -> list[dict[str, str]]:
     sides = [[ep.participant for ep in r.endpoints] for r in one_to_ones]
     names = [r.name for r in one_to_ones]
     return [dict(zip(names, combo)) for combo in product(*sides)]
+
+
+def scaled_model(n: int) -> ERModel:
+    """The ROADMAP shape at even size n, 2.5·n relations: n entities, each
+    with a key, an attribute and a multivalued attribute; n/2 subtypes with
+    one attribute; a chain of n-1 one-to-many relationships; n/2 one-to-one
+    relationships from a subtype to an entity other than its supertype."""
+    tags = [_letters(i) for i in range(n)]
+    entities = tuple(
+        RegularEntityType(f"{tag}ent", (
+            Attribute(f"{tag}eNo", AttributeKind.KEY),
+            Attribute(f"{tag}eVal"),
+            Attribute(f"{tag}Multi", AttributeKind.MULTIVALUED),
+        ))
+        for tag in tags
+    )
+    subtypes = tuple(
+        Subtype(f"{tags[j]}sub", entities[2 * j].name, (Attribute(f"{tags[j]}sVal"),))
+        for j in range(n // 2)
+    )
+    chain = tuple(
+        RelationshipType(f"{tags[i]}Link", (
+            RelationshipEndpoint(entities[i].name, CardinalityPair("1", "n")),
+            RelationshipEndpoint(entities[i + 1].name, CardinalityPair("0", "1")),
+        ))
+        for i in range(n - 1)
+    )
+    pairs = tuple(
+        RelationshipType(f"{tags[j]}Pair", (
+            RelationshipEndpoint(subtypes[j].name, CardinalityPair("0", "1")),
+            RelationshipEndpoint(entities[2 * j + 1].name, CardinalityPair("1", "1")),
+        ))
+        for j in range(n // 2)
+    )
+    return ERModel(entities, subtypes, (), chain + pairs)

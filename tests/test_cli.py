@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from er2rds import model_diff, normalize_model, parse_er
+from er2rds import cli, forward, model_diff, normalize_model, parse_er, validate_notation
 from er2rds.cli import main, render_ddl, run_roundtrip
 from conftest import golden_path
 
@@ -70,6 +70,19 @@ class TestTransform:
         assert capsys.readouterr().out == variant_rds_text
         assert main(["transform", COMPANY_ER]) == 0
         assert capsys.readouterr().out == company_rds_text
+
+    def test_validates_the_model_once(self, monkeypatch, capsys, company_rds_text):
+        calls = []
+
+        def counting(model, allow_extensions=False):
+            calls.append(model)
+            return validate_notation(model, allow_extensions)
+
+        monkeypatch.setattr(cli, "validate_notation", counting)
+        monkeypatch.setattr(forward, "validate_notation", counting)
+        assert main(["transform", COMPANY_ER]) == 0
+        assert capsys.readouterr().out == company_rds_text
+        assert len(calls) == 1
 
     def test_malformed_side_choice_exits_two(self, capsys):
         assert main(["transform", COMPANY_ER, "--sog-choice", "Consult"]) == 2

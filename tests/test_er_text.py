@@ -91,6 +91,13 @@ class TestParseErrors:
         assert (first.rule_id, first.message) == ("SYNTAX", "unexpected character '#'")
         assert (first.line, first.column) == (1, 1)
 
+    def test_a_trailing_comment_counts_toward_the_end_column(self):
+        model, diagnostics = parse_er("entity Abc { key AbcNo; // c")
+        assert model is None
+        last = diagnostics[-1]
+        assert last.message == "unterminated block, expected '}'"
+        assert (last.line, last.column) == (1, 29)
+
     def test_missing_semicolon(self):
         model, diagnostics = parse_er("entity Employee { key EmpNo }")
         assert model is None

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from er2rds import (
@@ -13,6 +15,7 @@ from er2rds import (
     RegularEntityType,
     Relation,
     RelationalSchema,
+    SchemaInvariantError,
     Subtype,
     TransformConfig,
     UnsupportedParticipant,
@@ -20,6 +23,7 @@ from er2rds import (
     emit_rds,
     parse_er,
     transform_model,
+    validate_notation,
 )
 from er2rds import forward
 from er2rds.forward import (
@@ -28,6 +32,7 @@ from er2rds.forward import (
     transform_subtype,
     transform_weak,
 )
+from genmodels import scaled_model
 
 
 def transform_text(text, cfg=None):
@@ -320,3 +325,50 @@ class TestStepErrors:
         with pytest.raises(UnsupportedParticipant):
             transform_one_to_many(works.relationship("Works"), schema, works,
                                   TransformConfig())
+
+
+class _CountingTuple(tuple):
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def _element_list_walks(n):
+    base = scaled_model(n)
+    counted = {name: _CountingTuple(getattr(base, name))
+               for name in ("entities", "subtypes", "relationships")}
+    model = dataclasses.replace(base, **counted)
+    validate_notation(model)
+    transform_model(model)
+    return {name: elements.iterations for name, elements in counted.items()}
+
+
+class TestLinearLookups:
+    def test_element_lists_are_walked_as_often_at_every_size(self):
+        assert _element_list_walks(20) == _element_list_walks(80)
+
+    def test_two_entities_named_alike(self):
+        model = ERModel(entities=(
+            RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),)),
+            RegularEntityType("Alpha", (Attribute("AlpCode", AttributeKind.KEY),)),
+        ))
+        assert model.entity("Alpha") is model.entities[0]
+        with pytest.raises(SchemaInvariantError,
+                           match="^duplicate relation name 'Alpha'$"):
+            transform_model(model)
+
+    def test_an_entity_and_a_subtype_named_alike(self):
+        model = ERModel(
+            entities=(
+                RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),)),
+                RegularEntityType("Bravo", (Attribute("BraNo", AttributeKind.KEY),)),
+            ),
+            subtypes=(Subtype("Bravo", "Alpha", (Attribute("Grade"),)),),
+        )
+        assert model.entity("Bravo") is model.entities[1]
+        assert model.subtype("Bravo") is model.subtypes[0]
+        with pytest.raises(SchemaInvariantError,
+                           match="^duplicate relation name 'Bravo'$"):
+            transform_model(model)

@@ -5,6 +5,7 @@ from er2rds import (
     AttributeKind,
     CardinalityPair,
     Diagnostic,
+    ERModel,
     FkSuffix,
     NoDesignatedKey,
     RatioKind,
@@ -16,6 +17,8 @@ from er2rds import (
     RelationshipType,
     SchemaInvariantError,
     Severity,
+    Subtype,
+    WeakEntityType,
     check_schema,
     designated_key,
     format_diagnostic,
@@ -104,6 +107,49 @@ class TestEntityAccessors:
 
     def test_multivalued_attributes(self):
         assert [a.name for a in self.entity.multivalued_attributes()] == ["Location"]
+
+
+class TestModelLookups:
+    # Every name appears twice, once per tuple; only the first is reachable.
+    firsts = (
+        RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),)),
+        Subtype("Bravo", "Alpha", (Attribute("Grade"),)),
+        WeakEntityType("Cedar", "Alpha", "CedarOf",
+                       Attribute("Seq", AttributeKind.PARTIAL_KEY)),
+        rel("Delta", "1", "n"),
+    )
+    seconds = (
+        RegularEntityType("Alpha", (Attribute("AlpCode", AttributeKind.KEY),)),
+        Subtype("Bravo", "Alpha", (Attribute("Rank"),)),
+        WeakEntityType("Cedar", "Alpha", "CedarOf",
+                       Attribute("Pos", AttributeKind.PARTIAL_KEY)),
+        rel("Delta", "n", "1"),
+    )
+    model = ERModel(*zip(firsts, seconds))
+
+    def test_a_repeated_name_resolves_to_its_first_declaration(self):
+        entity, subtype, weak, relationship = self.firsts
+        assert self.model.entity("Alpha") is entity
+        assert self.model.subtype("Bravo") is subtype
+        assert self.model.weak("Cedar") is weak
+        assert self.model.relationship("Delta") is relationship
+
+    def test_unknown_names_resolve_to_nothing(self):
+        assert self.model.entity("Bravo") is None
+        assert self.model.subtype("Alpha") is None
+        assert self.model.weak("Delta") is None
+        assert self.model.relationship("Cedar") is None
+        assert self.model.relationships_involving("Alpha") == ()
+
+    def test_relationships_involving_keeps_declaration_order(self):
+        loop = RelationshipType("Loop", (
+            RelationshipEndpoint("A", CardinalityPair("0", "1")),
+            RelationshipEndpoint("A", CardinalityPair("0", "n")),
+        ))
+        model = ERModel(relationships=(rel("Ra", "1", "n"), loop, rel("Rb", "n", "1")))
+        assert [r.name for r in model.relationships_involving("A")] == \
+            ["Ra", "Loop", "Rb"]
+        assert [r.name for r in model.relationships_involving("B")] == ["Ra", "Rb"]
 
 
 class TestRdsAttributeDisplay:
