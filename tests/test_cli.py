@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from er2rds import cli, forward, model_diff, normalize_model, parse_er, validate_notation
+from er2rds import (
+    cli, forward, model_diff, normalize_model, parse_er, validate_notation,
+)
 from er2rds.cli import main, render_ddl, run_roundtrip
 from conftest import golden_path
 
