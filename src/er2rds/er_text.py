@@ -13,10 +13,14 @@ or ``n``.  Declarations inside a block may appear in any order and keep
 that order through a parse and re-emit; canonical form fixes only layout.
 Notation rules beyond the character class are the validator's business,
 not the parser's.
+
+Clean text is read without positions.  Text with any diagnostic is read
+again by the positioned lexer and parser, so line and column stay exact.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -121,14 +125,7 @@ def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
     return tokens, diagnostics
 
 
-@dataclass
-class _RawMember:
-    keyword: str
-    name: str
-    line: int
-
-
-@dataclass
+@dataclass(slots=True)
 class _RawConstruct:
     keyword: str
     name: str
@@ -138,7 +135,15 @@ class _RawConstruct:
     owner: str | None = None
     via: str | None = None
     endpoints: list[tuple[str, str, str]] = field(default_factory=list)
-    members: list[_RawMember] = field(default_factory=list)
+    members: list[tuple[str, str]] = field(default_factory=list)  # (keyword, name)
+
+
+_MEMBER_KEYWORDS = {
+    "entity": ("key", "attr", "multi"),
+    "subtype": ("attr",),
+    "weak": ("partial", "attr"),
+    "rel": ("attr",),
+}
 
 
 class _Parser:
@@ -280,12 +285,7 @@ class _Parser:
     def parse_body(self, construct: _RawConstruct) -> bool:
         if self.expect("{", "'{'") is None:
             return False
-        allowed = {
-            "entity": ("key", "attr", "multi"),
-            "subtype": ("attr",),
-            "weak": ("partial", "attr"),
-            "rel": ("attr",),
-        }[construct.keyword]
+        allowed = _MEMBER_KEYWORDS[construct.keyword]
         while True:
             token = self.peek()
             if token.kind == "}":
@@ -306,7 +306,7 @@ class _Parser:
                 return False
             if self.expect(";", "';'") is None:
                 return False
-            construct.members.append(_RawMember(token.text, member_name, token.line))
+            construct.members.append((token.text, member_name))
         # unreachable
 
 
@@ -316,6 +316,10 @@ _MEMBER_KINDS = {
     "multi": AttributeKind.MULTIVALUED,
     "partial": AttributeKind.PARTIAL_KEY,
 }
+
+# The parser admits only these four pairs, so every endpoint shares one.
+_PAIRS = {(minimum, maximum): CardinalityPair(minimum, maximum)
+          for minimum in ("0", "1") for maximum in ("1", MAX_MANY)}
 
 
 def _resolve(constructs: list[_RawConstruct]) -> tuple[ERModel | None, list[Diagnostic]]:
@@ -345,13 +349,12 @@ def _resolve(constructs: list[_RawConstruct]) -> tuple[ERModel | None, list[Diag
     def attributes_of(construct: _RawConstruct) -> tuple[Attribute, ...]:
         seen: set[str] = set()
         collected: list[Attribute] = []
-        for member in construct.members:
-            if member.name in seen:
-                err(construct, "REF",
-                    f"attribute {member.name!r} declared more than once")
+        for keyword, name in construct.members:
+            if name in seen:
+                err(construct, "REF", f"attribute {name!r} declared more than once")
                 continue
-            seen.add(member.name)
-            collected.append(Attribute(member.name, _MEMBER_KINDS[member.keyword]))
+            seen.add(name)
+            collected.append(Attribute(name, _MEMBER_KINDS[keyword]))
         return tuple(collected)
 
     entities: list[RegularEntityType] = []
@@ -393,7 +396,7 @@ def _resolve(constructs: list[_RawConstruct]) -> tuple[ERModel | None, list[Diag
                     err(construct, "REF",
                         f"participant {participant!r} is not an entity type or subtype")
                 endpoints.append(
-                    RelationshipEndpoint(participant, CardinalityPair(minimum, maximum))
+                    RelationshipEndpoint(participant, _PAIRS[minimum, maximum])
                 )
             relationships.append(
                 RelationshipType(construct.name, (endpoints[0], endpoints[1]), attrs)
@@ -407,8 +410,109 @@ def _resolve(constructs: list[_RawConstruct]) -> tuple[ERModel | None, list[Diag
     return model, diagnostics
 
 
+# Clean text is read as bare token strings, without positions.  A comment is
+# dropped unless a letter precedes its '//', where _lex would swallow the
+# slashes into a name chunk.  What is left may hold only the characters of
+# the grammar, so its blanks are exactly the four that _lex skips and its
+# letters are ASCII; once the punctuation is spaced apart, str.split yields
+# the tokens that _lex makes.  A chunk that _lex would split or flag, such
+# as a digit glued to a name or a lone '.', stays one token that no position
+# of the grammar accepts.
+_CLEAN_COMMENT = re.compile(r"(?<![A-Za-z])//[^\n]*")
+_CLEAN_STRAY = re.compile(r"[^ \t\r\nA-Za-z0-9{}(),;.]")
+_CLEAN_MEMBER_KEYWORDS = {
+    keyword: frozenset(allowed) for keyword, allowed in _MEMBER_KEYWORDS.items()
+}
+_MINIMA = ("0", "1")
+_MAXIMA = {"1": "1", "n": MAX_MANY, "N": MAX_MANY}
+
+
+def _clean_tokens(text: str) -> list[str] | None:
+    if "//" in text:
+        text = _CLEAN_COMMENT.sub("", text)
+    if _CLEAN_STRAY.search(text):
+        return None
+    for mark in "{}(),;":
+        text = text.replace(mark, f" {mark} ")
+    return text.replace("..", " .. ").split()
+
+
+def _read_clean(text: str) -> ERModel | None:
+    """The model of text that yields no diagnostic at all, read without
+    positions; None whenever a diagnostic might arise, in which case the
+    text must be read again by the positioned lexer and parser."""
+    tokens = _clean_tokens(text)
+    if tokens is None:
+        return None
+    constructs: list[_RawConstruct] = []
+    names: list[str] = []  # every token that the grammar reads as a name
+    i, end = 0, len(tokens)
+    try:
+        while i < end:
+            keyword = tokens[i]
+            name = tokens[i + 1]
+            names.append(name)
+            supertype = owner = via = None
+            endpoints: list[tuple[str, str, str]] = []
+            i += 2
+            if keyword == "subtype":
+                of, supertype = tokens[i:i + 2]
+                if of != "of":
+                    return None
+                names.append(supertype)
+                i += 2
+            elif keyword == "weak":
+                of, owner, via_keyword, via = tokens[i:i + 4]
+                if of != "of" or via_keyword != "via":
+                    return None
+                names += (owner, via)
+                i += 4
+            elif keyword == "rel":
+                (open_, near, near_min, near_dots, near_max, comma,
+                 far, far_min, far_dots, far_max, close) = tokens[i:i + 11]
+                if ((open_, near_dots, comma, far_dots, close) != ("(", "..", ",", "..", ")")
+                        or near_min not in _MINIMA or far_min not in _MINIMA):
+                    return None
+                endpoints = [(near, near_min, _MAXIMA[near_max]),
+                             (far, far_min, _MAXIMA[far_max])]
+                names += (near, far)
+                i += 11
+            elif keyword != "entity":
+                return None
+            if tokens[i] != "{":
+                return None
+            if tokens[i + 1] == "}":
+                pairs = []
+                i += 2
+            else:
+                close = tokens.index("}", i + 1)
+                body = tokens[i + 1:close]
+                keywords, members = body[0::3], body[1::3]
+                if (len(body) % 3 or body[2::3].count(";") != len(keywords)
+                        or not _CLEAN_MEMBER_KEYWORDS[keyword].issuperset(keywords)):
+                    return None
+                names += members
+                pairs = list(zip(keywords, members))
+                i = close + 1
+            constructs.append(_RawConstruct(keyword, name, 0, 0, supertype, owner, via,
+                                            endpoints, pairs))
+    except (IndexError, KeyError, ValueError):
+        return None
+    if names and not "".join(names).isalpha():
+        return None
+    model, diagnostics = _resolve(constructs)
+    return None if diagnostics else model
+
+
 def parse_er(text: str, path: str = "<er>") -> tuple[ERModel | None, list[Diagnostic]]:
     """Parse ER source text; returns (model, diagnostics), model None on errors."""
+    model = _read_clean(text)
+    if model is not None:
+        return model, []
+    return _parse_with_positions(text)
+
+
+def _parse_with_positions(text: str) -> tuple[ERModel | None, list[Diagnostic]]:
     tokens, diagnostics = _lex(text)
     parser = _Parser(tokens)
     constructs = parser.parse()

@@ -182,6 +182,13 @@ class Ratio:
     n_side: int | None = None  # endpoint index, set only for ONE_TO_MANY
 
 
+# Every classification is one of these four, so each call returns a shared one.
+_ONE_TO_ONE = Ratio(RatioKind.ONE_TO_ONE)
+_MANY_TO_MANY = Ratio(RatioKind.MANY_TO_MANY)
+_ONE_TO_MANY = (Ratio(RatioKind.ONE_TO_MANY, n_side=0),
+                Ratio(RatioKind.ONE_TO_MANY, n_side=1))
+
+
 def ratio_class(rel: RelationshipType) -> Ratio:
     """Classify a relationship from its two nearest pairs.
 
@@ -189,12 +196,13 @@ def ratio_class(rel: RelationshipType) -> Ratio:
     with the N-side at the endpoint whose nearest maximum is 1.  Symmetric
     under endpoint swap apart from the reported index.
     """
-    first, second = (ep.pair.max for ep in rel.endpoints)
+    first = rel.endpoints[0].pair.max
+    second = rel.endpoints[1].pair.max
     if first == "1" and second == "1":
-        return Ratio(RatioKind.ONE_TO_ONE)
+        return _ONE_TO_ONE
     if first == MAX_MANY and second == MAX_MANY:
-        return Ratio(RatioKind.MANY_TO_MANY)
-    return Ratio(RatioKind.ONE_TO_MANY, n_side=0 if first == "1" else 1)
+        return _MANY_TO_MANY
+    return _ONE_TO_MANY[0 if first == "1" else 1]
 
 
 def matching_keys(entity: RegularEntityType) -> tuple[Attribute, ...]:

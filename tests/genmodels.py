@@ -51,6 +51,24 @@ def _letters(index: int) -> str:
     return chr(ord("A") + first) + chr(ord("a") + second)
 
 
+# Role letters for scaled_model past the 676 two-letter tags: the entity,
+# multivalued attribute and subtype of one index each get their own third
+# letter, none of them e, m, s, l or p, the letters that follow a two-letter
+# tag in that model's names.  So no three-letter prefix is shared by two
+# relations, and none by a multivalued or subtype relation and a key.
+_ROLE_LETTERS = ("abc", "dfg", "hij", "kno", "qrt", "uvw", "xyz")
+
+
+def _role_tags(index: int) -> tuple[str, str, str]:
+    """The (entity, multivalued, subtype) name tags of scaled_model's index."""
+    block, rest = divmod(index, 26 * 26)
+    tag = _letters(rest)
+    if not block:
+        return tag, tag, tag
+    entity, multi, subtype = _ROLE_LETTERS[block - 1]
+    return tag + entity, tag + multi, tag + subtype
+
+
 class _Names:
     """Hands out names that cannot collide anywhere in one model."""
 
@@ -187,29 +205,30 @@ def scaled_model(n: int) -> ERModel:
     """The ROADMAP shape at even size n, 2.5·n relations: n entities, each
     with a key, an attribute and a multivalued attribute; n/2 subtypes with
     one attribute; a chain of n-1 one-to-many relationships; n/2 one-to-one
-    relationships from a subtype to an entity other than its supertype."""
-    tags = [_letters(i) for i in range(n)]
+    relationships from a subtype to an entity other than its supertype.
+    Sizes up to 8 * 26**2 = 5,408 are supported."""
+    tags = [_role_tags(i) for i in range(n)]
     entities = tuple(
         RegularEntityType(f"{tag}ent", (
             Attribute(f"{tag}eNo", AttributeKind.KEY),
             Attribute(f"{tag}eVal"),
-            Attribute(f"{tag}Multi", AttributeKind.MULTIVALUED),
+            Attribute(f"{multi}Multi", AttributeKind.MULTIVALUED),
         ))
-        for tag in tags
+        for tag, multi, _ in tags
     )
     subtypes = tuple(
-        Subtype(f"{tags[j]}sub", entities[2 * j].name, (Attribute(f"{tags[j]}sVal"),))
+        Subtype(f"{tags[j][2]}sub", entities[2 * j].name, (Attribute(f"{tags[j][2]}sVal"),))
         for j in range(n // 2)
     )
     chain = tuple(
-        RelationshipType(f"{tags[i]}Link", (
+        RelationshipType(f"{tags[i][0]}Link", (
             RelationshipEndpoint(entities[i].name, CardinalityPair("1", "n")),
             RelationshipEndpoint(entities[i + 1].name, CardinalityPair("0", "1")),
         ))
         for i in range(n - 1)
     )
     pairs = tuple(
-        RelationshipType(f"{tags[j]}Pair", (
+        RelationshipType(f"{tags[j][2]}Pair", (
             RelationshipEndpoint(subtypes[j].name, CardinalityPair("0", "1")),
             RelationshipEndpoint(entities[2 * j + 1].name, CardinalityPair("1", "1")),
         ))

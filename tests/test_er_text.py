@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from er2rds import emit_er, parse_er
+from er2rds import emit_er, er_text, parse_er
 from er2rds.model import AttributeKind, Severity
+from genmodels import generate_model
 
 
 def parse_clean(text):
@@ -197,3 +200,151 @@ class TestEmission:
         once = emit_er(parse_clean(company_text))
         again = emit_er(parse_clean(once))
         assert once == again
+
+
+# Names that share three-letter prefixes.  Each construct takes a name of
+# its own, but references and members draw from the whole pool, so
+# resolution often reports an unknown reference, a clash or a missing key.
+_COLLIDING = ("Ivory", "IvoNo", "IvoryNo", "Ivo", "Del", "Delta", "DelNo",
+              "DeltaNo", "Bra", "Brave", "Bravo", "BraNo", "Ced", "Cedar",
+              "CedNo", "CedarNo")
+
+
+def colliding_text(rng: random.Random) -> str:
+    fresh = rng.sample(_COLLIDING, len(_COLLIDING))
+
+    def name():
+        return rng.choice(_COLLIDING)
+
+    def members(keywords):
+        return " ".join(f"{rng.choice(keywords)} {name()};"
+                        for _ in range(rng.randint(0, 3)))
+
+    def pair():
+        return f"{rng.choice('01')}..{rng.choice(('1', 'n', 'N'))}"
+
+    entities = [fresh.pop() for _ in range(rng.randint(1, 4))]
+    lines = [f"entity {entity} {{ key {name()}; {members(('key', 'attr', 'multi'))} }}"
+             for entity in entities]
+    lines += [f"subtype {fresh.pop()} of {rng.choice(entities)} {{ {members(('attr',))} }}"
+              for _ in range(rng.randint(0, 2))]
+    lines += [f"weak {fresh.pop()} of {rng.choice(entities)} via {fresh.pop()} "
+              f"{{ partial {name()}; {members(('attr',))} }}"
+              for _ in range(rng.randint(0, 2))]
+    lines += [f"rel {fresh.pop()} ({name()} {pair()}, {name()} {pair()}) "
+              f"{{ {members(('attr',))} }}"
+              for _ in range(rng.randint(0, 3))]
+    rng.shuffle(lines)
+    return "\n".join(lines)
+
+
+_CLEAN_EDGE_TEXTS = [
+    "entity\tAbc\t{\tkey\tAbcNo;\t}",
+    "entity Abc {\r\n  key AbcNo;\r\n}\r\n",
+    "entity Abc { key AbcNo;// right after a semicolon\n}",
+    "entity Abc { key AbcNo //c\n; }",
+    "entity Abc { key AbcNo; } // at the end of input",
+    "entity Abc { key AbcNo; } //",
+    "entity Abc { key AbcNo; }\n///",
+    "entity Abc { key AbcNo; } // caf\u00e9 \u00b2",
+    "entity entity { key key; attr attr; multi multi; }\n"
+    "subtype of of entity { attr of; }\n"
+    "weak via of entity via rel { partial via; attr weak; }\n"
+    "rel n (entity 1..N, of 0..n) { attr n; }",
+    "entity Alpha { key AlpNo; }\nentity Bravo { key BraNo; }\n"
+    "rel Grove (Alpha 0..N, Bravo 1..1) { attr Since; }",
+    "entity Alpha{key AlpNo;}entity Bravo{key BraNo;}rel Grove(Alpha 1..n,Bravo 0..1){}",
+    "entity Alpha { key AlpNo; }\nrel Grove (Alpha 1 .. n, Alpha 0..1) { }",
+    "",
+    "   \n\t// only a comment",
+]
+
+# Texts with a diagnostic, or with a non-ASCII letter that str.isalpha takes.
+_POSITIONED_EDGE_TEXTS = [
+    "entity Abc { key AbcNo// right after a name\n; }",
+    "entity Abc { key AbcNo; } 1//c",
+    "entity Caf\u00e9 { key Caf\u00e9No; }",
+    "entity Abc { key AbcNo\u00b2; }",
+    "entity Abc\u00b2 { key AbcNo; }",
+    "entity Abc { key Abc1No; }",
+    "entity Abc { key Abc_No; }",
+    "entity Abc { key Abc-No; }",
+    "entity Abc { key Abc/No; }",
+    "entity Abc { key AbcNo; }\f",
+    "entity Abc { key AbcNo; }\v",
+    "entity Abc { key AbcNo; } .",
+    "entity Abc { key AbcNo; } /",
+    "entity Alpha { key AlpNo; }\nrel Grove (Alpha 1...n, Alpha 0..1) { }",
+    "entity Alpha { key AlpNo; }\nrel Grove (Alpha 2..n, Alpha 0..1) { }",
+    "entity Alpha { key AlpNo; }\nrel Grove (Alpha 1..m, Alpha 0..1) { }",
+    "entity Alpha { key AlpNo; }\nrel Grove (Alpha 01..n, Alpha 0..1) { }",
+    "entity Alpha { key AlpNo; }\nrel Grove (Alpha 1..nn, Alpha 0..1) { }",
+    "entity Alpha { key AlpNo; }\nrel Grove (Alpha 1..1n, Alpha 0..1) { }",
+    "entity Alpha { key AlpNo; } rel",
+    "entity Alpha { key AlpNo; attr }",
+    "entity Alpha { key AlpNo; partial Pa; }",
+    "entity Alpha { key ; }",
+    "entity Alpha { key AlpNo }",
+    "entity Alpha { }",
+    "entity Alpha { key AlpNo; key AlpNo; }",
+    "entity Alpha { key AlpNo; }\nentity Alpha { key AlpNo; }",
+    "weak Dep of Ghost via DepOf { partial Name; attr Sex; }",
+]
+
+
+def read_both_ways(text):
+    """parse_er's answer, and whether it took the position-free path."""
+    answer = parse_er(text)
+    assert answer == er_text._parse_with_positions(text), repr(text)
+    return answer, er_text._read_clean(text) is not None
+
+
+def mutants(rng: random.Random, bases, count):
+    alphabet = "abeiklnotyzANZ01289 \t\r\n{}(),;./_-#\f\v\u00e9\u00b2"
+    for _ in range(count):
+        text = rng.choice(bases)
+        at = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5 and at < len(text):
+            yield text[:at] + text[at + 1:]
+        else:
+            yield text[:at] + rng.choice(alphabet) + text[at:]
+
+
+class TestPositionFreeReading:
+    def test_clean_text_skips_the_positioned_lexer(self, company_text, monkeypatch):
+        calls = []
+        real_lex = er_text._lex
+        monkeypatch.setattr(er_text, "_lex", lambda text: calls.append(text) or real_lex(text))
+        parse_clean(company_text)
+        assert calls == []
+        model, diagnostics = parse_er("entity Abc { key AbcNo }")
+        assert model is None and rule_ids(diagnostics) == ["SYNTAX"]
+        assert len(calls) == 1
+
+    def test_emitted_text_reads_alike_without_positions(self, company_text):
+        texts = [company_text] + [emit_er(generate_model(seed)) for seed in range(200)]
+        for text in texts:
+            (model, diagnostics), fast = read_both_ways(text)
+            assert fast and model is not None and diagnostics == []
+
+    def test_colliding_names_read_alike(self):
+        rng = random.Random(6)
+        outcomes = {read_both_ways(colliding_text(rng))[1] for _ in range(300)}
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("text", _CLEAN_EDGE_TEXTS)
+    def test_clean_edge_texts_read_alike_without_positions(self, text):
+        (model, diagnostics), fast = read_both_ways(text)
+        assert fast and model is not None and diagnostics == []
+
+    @pytest.mark.parametrize("text", _POSITIONED_EDGE_TEXTS)
+    def test_other_edge_texts_read_alike_with_positions(self, text):
+        assert not read_both_ways(text)[1]
+
+    def test_one_character_mutants_read_alike(self, company_text):
+        rng = random.Random(2)
+        bases = [company_text, *_CLEAN_EDGE_TEXTS,
+                 *(colliding_text(rng) for _ in range(5)),
+                 *(emit_er(generate_model(seed)) for seed in range(5))]
+        fast = [read_both_ways(text)[1] for text in mutants(rng, bases, 2000)]
+        assert 0 < sum(fast) < len(fast)

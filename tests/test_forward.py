@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -20,12 +21,14 @@ from er2rds import (
     TransformConfig,
     UnsupportedParticipant,
     WeakEntityType,
+    emit_er,
     emit_rds,
     parse_er,
     transform_model,
     validate_notation,
 )
 from er2rds import forward
+from er2rds.cli import run_roundtrip
 from er2rds.forward import (
     transform_multivalued,
     transform_one_to_many,
@@ -372,3 +375,19 @@ class TestLinearLookups:
         with pytest.raises(SchemaInvariantError,
                            match="^duplicate relation name 'Bravo'$"):
             transform_model(model)
+
+
+class TestScaledModel:
+    def test_the_first_676_tags_are_unchanged(self):
+        text = emit_er(scaled_model(676))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "b192371af4edd68c4f83e8000f7fc29440b5a8ca90adf692f993812a6cd6208d"
+
+    def test_three_letter_tags_validate_and_round_trip(self):
+        model = scaled_model(700)
+        assert validate_notation(model) == []
+        assert run_roundtrip(model).ok
+
+    def test_4000_relations_parse_clean(self):
+        model = scaled_model(1600)
+        assert parse_er(emit_er(model)) == (model, [])

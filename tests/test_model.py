@@ -51,6 +51,11 @@ class TestRatioClass:
         ratio = ratio_class(rel("R", "1", "n", min_a="0", min_b="0"))
         assert ratio.kind is RatioKind.ONE_TO_MANY
 
+    @pytest.mark.parametrize("max_a,max_b", [("1", "1"), ("n", "n"), ("1", "n"), ("n", "1")])
+    def test_repeated_calls_share_one_ratio(self, max_a, max_b):
+        relationship = rel("R", max_a, max_b)
+        assert ratio_class(relationship) is ratio_class(relationship)
+
 
 class TestDesignatedKey:
     def test_picks_the_key_sharing_the_name_prefix(self):
