@@ -3,9 +3,11 @@
 The pipeline is parse_er -> validate_notation -> transform_model ->
 emit_rds, and in the other direction parse_rds -> reverse_transform ->
 emit_er.  run_roundtrip chains both directions and checks that nothing was
-lost.  All functions are pure apart from the CLI, which owns the I/O.
+lost; render_ddl projects a schema onto CREATE TABLE statements.  All
+functions are pure apart from the CLI, which owns the I/O.
 """
 
+from .ddl import render_ddl
 from .er_text import emit_er, parse_er
 from .errors import (
     BadSideChoice,
@@ -46,12 +48,14 @@ from .model import (
 from .rds_text import emit_rds, parse_rds
 from .reverse import (
     RelationKind,
+    RoundtripReport,
     canonical_model,
     classify_relations,
     model_diff,
     normalize_model,
     reconstruct_sog_choices,
     reverse_transform,
+    run_roundtrip,
 )
 from .validator import validate_notation
 
@@ -79,6 +83,7 @@ __all__ = [
     "RelationKind",
     "RelationshipEndpoint",
     "RelationshipType",
+    "RoundtripReport",
     "SchemaInvariantError",
     "Severity",
     "Subtype",
@@ -101,7 +106,9 @@ __all__ = [
     "parse_rds",
     "ratio_class",
     "reconstruct_sog_choices",
+    "render_ddl",
     "reverse_transform",
+    "run_roundtrip",
     "transform_model",
     "validate_notation",
     "__version__",

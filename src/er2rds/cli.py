@@ -11,182 +11,22 @@ raise the exit code.
 from __future__ import annotations
 
 import argparse
-import difflib
 import functools
 import sys
-from dataclasses import dataclass, field
 
+from .ddl import render_ddl
 from .er_text import emit_er, parse_er
 from .errors import PrerequisiteFailed, TransformError
-from .forward import TraceEntry, TransformConfig, _transform_steps, transform_model
-from .model import (
-    Diagnostic,
-    ERModel,
-    RelationalSchema,
-    Severity,
-    format_diagnostic,
-    has_errors,
-    leading_underline_count,
-)
+from .forward import TraceEntry, TransformConfig, _transform_steps
+from .model import format_diagnostic, has_errors
 from .rds_text import emit_rds, parse_rds
-from .reverse import (
-    RelationKind,
-    classify_relations,
-    key_owners,
-    model_diff,
-    normalize_model,
-    reconstruct_sog_choices,
-    reverse_transform,
-)
+from .reverse import reverse_transform, run_roundtrip
 from .validator import validate_notation
 
 EXIT_CLEAN = 0
 EXIT_WARNINGS = 1
 EXIT_ERRORS = 2
 EXIT_IO = 3
-
-
-# --------------------------------------------------------------------------
-# Round-trip check
-
-
-@dataclass
-class RoundtripReport:
-    """Outcome of forward, reverse, forward-again on one configuration."""
-
-    ok: bool
-    schema_text: str = ""
-    second_schema_text: str = ""
-    differences: list[str] = field(default_factory=list)
-
-
-def run_roundtrip(model: ERModel, cfg: TransformConfig | None = None
-                  ) -> RoundtripReport:
-    """Transform, reverse, and re-transform; the report is ok when the
-    reversed model equals the normalized source and the second transformation
-    reproduces the first schema byte for byte.
-
-    The second run replays the side choices recorded in the first schema's
-    one-to-one foreign keys, so it needs no external configuration."""
-    cfg = cfg or TransformConfig()
-    schema, _ = transform_model(model, cfg)
-    first = emit_rds(schema)
-    report = RoundtripReport(ok=False, schema_text=first)
-
-    reversed_model, diagnostics = reverse_transform(schema)
-    if reversed_model is None:
-        report.differences = [
-            "reverse transformation failed:",
-            *(format_diagnostic(d, "<schema>") for d in diagnostics
-              if d.severity is Severity.ERROR),
-        ]
-        return report
-    report.differences.extend(model_diff(normalize_model(model), reversed_model))
-
-    replay = TransformConfig(sog_choice=reconstruct_sog_choices(schema),
-                             extensions=cfg.extensions)
-    try:
-        second_schema, _ = transform_model(reversed_model, replay)
-    except TransformError as exc:
-        report.differences.append(f"second transformation failed: {exc}")
-        return report
-    second = emit_rds(second_schema)
-    report.second_schema_text = second
-    if second != first:
-        report.differences.append("schema texts differ:")
-        report.differences.extend(
-            line.rstrip("\n")
-            for line in difflib.unified_diff(
-                first.splitlines(keepends=True), second.splitlines(keepends=True),
-                fromfile="first", tofile="second")
-        )
-    report.ok = not report.differences
-    return report
-
-
-# --------------------------------------------------------------------------
-# DDL projection
-
-
-def _sql_identifier(name: str) -> str:
-    return name if name.isalnum() else f'"{name}"'
-
-
-def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
-    """Project the schema onto CREATE TABLE statements.
-
-    Every column is a TEXT placeholder; leading underlined attributes form
-    the primary key; each suffixed attribute becomes a foreign key against
-    the regular relation owning the referenced key (prefix stripped), with
-    its suffix preserved as a trailing comment.  Subtype, multivalued, and
-    weak relations also reference their owner through their first attribute.
-    An unresolvable reference becomes a comment plus a warning diagnostic.
-    """
-    diagnostics: list[Diagnostic] = []
-    kinds, _ = classify_relations(schema)
-    owners = key_owners(schema, kinds)
-
-    def unresolved(relation_name: str, key: str) -> str:
-        diagnostics.append(
-            Diagnostic("FK", Severity.WARNING,
-                       f"no relation owns primary key {key!r}",
-                       element=relation_name)
-        )
-        return f"-- unresolved reference: no relation owns primary key {key}"
-
-    statements = []
-    for relation in schema.relations:
-        items: list[tuple[str, str]] = []
-        for attr in relation.attributes:
-            comment = ""
-            if attr.suffix is not None:
-                s = attr.suffix
-                comment = f"-- ({s.relationship}, {s.v2}, {s.v3}, {s.v4})"
-            items.append((f"{_sql_identifier(attr.display_name())} TEXT", comment))
-
-        pk = [a.name for a in
-              relation.attributes[:leading_underline_count(relation)]]
-        if pk:
-            items.append((f"PRIMARY KEY ({', '.join(pk)})", ""))
-
-        dependent = kinds.get(relation.name) in (
-            RelationKind.SUBTYPE, RelationKind.MULTIVALUED, RelationKind.WEAK)
-        if dependent:
-            key = relation.attributes[0].name
-            owner = owners.get(key)
-            if owner is None:
-                items.append((unresolved(relation.name, key), ""))
-            else:
-                items.append((f"FOREIGN KEY ({key}) "
-                              f"REFERENCES {owner} ({key})", ""))
-        for attr in relation.attributes:
-            if attr.suffix is None:
-                continue
-            owner = owners.get(attr.name)
-            if owner is None:
-                items.append((unresolved(relation.name, attr.name), ""))
-            else:
-                items.append((f"FOREIGN KEY ({_sql_identifier(attr.display_name())}) "
-                              f"REFERENCES {owner} ({attr.name})", ""))
-
-        lines = [f"CREATE TABLE {relation.name} ("]
-        last_definition = max(
-            (i for i, (d, _) in enumerate(items) if not d.startswith("--")),
-            default=-1,
-        )
-        for index, (definition, comment) in enumerate(items):
-            needs_comma = index < last_definition and not definition.startswith("--")
-            suffix = f" {comment}" if comment else ""
-            lines.append(f"    {definition}{',' if needs_comma else ''}{suffix}")
-        lines.append(");")
-        statements.append("\n".join(lines))
-    if not statements:
-        return "", diagnostics
-    return "\n\n".join(statements) + "\n", diagnostics
-
-
-# --------------------------------------------------------------------------
-# Command plumbing
 
 
 def _print_diagnostics(diagnostics, path: str) -> None:
@@ -386,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
             text = handle.read()
     except OSError as exc:
         print(f"er2rds: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"er2rds: {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
         return _COMMANDS[args.command](args, text)

@@ -1,0 +1,80 @@
+"""DDL projection: an annotated relational schema as CREATE TABLE statements."""
+
+from __future__ import annotations
+
+from .model import Diagnostic, RelationalSchema, Severity, leading_underline_count
+from .reverse import RelationKind, classify_relations, key_owners
+
+
+def _sql_identifier(name: str) -> str:
+    return name if name.isalnum() else f'"{name}"'
+
+
+def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
+    """Project the schema onto CREATE TABLE statements.
+
+    Every column is a TEXT placeholder; leading underlined attributes form
+    the primary key; each suffixed attribute becomes a foreign key against
+    the regular relation owning the referenced key (prefix stripped), with
+    its suffix preserved as a trailing comment.  Subtype, multivalued, and
+    weak relations also reference their owner through their first attribute.
+    An unresolvable reference becomes a comment plus a warning diagnostic.
+    """
+    diagnostics: list[Diagnostic] = []
+    kinds, _ = classify_relations(schema)
+    owners = key_owners(schema, kinds)
+
+    statements = []
+    for relation in schema.relations:
+        items: list[tuple[str, str]] = []
+        for attr in relation.attributes:
+            comment = ""
+            if attr.suffix is not None:
+                s = attr.suffix
+                comment = f"-- ({s.relationship}, {s.v2}, {s.v3}, {s.v4})"
+            items.append((f"{_sql_identifier(attr.display_name())} TEXT", comment))
+
+        pk = [a.name for a in
+              relation.attributes[:leading_underline_count(relation)]]
+        if pk:
+            items.append((f"PRIMARY KEY ({', '.join(pk)})", ""))
+
+        # (column, referenced key) pairs: a dependent relation's owner
+        # reference first, then one per suffixed attribute.
+        references = [
+            (attr.name, attr.name) for attr in relation.attributes[:1]
+            if kinds.get(relation.name) in (
+                RelationKind.SUBTYPE, RelationKind.MULTIVALUED, RelationKind.WEAK)
+        ]
+        references += [
+            (_sql_identifier(attr.display_name()), attr.name)
+            for attr in relation.attributes if attr.suffix is not None
+        ]
+        for column, key in references:
+            owner = owners.get(key)
+            if owner is None:
+                diagnostics.append(
+                    Diagnostic("FK", Severity.WARNING,
+                               f"no relation owns primary key {key!r}",
+                               element=relation.name)
+                )
+                items.append((f"-- unresolved reference: no relation owns "
+                              f"primary key {key}", ""))
+            else:
+                items.append((f"FOREIGN KEY ({column}) "
+                              f"REFERENCES {owner} ({key})", ""))
+
+        lines = [f"CREATE TABLE {relation.name} ("]
+        last_definition = max(
+            (i for i, (d, _) in enumerate(items) if not d.startswith("--")),
+            default=-1,
+        )
+        for index, (definition, comment) in enumerate(items):
+            needs_comma = index < last_definition and not definition.startswith("--")
+            suffix = f" {comment}" if comment else ""
+            lines.append(f"    {definition}{',' if needs_comma else ''}{suffix}")
+        lines.append(");")
+        statements.append("\n".join(lines))
+    if not statements:
+        return "", diagnostics
+    return "\n\n".join(statements) + "\n", diagnostics

@@ -16,15 +16,18 @@ entity attributes come back as designated key, remaining keys, simple
 attributes, multivalued attributes, and a weak entity's identifying
 relationship is renamed ``<Name>Of``.  A model whose names collide with a
 regenerated ``<Name>Of`` name cannot round-trip; such inputs are rejected
-when the reversed model is re-emitted.
+when the reversed model is re-emitted.  run_roundtrip checks the promise
+on one model: transform, reverse, and transform again.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import difflib
 from enum import Enum
 
-from .errors import NoDesignatedKey
+from .errors import TransformError
+from .forward import TransformConfig, transform_model
 from .model import (
     Attribute,
     AttributeKind,
@@ -40,12 +43,14 @@ from .model import (
     Severity,
     Subtype,
     WeakEntityType,
-    designated_key,
+    format_diagnostic,
     has_errors,
     leading_underline_count,
+    matching_keys,
     name_prefix,
     ratio_class,
 )
+from .rds_text import emit_rds
 
 
 class RelationKind(Enum):
@@ -189,13 +194,11 @@ class _Rebuilder:
 
     def take_entity(self, relation: Relation) -> None:
         lead = leading_underline_count(relation)
-        attrs = [Attribute(a.name, AttributeKind.KEY)
-                 for a in relation.attributes[:lead]]
-        for attr in relation.attributes[lead:]:
-            if attr.suffix is not None:
-                break
-            attrs.append(Attribute(attr.name))
-        self.entity_attrs[relation.name] = attrs
+        self.entity_attrs[relation.name] = [
+            *(Attribute(a.name, AttributeKind.KEY)
+              for a in relation.attributes[:lead]),
+            *_payload_after(relation, lead - 1),
+        ]
 
     def take_subtype_relation(self, relation: Relation) -> None:
         owner = self.owners[relation.attributes[0].name]
@@ -335,13 +338,11 @@ def normalize_model(model: ERModel) -> ERModel:
     relationships renamed ``<Name>Of``."""
     entities = []
     for entity in model.entities:
-        try:
-            first = designated_key(entity)
-        except NoDesignatedKey:
-            first = None
-        keys = [k for k in entity.keys() if k is not first]
-        if first is not None:
-            keys.insert(0, first)
+        # The designated key goes first; an entity without one keeps its order.
+        keys = list(entity.keys())
+        for designated in matching_keys(entity)[:1]:
+            keys.remove(designated)
+            keys.insert(0, designated)
         attrs = (*keys, *entity.simple_attributes(),
                  *entity.multivalued_attributes())
         entities.append(RegularEntityType(entity.name, attrs))
@@ -399,3 +400,57 @@ def model_diff(expected: ERModel, actual: ERModel) -> list[str]:
         return []
     walk("model", dataclasses.asdict(expected), dataclasses.asdict(actual))
     return differences
+
+
+@dataclasses.dataclass
+class RoundtripReport:
+    """Outcome of forward, reverse, forward-again on one configuration."""
+
+    ok: bool
+    schema_text: str = ""
+    second_schema_text: str = ""
+    differences: list[str] = dataclasses.field(default_factory=list)
+
+
+def run_roundtrip(model: ERModel, cfg: TransformConfig | None = None
+                  ) -> RoundtripReport:
+    """Transform, reverse, and re-transform; the report is ok when the
+    reversed model equals the normalized source and the second transformation
+    reproduces the first schema byte for byte.
+
+    The second run replays the side choices recorded in the first schema's
+    one-to-one foreign keys, so it needs no external configuration."""
+    cfg = cfg or TransformConfig()
+    schema, _ = transform_model(model, cfg)
+    first = emit_rds(schema)
+    report = RoundtripReport(ok=False, schema_text=first)
+
+    reversed_model, diagnostics = reverse_transform(schema)
+    if reversed_model is None:
+        report.differences = [
+            "reverse transformation failed:",
+            *(format_diagnostic(d, "<schema>") for d in diagnostics
+              if d.severity is Severity.ERROR),
+        ]
+        return report
+    report.differences.extend(model_diff(normalize_model(model), reversed_model))
+
+    replay = TransformConfig(sog_choice=reconstruct_sog_choices(schema),
+                             extensions=cfg.extensions)
+    try:
+        second_schema, _ = transform_model(reversed_model, replay)
+    except TransformError as exc:
+        report.differences.append(f"second transformation failed: {exc}")
+        return report
+    second = emit_rds(second_schema)
+    report.second_schema_text = second
+    if second != first:
+        report.differences.append("schema texts differ:")
+        report.differences.extend(
+            line.rstrip("\n")
+            for line in difflib.unified_diff(
+                first.splitlines(keepends=True), second.splitlines(keepends=True),
+                fromfile="first", tofile="second")
+        )
+    report.ok = not report.differences
+    return report

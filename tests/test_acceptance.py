@@ -18,11 +18,12 @@ from er2rds import (
     emit_rds,
     parse_er,
     parse_rds,
+    render_ddl,
     reverse_transform,
     transform_model,
     validate_notation,
 )
-from er2rds.cli import main, render_ddl
+from er2rds.cli import main
 from genmodels import generate_model, sog_configs
 
 

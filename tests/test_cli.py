@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import subprocess
@@ -6,9 +7,10 @@ import sys
 import pytest
 
 from er2rds import (
-    cli, forward, model_diff, normalize_model, parse_er, validate_notation,
+    RoundtripReport, cli, forward, model_diff, normalize_model, parse_er,
+    render_ddl, run_roundtrip, validate_notation,
 )
-from er2rds.cli import main, render_ddl, run_roundtrip
+from er2rds.cli import main
 from conftest import golden_path
 
 COMPANY_ER = str(golden_path("company.er"))
@@ -48,6 +50,18 @@ class TestValidate:
     def test_missing_file_exits_three(self, capsys):
         assert main(["validate", str(golden_path("absent.er"))]) == 3
         assert "absent.er" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command",
+                             ["validate", "transform", "reverse", "roundtrip", "ddl"])
+    def test_input_that_is_not_utf8_exits_three(self, command, tmp_path, capsys):
+        latin = tmp_path / "latin.er"
+        latin.write_bytes(b"entity Dep\xff { key DepNo; }")
+        assert main([command, str(latin)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"er2rds: {latin}: 'utf-8' codec can't decode byte 0xff in "
+            f"position 10: invalid start byte\n")
 
 
 class TestTransform:
@@ -178,8 +192,41 @@ class TestRoundtrip:
         assert main(["roundtrip", str(bad)]) == 2
         assert "R2.4.2" in capsys.readouterr().err
 
+    # Models that validate clean but do not survive the round trip: a
+    # multivalued attribute named with its owner key's three-letter prefix
+    # comes back as an entity, a weak entity without simple attributes reads
+    # as a malformed multivalued relation, and two entities sharing a key
+    # name across a 1:n relationship collide in the holding relation.
+    @pytest.mark.parametrize("text, out, err", [
+        ("entity Brave { key BraNo; multi Bravo; }",
+         "round trip FAILED\nmodel.entities: 1 elements expected, 2 found\n", ""),
+        ("entity Ivory { key IvoNo; attr Name; }\n"
+         "weak Cedar of Ivory via CedarOf { partial CedNo; }",
+         "round trip FAILED\nreverse transformation failed:\n"
+         "<schema>: error[CLASSIFY]: relation 'Cedar' is unclassifiable: two "
+         "underlined attributes but the second is not named after the "
+         "relation (Cedar)\n", ""),
+        ("entity Delta { key DelNo; }\nentity Deltoid { key DelNo; }\n"
+         "rel Has (Delta 1..1, Deltoid 0..n) { }",
+         "", "er2rds: attribute 'DelNo' already exists in relation 'Delta'\n"),
+    ], ids=["multi-named-like-an-entity", "weak-partial-key", "shared-key-name"])
+    def test_clean_models_that_fail_the_round_trip(self, text, out, err,
+                                                   tmp_path, capsys):
+        source = tmp_path / "model.er"
+        source.write_text(text)
+        assert main(["validate", str(source)]) == 0
+        assert main(["roundtrip", str(source)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+
 
 class TestDdl:
+    def test_golden_schema_matches_the_golden_ddl(self, capsys):
+        assert main(["ddl", COMPANY_RDS]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == golden_path("company.sql").read_text(encoding="utf-8")
+
     def test_golden_schema_tables(self, capsys):
         assert main(["ddl", COMPANY_RDS]) == 0
         sql = capsys.readouterr().out
@@ -196,8 +243,15 @@ class TestDdl:
         dangling.write_text("Alpha[_AlpNo_, BetNo(Grove, 1, 1, n)]\n")
         assert main(["ddl", str(dangling)]) == 1
         captured = capsys.readouterr()
-        assert "-- unresolved reference" in captured.out
-        assert "BetNo" in captured.err
+        assert captured.out == (
+            "CREATE TABLE Alpha (\n"
+            "    AlpNo TEXT,\n"
+            "    BetNo TEXT, -- (Grove, 1, 1, n)\n"
+            "    PRIMARY KEY (AlpNo)\n"
+            "    -- unresolved reference: no relation owns primary key BetNo\n"
+            ");\n")
+        assert captured.err == (f"{dangling}: warning[FK]: no relation owns "
+                                f"primary key 'BetNo' (Alpha)\n")
 
     def test_empty_schema_produces_empty_output(self, tmp_path, capsys):
         empty = tmp_path / "empty.rds"
@@ -241,6 +295,15 @@ class TestRunRoundtrip:
         assert report.second_schema_text == company_rds_text
         assert report.differences == []
 
+    def test_report_of_a_failed_round_trip(self):
+        model, diagnostics = parse_er("entity Brave { key BraNo; multi Bravo; }",
+                                      "brave.er")
+        assert not diagnostics
+        schema_text = "Brave[_BraNo_]\nBravo[_BraNo_, _Bravo_]\n"
+        assert run_roundtrip(model) == RoundtripReport(
+            ok=False, schema_text=schema_text, second_schema_text=schema_text,
+            differences=["model.entities: 1 elements expected, 2 found"])
+
 
 class TestRenderDdl:
     def test_quoting_only_where_needed(self, company_schema):
@@ -249,3 +312,41 @@ class TestRenderDdl:
         assert "CREATE TABLE Employee (" in sql
         assert '"Manager-EmpNo"' in sql
         assert '"EmpNo"' not in sql
+
+
+def _parsed_modules(directory: pathlib.Path):
+    for path in sorted(directory.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+class TestThinCli:
+    def test_only_the_cli_reads_arguments_or_prints(self):
+        # The library is pure; sys, argparse and print belong to the CLI.
+        users = set()
+        for name, tree in _parsed_modules(CHECKOUT / "src" / "er2rds"):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    modules = []
+                if (any(m.split(".")[0] in ("sys", "argparse") for m in modules)
+                        or isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "print"):
+                    users.add(name)
+        assert users == {"cli.py", "__main__.py"}
+
+    def test_tests_import_only_main_from_the_cli(self):
+        imported = {
+            (name, alias.name)
+            for name, tree in _parsed_modules(CHECKOUT / "tests")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "er2rds.cli"
+            for alias in node.names
+        }
+        assert {alias for _, alias in imported} == {"main"}
+
+    def test_the_cli_reexports_the_library_ddl(self):
+        assert cli.render_ddl is render_ddl

@@ -24,11 +24,11 @@ from er2rds import (
     emit_er,
     emit_rds,
     parse_er,
+    run_roundtrip,
     transform_model,
     validate_notation,
 )
 from er2rds import forward
-from er2rds.cli import run_roundtrip
 from er2rds.forward import (
     transform_multivalued,
     transform_one_to_many,
