@@ -1,8 +1,11 @@
+import hashlib
 import random
+from unittest import mock
 
 import pytest
 
-from er2rds import emit_er, er_text, parse_er
+from conftest import golden_path
+from er2rds import emit_er, er_text, format_diagnostic, parse_er
 from er2rds.model import AttributeKind, Severity
 from genmodels import generate_model
 
@@ -292,11 +295,9 @@ _POSITIONED_EDGE_TEXTS = [
 ]
 
 
-def read_both_ways(text):
-    """parse_er's answer, and whether it took the position-free path."""
-    answer = parse_er(text)
-    assert answer == er_text._parse_with_positions(text), repr(text)
-    return answer, er_text._read_clean(text) is not None
+def colliding_texts():
+    rng = random.Random(6)
+    return [colliding_text(rng) for _ in range(300)]
 
 
 def mutants(rng: random.Random, bases, count):
@@ -308,6 +309,56 @@ def mutants(rng: random.Random, bases, count):
             yield text[:at] + text[at + 1:]
         else:
             yield text[:at] + rng.choice(alphabet) + text[at:]
+
+
+def mutant_texts(company_text):
+    rng = random.Random(2)
+    bases = [company_text, *_CLEAN_EDGE_TEXTS,
+             *(colliding_text(rng) for _ in range(5)),
+             *(emit_er(generate_model(seed)) for seed in range(5))]
+    return list(mutants(rng, bases, 2000))
+
+
+def read_both_ways(text):
+    """parse_er's answer, and whether the clean tokens were enough.  The
+    answer must equal the one read from the positioned lexer's tokens."""
+    with mock.patch.object(er_text, "_lex", wraps=er_text._lex) as lex:
+        answer = parse_er(text)
+    with mock.patch.object(er_text, "_clean_tokens", return_value=None):
+        assert answer == parse_er(text), repr(text)
+    return answer, not lex.called
+
+
+def parse_record(text):
+    """The text, then the verdict of parse_er with the emitted model, then
+    every diagnostic with its line and column."""
+    model, diagnostics = parse_er(text, "in.er")
+    lines = [repr(text)]
+    if model is None:
+        lines.append("none")
+    else:
+        lines += ["model", *(f"  {line}".rstrip() for line in emit_er(model).splitlines())]
+    lines += [format_diagnostic(d, "in.er") for d in diagnostics]
+    return "\n".join(lines)
+
+
+def golden_diagnostics(company_text):
+    """The contents of golden/er_diagnostics.txt: every edge text in full, and
+    the generated texts as one sha256 per block of 100 records."""
+    records = [parse_record(text) for text in _CLEAN_EDGE_TEXTS + _POSITIONED_EDGE_TEXTS]
+    for label, texts in (("colliding", colliding_texts()),
+                         ("mutants", mutant_texts(company_text))):
+        for start in range(0, len(texts), 100):
+            block = "\n\n".join(parse_record(text) for text in texts[start:start + 100])
+            digest = hashlib.sha256(block.encode("utf-8")).hexdigest()
+            records.append(f"{label} {start}-{start + 99} sha256 {digest}")
+    return "\n\n".join(records) + "\n"
+
+
+class TestGoldenDiagnostics:
+    def test_verdicts_and_diagnostics_match_the_golden_file(self, company_text):
+        expected = golden_path("er_diagnostics.txt").read_text(encoding="utf-8")
+        assert golden_diagnostics(company_text) == expected
 
 
 class TestPositionFreeReading:
@@ -328,8 +379,7 @@ class TestPositionFreeReading:
             assert fast and model is not None and diagnostics == []
 
     def test_colliding_names_read_alike(self):
-        rng = random.Random(6)
-        outcomes = {read_both_ways(colliding_text(rng))[1] for _ in range(300)}
+        outcomes = {read_both_ways(text)[1] for text in colliding_texts()}
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("text", _CLEAN_EDGE_TEXTS)
@@ -342,9 +392,5 @@ class TestPositionFreeReading:
         assert not read_both_ways(text)[1]
 
     def test_one_character_mutants_read_alike(self, company_text):
-        rng = random.Random(2)
-        bases = [company_text, *_CLEAN_EDGE_TEXTS,
-                 *(colliding_text(rng) for _ in range(5)),
-                 *(emit_er(generate_model(seed)) for seed in range(5))]
-        fast = [read_both_ways(text)[1] for text in mutants(rng, bases, 2000)]
+        fast = [read_both_ways(text)[1] for text in mutant_texts(company_text)]
         assert 0 < sum(fast) < len(fast)
