@@ -14,7 +14,6 @@ from .errors import (
     MissingOwnerRelation,
     MissingSupertypeRelation,
     NameCollision,
-    NoChoosableRelation,
     NoDesignatedKey,
     PrerequisiteFailed,
     SchemaInvariantError,
@@ -72,7 +71,6 @@ __all__ = [
     "MissingOwnerRelation",
     "MissingSupertypeRelation",
     "NameCollision",
-    "NoChoosableRelation",
     "NoDesignatedKey",
     "PrerequisiteFailed",
     "RatioKind",

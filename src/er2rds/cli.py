@@ -3,9 +3,10 @@
 Five subcommands over `.er` and `.rds` files: validate, transform, reverse,
 roundtrip, and ddl.  Diagnostics go to standard error; primary output goes
 to standard output or the file named by -o.  Exit codes: 0 clean, 1 warnings
-only, 2 model or schema errors, 3 I/O errors.  A reverse run's NORM notes
-describe inherent normalizations rather than problems, so they alone do not
-raise the exit code.
+only, 2 model or schema errors, 3 I/O errors.  A usage error also exits 2,
+from argparse, after a usage line on standard error.  A reverse run's NORM
+notes describe inherent normalizations rather than problems, so they alone
+do not raise the exit code.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
     its suffix preserved as a trailing comment.  Subtype, multivalued, and
     weak relations also reference their owner through their first attribute.
     An unresolvable reference becomes a comment plus a warning diagnostic.
+    The diagnostics of classification come first.
     """
-    diagnostics: list[Diagnostic] = []
-    kinds, _ = classify_relations(schema)
+    kinds, diagnostics = classify_relations(schema)
     owners = key_owners(schema, kinds)
 
     statements = []

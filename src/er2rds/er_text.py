@@ -14,8 +14,10 @@ that order through a parse and re-emit; canonical form fixes only layout.
 Notation rules beyond the character class are the validator's business,
 not the parser's.
 
-Clean text is read without positions.  Text with any diagnostic is read
-again by the positioned lexer and parser, so line and column stay exact.
+One parser reads the tokens of either of two tokenizers.  It first reads
+bare token strings, which are cheap to make but carry no position.  Text
+that yields any diagnostic is read again from the tokens of the positioned
+lexer, which locate every diagnostic by line and column.
 """
 
 from __future__ import annotations
@@ -37,15 +39,11 @@ from .model import (
     Severity,
     Subtype,
     WeakEntityType,
-    has_errors,
 )
-
-_TOP_KEYWORDS = ("entity", "subtype", "weak", "rel")
 
 
 class _Token(NamedTuple):
-    kind: str  # "name" | "number" | punctuation text | "eof"
-    text: str
+    text: str  # "" at the end of input
     line: int
     column: int
 
@@ -94,23 +92,23 @@ def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
                 )
             # Tokenized either way so one bad name cannot cascade into
             # follow-on syntax errors.
-            tokens.append(_Token("name", chunk, line, start_col))
+            tokens.append(_Token(chunk, line, start_col))
             continue
         if ch.isdigit():
             start = i
             start_col = column
             while i < length and text[i].isdigit():
                 i += 1
-            tokens.append(_Token("number", text[start:i], line, start_col))
+            tokens.append(_Token(text[start:i], line, start_col))
             column += i - start
             continue
         if text.startswith("..", i):
-            tokens.append(_Token("..", "..", line, column))
+            tokens.append(_Token("..", line, column))
             i += 2
             column += 2
             continue
         if ch in "{}(),;":
-            tokens.append(_Token(ch, ch, line, column))
+            tokens.append(_Token(ch, line, column))
             i += 1
             column += 1
             continue
@@ -121,7 +119,7 @@ def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
         )
         i += 1
         column += 1
-    tokens.append(_Token("eof", "", line, column))
+    tokens.append(_Token("", line, column))
     return tokens, diagnostics
 
 
@@ -129,8 +127,7 @@ def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
 class _RawConstruct:
     keyword: str
     name: str
-    line: int
-    column: int
+    at: int  # index of the keyword token
     supertype: str | None = None
     owner: str | None = None
     via: str | None = None
@@ -138,176 +135,116 @@ class _RawConstruct:
     members: list[tuple[str, str]] = field(default_factory=list)  # (keyword, name)
 
 
+# The top-level keywords, in the order that messages list them, and the
+# member keywords that each admits.
 _MEMBER_KEYWORDS = {
     "entity": ("key", "attr", "multi"),
     "subtype": ("attr",),
     "weak": ("partial", "attr"),
     "rel": ("attr",),
 }
+_MINIMA = ("0", "1")
+_MAXIMA = {"1": "1", "n": MAX_MANY, "N": MAX_MANY}
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.diagnostics: list[Diagnostic] = []
+class _Unexpected(Exception):
+    """A syntax error, raised with its token index and its message."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eof":
-            self.pos += 1
-        return token
+def _found(token: str) -> str:
+    return repr(token or "end of input")
 
-    def error(self, message: str, token: _Token | None = None) -> None:
-        token = token or self.peek()
-        self.diagnostics.append(
-            Diagnostic("SYNTAX", Severity.ERROR, message, token.line, token.column)
-        )
 
-    def expect(self, kind: str, what: str) -> _Token | None:
-        token = self.peek()
-        if token.kind != kind:
-            self.error(f"expected {what}, found {token.text or 'end of input'!r}")
-            return None
-        return self.advance()
+def _expect(tokens: list[str], i: int, wanted: str) -> int:
+    if tokens[i] != wanted:
+        raise _Unexpected(i, f"expected '{wanted}', found {_found(tokens[i])}")
+    return i + 1
 
-    def expect_name(self, what: str) -> str | None:
-        token = self.expect("name", what)
-        return token.text if token else None
 
-    def sync_to_top(self) -> None:
-        while True:
-            token = self.peek()
-            if token.kind == "eof":
-                return
-            if token.kind == "name" and token.text in _TOP_KEYWORDS:
-                return
-            self.advance()
+def _name(tokens: list[str], i: int, what: str, names: list[str]) -> str:
+    token = tokens[i]
+    if not token[:1].isalpha():
+        raise _Unexpected(i, f"expected {what}, found {_found(token)}")
+    names.append(token)
+    return token
 
-    def parse(self) -> list[_RawConstruct]:
-        constructs: list[_RawConstruct] = []
-        while self.peek().kind != "eof":
-            token = self.peek()
-            if token.kind != "name" or token.text not in _TOP_KEYWORDS:
-                self.error(
-                    f"expected one of {', '.join(_TOP_KEYWORDS)}, "
-                    f"found {token.text or 'end of input'!r}"
-                )
-                self.advance()
-                self.sync_to_top()
-                continue
-            construct = self.parse_construct()
-            if construct is not None:
-                constructs.append(construct)
-            else:
-                self.sync_to_top()
-        return constructs
 
-    def parse_construct(self) -> _RawConstruct | None:
-        keyword_token = self.advance()
-        keyword = keyword_token.text
-        name = self.expect_name(f"a name after '{keyword}'")
-        if name is None:
-            return None
-        construct = _RawConstruct(
-            keyword, name, keyword_token.line, keyword_token.column
-        )
-        if keyword == "subtype":
-            if not self.expect_keyword("of"):
-                return None
-            construct.supertype = self.expect_name("a supertype name")
-            if construct.supertype is None:
-                return None
-        elif keyword == "weak":
-            if not self.expect_keyword("of"):
-                return None
-            construct.owner = self.expect_name("an owner entity name")
-            if construct.owner is None:
-                return None
-            if not self.expect_keyword("via"):
-                return None
-            construct.via = self.expect_name("an identifying relationship name")
-            if construct.via is None:
-                return None
-        elif keyword == "rel":
-            if not self.parse_endpoints(construct):
-                return None
-        if not self.parse_body(construct):
-            return None
-        return construct
-
-    def expect_keyword(self, word: str) -> bool:
-        token = self.peek()
-        if token.kind == "name" and token.text == word:
-            self.advance()
-            return True
-        self.error(f"expected '{word}', found {token.text or 'end of input'!r}")
-        return False
-
-    def parse_endpoints(self, construct: _RawConstruct) -> bool:
-        if self.expect("(", "'('") is None:
-            return False
-        for position in range(2):
-            participant = self.expect_name("a participant name")
-            if participant is None:
-                return False
-            pair = self.parse_pair()
-            if pair is None:
-                return False
-            construct.endpoints.append((participant, pair[0], pair[1]))
-            if position == 0 and self.expect(",", "','") is None:
-                return False
-        return self.expect(")", "')'") is not None
-
-    def parse_pair(self) -> tuple[str, str] | None:
-        token = self.peek()
-        if token.kind != "number" or token.text not in ("0", "1"):
-            self.error(f"minimum participation must be 0 or 1, found {token.text!r}")
-            return None
-        self.advance()
-        minimum = token.text
-        if self.expect("..", "'..'") is None:
-            return None
-        token = self.peek()
-        if token.kind == "number" and token.text == "1":
-            maximum = "1"
-        elif token.kind == "name" and token.text in ("n", "N"):
-            maximum = MAX_MANY
-        else:
-            self.error(f"maximum participation must be 1 or n, found {token.text!r}")
-            return None
-        self.advance()
-        return minimum, maximum
-
-    def parse_body(self, construct: _RawConstruct) -> bool:
-        if self.expect("{", "'{'") is None:
-            return False
-        allowed = _MEMBER_KEYWORDS[construct.keyword]
-        while True:
-            token = self.peek()
-            if token.kind == "}":
-                self.advance()
-                return True
-            if token.kind == "eof":
-                self.error("unterminated block, expected '}'")
-                return False
-            if token.kind != "name" or token.text not in allowed:
-                self.error(
-                    f"expected one of {', '.join(allowed)} or '}}', "
-                    f"found {token.text or 'end of input'!r}"
-                )
-                return False
-            self.advance()
-            member_name = self.expect_name(f"a name after '{token.text}'")
-            if member_name is None:
-                return False
-            if self.expect(";", "';'") is None:
-                return False
-            construct.members.append((token.text, member_name))
-        # unreachable
+def _parse(tokens: list[str]
+           ) -> tuple[list[_RawConstruct], list[tuple[int, str]], list[str]]:
+    """Walk token strings that end in a "" sentinel, which reads as the end
+    of input.  A name is any token whose first character is a letter.
+    Returns the constructs, the syntax errors as (token index, message), and
+    every token read as a name.  After an error the walk resumes at the next
+    top-level keyword."""
+    constructs: list[_RawConstruct] = []
+    errors: list[tuple[int, str]] = []
+    names: list[str] = []
+    i = 0
+    while tokens[i]:
+        keyword = tokens[i]
+        try:
+            allowed = _MEMBER_KEYWORDS.get(keyword)
+            if allowed is None:
+                raise _Unexpected(i, f"expected one of {', '.join(_MEMBER_KEYWORDS)}, "
+                                     f"found {keyword!r}")
+            name = tokens[i + 1]
+            if not name[:1].isalpha():
+                raise _Unexpected(i + 1, f"expected a name after '{keyword}', "
+                                         f"found {_found(name)}")
+            names.append(name)
+            construct = _RawConstruct(keyword, name, i)
+            i += 2
+            if keyword == "subtype":
+                construct.supertype = _name(tokens, _expect(tokens, i, "of"),
+                                            "a supertype name", names)
+                i += 2
+            elif keyword == "weak":
+                construct.owner = _name(tokens, _expect(tokens, i, "of"),
+                                        "an owner entity name", names)
+                construct.via = _name(tokens, _expect(tokens, i + 2, "via"),
+                                      "an identifying relationship name", names)
+                i += 4
+            elif keyword == "rel":
+                i = _expect(tokens, i, "(")
+                for close in (",", ")"):
+                    participant = _name(tokens, i, "a participant name", names)
+                    minimum = tokens[i + 1]
+                    if minimum not in _MINIMA:
+                        raise _Unexpected(i + 1, "minimum participation must be "
+                                                 f"0 or 1, found {minimum!r}")
+                    i = _expect(tokens, i + 2, "..")
+                    maximum = _MAXIMA.get(tokens[i])
+                    if maximum is None:
+                        raise _Unexpected(i, "maximum participation must be "
+                                             f"1 or n, found {tokens[i]!r}")
+                    construct.endpoints.append((participant, minimum, maximum))
+                    i = _expect(tokens, i + 1, close)
+            i = _expect(tokens, i, "{")
+            members = construct.members
+            while (member := tokens[i]) != "}":
+                if member not in allowed:
+                    if not member:
+                        raise _Unexpected(i, "unterminated block, expected '}'")
+                    raise _Unexpected(i, f"expected one of {', '.join(allowed)} "
+                                         f"or '}}', found {member!r}")
+                name = tokens[i + 1]
+                if not name[:1].isalpha():
+                    raise _Unexpected(i + 1, f"expected a name after '{member}', "
+                                             f"found {_found(name)}")
+                if tokens[i + 2] != ";":
+                    raise _Unexpected(i + 2, "expected ';', "
+                                             f"found {_found(tokens[i + 2])}")
+                names.append(name)
+                members.append((member, name))
+                i += 3
+            constructs.append(construct)
+            i += 1
+        except _Unexpected as error:
+            errors.append(error.args)
+            i = error.args[0]
+            while tokens[i] and tokens[i] not in _MEMBER_KEYWORDS:
+                i += 1
+    return constructs, errors, names
 
 
 _MEMBER_KINDS = {
@@ -322,14 +259,13 @@ _PAIRS = {(minimum, maximum): CardinalityPair(minimum, maximum)
           for minimum in ("0", "1") for maximum in ("1", MAX_MANY)}
 
 
-def _resolve(constructs: list[_RawConstruct]) -> tuple[ERModel | None, list[Diagnostic]]:
-    diagnostics: list[Diagnostic] = []
+def _resolve(constructs: list[_RawConstruct]
+             ) -> tuple[ERModel | None, list[tuple[_RawConstruct, str, str]]]:
+    """The model, or None with every problem as (construct, rule, message)."""
+    problems: list[tuple[_RawConstruct, str, str]] = []
 
     def err(construct: _RawConstruct, rule: str, message: str) -> None:
-        diagnostics.append(
-            Diagnostic(rule, Severity.ERROR, message, construct.line, construct.column,
-                       element=f"{construct.keyword} {construct.name}")
-        )
+        problems.append((construct, rule, message))
 
     # Global name uniqueness covers the four element kinds plus identifying
     # relationship names, which reversal regenerates as first-class names.
@@ -402,29 +338,24 @@ def _resolve(constructs: list[_RawConstruct]) -> tuple[ERModel | None, list[Diag
                 RelationshipType(construct.name, (endpoints[0], endpoints[1]), attrs)
             )
 
-    if has_errors(diagnostics):
-        return None, diagnostics
+    if problems:
+        return None, problems
     model = ERModel(
         tuple(entities), tuple(subtypes), tuple(weaks), tuple(relationships)
     )
-    return model, diagnostics
+    return model, problems
 
 
-# Clean text is read as bare token strings, without positions.  A comment is
+# The cheap tokenizer: bare token strings, without positions.  A comment is
 # dropped unless a letter precedes its '//', where _lex would swallow the
 # slashes into a name chunk.  What is left may hold only the characters of
 # the grammar, so its blanks are exactly the four that _lex skips and its
 # letters are ASCII; once the punctuation is spaced apart, str.split yields
 # the tokens that _lex makes.  A chunk that _lex would split or flag, such
-# as a digit glued to a name or a lone '.', stays one token that no position
-# of the grammar accepts.
+# as a digit glued to a name or a lone '.', stays one token that the grammar
+# rejects or that is read as a name but is not purely alphabetic.
 _CLEAN_COMMENT = re.compile(r"(?<![A-Za-z])//[^\n]*")
 _CLEAN_STRAY = re.compile(r"[^ \t\r\nA-Za-z0-9{}(),;.]")
-_CLEAN_MEMBER_KEYWORDS = {
-    keyword: frozenset(allowed) for keyword, allowed in _MEMBER_KEYWORDS.items()
-}
-_MINIMA = ("0", "1")
-_MAXIMA = {"1": "1", "n": MAX_MANY, "N": MAX_MANY}
 
 
 def _clean_tokens(text: str) -> list[str] | None:
@@ -437,92 +368,32 @@ def _clean_tokens(text: str) -> list[str] | None:
     return text.replace("..", " .. ").split()
 
 
-def _read_clean(text: str) -> ERModel | None:
-    """The model of text that yields no diagnostic at all, read without
-    positions; None whenever a diagnostic might arise, in which case the
-    text must be read again by the positioned lexer and parser."""
-    tokens = _clean_tokens(text)
-    if tokens is None:
-        return None
-    constructs: list[_RawConstruct] = []
-    names: list[str] = []  # every token that the grammar reads as a name
-    i, end = 0, len(tokens)
-    try:
-        while i < end:
-            keyword = tokens[i]
-            name = tokens[i + 1]
-            names.append(name)
-            supertype = owner = via = None
-            endpoints: list[tuple[str, str, str]] = []
-            i += 2
-            if keyword == "subtype":
-                of, supertype = tokens[i:i + 2]
-                if of != "of":
-                    return None
-                names.append(supertype)
-                i += 2
-            elif keyword == "weak":
-                of, owner, via_keyword, via = tokens[i:i + 4]
-                if of != "of" or via_keyword != "via":
-                    return None
-                names += (owner, via)
-                i += 4
-            elif keyword == "rel":
-                (open_, near, near_min, near_dots, near_max, comma,
-                 far, far_min, far_dots, far_max, close) = tokens[i:i + 11]
-                if ((open_, near_dots, comma, far_dots, close) != ("(", "..", ",", "..", ")")
-                        or near_min not in _MINIMA or far_min not in _MINIMA):
-                    return None
-                endpoints = [(near, near_min, _MAXIMA[near_max]),
-                             (far, far_min, _MAXIMA[far_max])]
-                names += (near, far)
-                i += 11
-            elif keyword != "entity":
-                return None
-            if tokens[i] != "{":
-                return None
-            if tokens[i + 1] == "}":
-                pairs = []
-                i += 2
-            else:
-                close = tokens.index("}", i + 1)
-                body = tokens[i + 1:close]
-                keywords, members = body[0::3], body[1::3]
-                if (len(body) % 3 or body[2::3].count(";") != len(keywords)
-                        or not _CLEAN_MEMBER_KEYWORDS[keyword].issuperset(keywords)):
-                    return None
-                names += members
-                pairs = list(zip(keywords, members))
-                i = close + 1
-            constructs.append(_RawConstruct(keyword, name, 0, 0, supertype, owner, via,
-                                            endpoints, pairs))
-    except (IndexError, KeyError, ValueError):
-        return None
-    if names and not "".join(names).isalpha():
-        return None
-    model, diagnostics = _resolve(constructs)
-    return None if diagnostics else model
-
-
 def parse_er(text: str, path: str = "<er>") -> tuple[ERModel | None, list[Diagnostic]]:
     """Parse ER source text; returns (model, diagnostics), model None on errors."""
-    model = _read_clean(text)
-    if model is not None:
-        return model, []
-    return _parse_with_positions(text)
-
-
-def _parse_with_positions(text: str) -> tuple[ERModel | None, list[Diagnostic]]:
-    tokens, diagnostics = _lex(text)
-    parser = _Parser(tokens)
-    constructs = parser.parse()
-    diagnostics.extend(parser.diagnostics)
-    if has_errors(diagnostics):
+    tokens = _clean_tokens(text)
+    if tokens is not None:
+        tokens.append("")
+        constructs, errors, names = _parse(tokens)
+        if not errors and (not names or "".join(names).isalpha()):
+            model, problems = _resolve(constructs)
+            if not problems:
+                return model, []
+    lexed, diagnostics = _lex(text)
+    constructs, errors, _ = _parse([token.text for token in lexed])
+    for index, message in errors:
+        token = lexed[index]
+        diagnostics.append(
+            Diagnostic("SYNTAX", Severity.ERROR, message, token.line, token.column)
+        )
+    if diagnostics:
         return None, diagnostics
-    model, resolution = _resolve(constructs)
-    diagnostics.extend(resolution)
-    if model is None:
-        return None, diagnostics
+    model, problems = _resolve(constructs)
+    for construct, rule, message in problems:
+        token = lexed[construct.at]
+        diagnostics.append(
+            Diagnostic(rule, Severity.ERROR, message, token.line, token.column,
+                       element=f"{construct.keyword} {construct.name}")
+        )
     return model, diagnostics
 
 

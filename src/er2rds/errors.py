@@ -27,10 +27,6 @@ class UnsupportedParticipant(TransformError):
     """A relationship endpoint kind falls outside the supported transformation set."""
 
 
-class NoChoosableRelation(TransformError):
-    """Neither side of a one-to-one relationship has a relation to extend."""
-
-
 class BadSideChoice(TransformError):
     """A side choice names an unknown relationship or a non-participant."""
 

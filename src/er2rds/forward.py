@@ -28,7 +28,6 @@ from .errors import (
     MissingOwnerRelation,
     MissingSupertypeRelation,
     NameCollision,
-    NoChoosableRelation,
     PrerequisiteFailed,
     SchemaInvariantError,
     UnsupportedParticipant,
@@ -277,10 +276,6 @@ def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
     chosen_end = _resolve_side(rel, model, schema, cfg)
     far_end = next(ep for ep in rel.endpoints if ep is not chosen_end)
     chosen = schema.find(chosen_end.participant)
-    if chosen is None:
-        raise NoChoosableRelation(
-            f"side {chosen_end.participant!r} of {rel.name!r} has no relation"
-        )
     fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema)
     suffix = FkSuffix(rel.name, chosen_end.pair.min, far_end.pair.min,
                       far_end.pair.max)

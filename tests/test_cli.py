@@ -47,6 +47,14 @@ class TestValidate:
         assert main(["validate", str(advisory)]) == 1
         assert "R2.5.1" in capsys.readouterr().err
 
+    def test_a_usage_error_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: er2rds validate")
+
     def test_missing_file_exits_three(self, capsys):
         assert main(["validate", str(golden_path("absent.er"))]) == 3
         assert "absent.er" in capsys.readouterr().err
@@ -252,6 +260,23 @@ class TestDdl:
             ");\n")
         assert captured.err == (f"{dangling}: warning[FK]: no relation owns "
                                 f"primary key 'BetNo' (Alpha)\n")
+
+    def test_classification_errors_are_reported_and_exit_two(self, tmp_path, capsys):
+        orphan = tmp_path / "orphan.rds"
+        orphan.write_text("Dependent[_EmpNo_, _Name_, Sex]\n")
+        assert main(["ddl", str(orphan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "CREATE TABLE Dependent (\n"
+            "    EmpNo TEXT,\n"
+            "    Name TEXT,\n"
+            "    Sex TEXT,\n"
+            "    PRIMARY KEY (EmpNo, Name)\n"
+            ");\n")
+        assert captured.err == (
+            f"{orphan}: error[CLASSIFY]: relation 'Dependent' is unclassifiable: "
+            f"leading attribute 'EmpNo' is not the primary key of another "
+            f"regular relation (Dependent)\n")
 
     def test_empty_schema_produces_empty_output(self, tmp_path, capsys):
         empty = tmp_path / "empty.rds"
