@@ -18,7 +18,7 @@ import sys
 from .ddl import render_ddl
 from .er_text import emit_er, parse_er
 from .errors import PrerequisiteFailed, TransformError
-from .forward import TraceEntry, TransformConfig, _transform_steps
+from .forward import TraceEntry, TransformConfig, _Replay, _transform_steps
 from .model import format_diagnostic, has_errors
 from .rds_text import emit_rds, parse_rds
 from .reverse import reverse_transform, run_roundtrip
@@ -97,7 +97,7 @@ def cmd_transform(args: argparse.Namespace, text: str) -> int:
         cfg = _config_from(args)
         notation = validate_notation(model, allow_extensions=cfg.extensions)
         if not has_errors(notation):
-            schema, trace = _transform_steps(model, cfg)
+            schema, events = _transform_steps(model, cfg)
     except (TransformError, ValueError) as exc:
         _print_diagnostics(diagnostics, args.input)
         print(f"er2rds: {exc}", file=sys.stderr)
@@ -107,7 +107,7 @@ def cmd_transform(args: argparse.Namespace, text: str) -> int:
     if has_errors(notation):
         return EXIT_ERRORS
     if args.trace:
-        _print_trace(trace)
+        _print_trace(_Replay(events, schema).entries())
     _write_output(emit_rds(schema), args.output)
     return _exit_code(diagnostics)
 

@@ -113,6 +113,10 @@ class _Replay:
         self.events = tuple(events)
         self.final = {r.name: tuple(r.attributes) for r in schema.relations}
 
+    def entries(self) -> list[TraceEntry]:
+        return [TraceEntry(*event, self, position)
+                for position, event in enumerate(self.events)]
+
     def schema_after(self, position: int) -> tuple[str, ...]:
         widths: dict[str, int] = {}
         for _, _, relation, width, at_end in self.events[:position + 1]:
@@ -367,7 +371,13 @@ def transform_model(model: ERModel,
     Raises PrerequisiteFailed when notation validation finds errors, and the
     step errors otherwise.  Each trace entry records one event; nothing is
     rendered until some entry's ``schema_after`` is read."""
-    cfg = cfg or TransformConfig()
+    schema, events = _validated_steps(model, cfg or TransformConfig())
+    return schema, _Replay(events, schema).entries()
+
+
+def _validated_steps(model: ERModel, cfg: TransformConfig
+                     ) -> tuple[RelationalSchema, list[_Event]]:
+    """``transform_model`` without the trace: the schema and its events."""
     diagnostics = validate_notation(model, allow_extensions=cfg.extensions)
     if has_errors(diagnostics):
         raise PrerequisiteFailed(diagnostics)
@@ -375,9 +385,9 @@ def transform_model(model: ERModel,
 
 
 def _transform_steps(model: ERModel, cfg: TransformConfig
-                     ) -> tuple[RelationalSchema, list[TraceEntry]]:
+                     ) -> tuple[RelationalSchema, list[_Event]]:
     """The six steps of ``transform_model`` on a model that passed notation
-    validation."""
+    validation; returns the schema and one event per step."""
     _check_side_choices(model, cfg)
 
     schema = _IndexedSchema()
@@ -429,6 +439,4 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
     # A plain schema, since dataclass equality compares classes.
     result = RelationalSchema(schema.relations)
     check_schema(result)
-    replay = _Replay(events, result)
-    return result, [TraceEntry(*event, replay, position)
-                    for position, event in enumerate(events)]
+    return result, events

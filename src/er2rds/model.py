@@ -54,14 +54,32 @@ class RegularEntityType:
     name: str
     attributes: tuple[Attribute, ...] = ()
 
+    @cached_property
+    def _partitions(self) -> tuple[tuple[Attribute, ...], ...]:
+        """Keys, simple, multivalued and name-matching keys, from one walk;
+        not a field, so equality, hashing and ``asdict`` ignore it."""
+        keys, simple, multivalued, matching = [], [], [], []
+        prefix = name_prefix(self.name)
+        for attr in self.attributes:
+            kind = attr.kind
+            if kind is AttributeKind.KEY:
+                keys.append(attr)
+                if name_prefix(attr.name) == prefix:
+                    matching.append(attr)
+            elif kind is AttributeKind.SIMPLE:
+                simple.append(attr)
+            elif kind is AttributeKind.MULTIVALUED:
+                multivalued.append(attr)
+        return tuple(keys), tuple(simple), tuple(multivalued), tuple(matching)
+
     def keys(self) -> tuple[Attribute, ...]:
-        return tuple(a for a in self.attributes if a.kind is AttributeKind.KEY)
+        return self._partitions[0]
 
     def simple_attributes(self) -> tuple[Attribute, ...]:
-        return tuple(a for a in self.attributes if a.kind is AttributeKind.SIMPLE)
+        return self._partitions[1]
 
     def multivalued_attributes(self) -> tuple[Attribute, ...]:
-        return tuple(a for a in self.attributes if a.kind is AttributeKind.MULTIVALUED)
+        return self._partitions[2]
 
 
 @dataclass(frozen=True)
@@ -207,8 +225,7 @@ def ratio_class(rel: RelationshipType) -> Ratio:
 
 def matching_keys(entity: RegularEntityType) -> tuple[Attribute, ...]:
     """Key attributes whose first three letters match the entity name's."""
-    prefix = name_prefix(entity.name)
-    return tuple(k for k in entity.keys() if name_prefix(k.name) == prefix)
+    return entity._partitions[3]
 
 
 def designated_key(entity: RegularEntityType) -> Attribute:
@@ -300,18 +317,19 @@ def check_schema(schema: RelationalSchema) -> None:
             )
         seen_names: set[str] = set()
         for index, attr in enumerate(relation.attributes):
-            where = f"{relation.name}.{attr.display_name()}"
+            name = attr.display_name()
             if attr.underlined and index >= lead:
-                raise SchemaInvariantError(
-                    f"underlined attribute after a non-underlined one at {where}"
-                )
-            if attr.underlined and attr.suffix is not None:
-                raise SchemaInvariantError(f"underlined attribute with suffix at {where}")
-            if attr.prefix is not None and attr.suffix is None:
-                raise SchemaInvariantError(f"prefix without suffix at {where}")
-            if attr.display_name() in seen_names:
-                raise SchemaInvariantError(f"duplicate attribute {where}")
-            seen_names.add(attr.display_name())
+                problem = "underlined attribute after a non-underlined one at"
+            elif attr.underlined and attr.suffix is not None:
+                problem = "underlined attribute with suffix at"
+            elif attr.prefix is not None and attr.suffix is None:
+                problem = "prefix without suffix at"
+            elif name in seen_names:
+                problem = "duplicate attribute"
+            else:
+                seen_names.add(name)
+                continue
+            raise SchemaInvariantError(f"{problem} {relation.name}.{name}")
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import difflib
 from enum import Enum
 
 from .errors import TransformError
-from .forward import TransformConfig, transform_model
+from .forward import TransformConfig, _validated_steps
 from .model import (
     Attribute,
     AttributeKind,
@@ -354,12 +354,13 @@ def normalize_model(model: ERModel) -> ERModel:
 
 
 def _canonical_relationship(rel: RelationshipType) -> RelationshipType:
+    """The relationship itself when its endpoints are in canonical order."""
     ratio = ratio_class(rel)
     if ratio.kind is RatioKind.ONE_TO_MANY:
-        ordered = (rel.endpoints[ratio.n_side], rel.endpoints[1 - ratio.n_side])
+        swap = ratio.n_side == 1
     else:
-        ordered = tuple(sorted(rel.endpoints, key=lambda ep: ep.participant))
-    return dataclasses.replace(rel, endpoints=ordered)
+        swap = rel.endpoints[1].participant < rel.endpoints[0].participant
+    return dataclasses.replace(rel, endpoints=rel.endpoints[::-1]) if swap else rel
 
 
 def canonical_model(model: ERModel) -> ERModel:
@@ -421,7 +422,7 @@ def run_roundtrip(model: ERModel, cfg: TransformConfig | None = None
     The second run replays the side choices recorded in the first schema's
     one-to-one foreign keys, so it needs no external configuration."""
     cfg = cfg or TransformConfig()
-    schema, _ = transform_model(model, cfg)
+    schema, _ = _validated_steps(model, cfg)
     first = emit_rds(schema)
     report = RoundtripReport(ok=False, schema_text=first)
 
@@ -438,7 +439,7 @@ def run_roundtrip(model: ERModel, cfg: TransformConfig | None = None
     replay = TransformConfig(sog_choice=reconstruct_sog_choices(schema),
                              extensions=cfg.extensions)
     try:
-        second_schema, _ = transform_model(reversed_model, replay)
+        second_schema, _ = _validated_steps(reversed_model, replay)
     except TransformError as exc:
         report.differences.append(f"second transformation failed: {exc}")
         return report

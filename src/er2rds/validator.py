@@ -61,26 +61,34 @@ class _Collector:
             self.add(position, "R2.5.1", Severity.WARNING,
                      f"name {name!r} looks plural; names should be singular", element)
 
+    def attribute_checks(self, position: tuple[int, ...], owner: str,
+                         attributes) -> None:
+        """``name_checks`` per attribute; the element is built only if one fails."""
+        for index, attr in enumerate(attributes):
+            name = attr.name
+            if not (name.isalpha() and name[:1].isupper()):
+                self.name_checks((*position, index), name,
+                                 f"{owner}, attribute {name}")
+
     def sorted_diagnostics(self) -> list[Diagnostic]:
         return [d for _, _, d in sorted(self.found, key=lambda item: item[:2])]
 
 
 def _check_entity(out: _Collector, index: int, entity: RegularEntityType) -> None:
     position = (0, index)
-    out.name_checks(position, entity.name, f"entity {entity.name}", plural_check=True)
-    for attr_index, attr in enumerate(entity.attributes):
-        out.name_checks((0, index, attr_index), attr.name,
-                        f"entity {entity.name}, attribute {attr.name}")
+    element = f"entity {entity.name}"
+    out.name_checks(position, entity.name, element, plural_check=True)
+    out.attribute_checks(position, element, entity.attributes)
     matches = matching_keys(entity)
     if not matches:
         out.add(position, "R2.4.2", Severity.ERROR,
                 f"entity {entity.name!r} has no key attribute whose first three "
-                f"letters match the entity name", f"entity {entity.name}")
+                f"letters match the entity name", element)
     elif len(matches) > 1:
         out.add(position, "R2.4.2", Severity.WARNING,
                 f"entity {entity.name!r} has {len(matches)} key attributes matching "
                 f"its name; {matches[0].name!r} is designated by declaration order",
-                f"entity {entity.name}")
+                element)
 
 
 def _supported_kinds(model: ERModel, rel: RelationshipType) -> list[str]:
@@ -100,9 +108,7 @@ def _check_relationship(out: _Collector, model: ERModel, index: int,
     position = (3, index)
     element = f"relationship {rel.name}"
     out.name_checks(position, rel.name, element)
-    for attr_index, attr in enumerate(rel.attributes):
-        out.name_checks((3, index, attr_index), attr.name,
-                        f"relationship {rel.name}, attribute {attr.name}")
+    out.attribute_checks(position, element, rel.attributes)
 
     first, second = rel.participants()
     if first == second:
@@ -139,9 +145,7 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
         position = (1, index)
         element = f"subtype {subtype.name}"
         out.name_checks(position, subtype.name, element, plural_check=True)
-        for attr_index, attr in enumerate(subtype.attributes):
-            out.name_checks((1, index, attr_index), attr.name,
-                            f"subtype {subtype.name}, attribute {attr.name}")
+        out.attribute_checks(position, element, subtype.attributes)
         if not subtype.attributes and not model.relationships_involving(subtype.name):
             out.add(position, "R2.2.1-I", Severity.ERROR,
                     f"subtype {subtype.name!r} has no intrinsic attribute and "
@@ -152,9 +156,7 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
         out.name_checks(position, weak.name, element, plural_check=True)
         out.name_checks(position, weak.identifying_relationship,
                         f"weak entity {weak.name}, identifying relationship")
-        for attr_index, attr in enumerate((weak.partial_key, *weak.attributes)):
-            out.name_checks((2, index, attr_index), attr.name,
-                            f"weak entity {weak.name}, attribute {attr.name}")
+        out.attribute_checks(position, element, (weak.partial_key, *weak.attributes))
     for index, rel in enumerate(model.relationships):
         _check_relationship(out, model, index, rel, allow_extensions)
     return out.sorted_diagnostics()

@@ -330,6 +330,51 @@ class TestRunRoundtrip:
             differences=["model.entities: 1 elements expected, 2 found"])
 
 
+@pytest.fixture
+def trace_built(monkeypatch):
+    """Counts TraceEntry and _Replay constructions while the test runs."""
+    counts = {"TraceEntry": 0, "_Replay": 0}
+    for name in counts:
+        cls = getattr(forward, name)
+
+        def counting(self, *args, _name=name, _init=cls.__init__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+class TestTraceOnlyWhenRead:
+    EVENTS = 9  # steps of the company model, one trace entry each
+
+    def test_a_round_trip_builds_no_trace(self, company_model, trace_built):
+        assert run_roundtrip(company_model).ok
+        assert trace_built == {"TraceEntry": 0, "_Replay": 0}
+
+    def test_the_roundtrip_command_builds_no_trace(self, trace_built, capsys):
+        assert main(["roundtrip", COMPANY_ER]) == 0
+        assert trace_built == {"TraceEntry": 0, "_Replay": 0}
+
+    def test_transform_without_trace_builds_none(self, trace_built,
+                                                 company_rds_text, capsys):
+        assert main(["transform", COMPANY_ER]) == 0
+        assert capsys.readouterr().out == company_rds_text
+        assert trace_built == {"TraceEntry": 0, "_Replay": 0}
+
+    def test_transform_with_trace_builds_one_entry_per_event(self, trace_built,
+                                                             capsys):
+        assert main(["transform", COMPANY_ER, "--trace"]) == 0
+        assert capsys.readouterr().err.count("step ") == self.EVENTS
+        assert trace_built == {"TraceEntry": self.EVENTS, "_Replay": 1}
+
+    def test_transform_model_still_returns_one_entry_per_event(
+            self, company_model, trace_built):
+        _, trace = forward.transform_model(company_model)
+        assert len(trace) == self.EVENTS
+        assert trace_built == {"TraceEntry": self.EVENTS, "_Replay": 1}
+
+
 class TestRenderDdl:
     def test_quoting_only_where_needed(self, company_schema):
         sql, diagnostics = render_ddl(company_schema)

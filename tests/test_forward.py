@@ -21,7 +21,9 @@ from er2rds import (
     TransformConfig,
     UnsupportedParticipant,
     WeakEntityType,
+    designated_key,
     emit_er,
+    normalize_model,
     emit_rds,
     parse_er,
     run_roundtrip,
@@ -375,6 +377,46 @@ class TestLinearLookups:
         with pytest.raises(SchemaInvariantError,
                            match="^duplicate relation name 'Bravo'$"):
             transform_model(model)
+
+
+class TestEntityPartitions:
+    def test_each_entity_is_partitioned_once_per_pipeline(self, company_model):
+        counted = tuple(
+            dataclasses.replace(entity, attributes=_CountingTuple(entity.attributes))
+            for entity in company_model.entities)
+        model = dataclasses.replace(company_model, entities=counted)
+        validate_notation(model)
+        transform_model(model)
+        normalize_model(model)
+        # transform_model validates again, so the name checks walk twice;
+        # the partitions take one more walk, shared by every stage
+        assert [entity.attributes.iterations for entity in counted] == \
+            [3] * len(counted)
+
+    def test_reading_the_partitions_leaves_equality_hash_and_asdict_alone(self):
+        def department():
+            return RegularEntityType("Department", (
+                Attribute("DepNo", AttributeKind.KEY),
+                Attribute("Name", AttributeKind.KEY),
+                Attribute("Field"),
+                Attribute("Location", AttributeKind.MULTIVALUED),
+            ))
+
+        read, unread = department(), department()
+        assert [a.name for a in read.keys()] == ["DepNo", "Name"]
+        assert designated_key(read).name == "DepNo"
+        assert read == unread and unread == read
+        assert hash(read) == hash(unread)
+        assert dataclasses.asdict(read) == dataclasses.asdict(unread)
+        assert dataclasses.asdict(read) == {
+            "name": "Department",
+            "attributes": (
+                {"name": "DepNo", "kind": AttributeKind.KEY},
+                {"name": "Name", "kind": AttributeKind.KEY},
+                {"name": "Field", "kind": AttributeKind.SIMPLE},
+                {"name": "Location", "kind": AttributeKind.MULTIVALUED},
+            ),
+        }
 
 
 class TestScaledModel:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from er2rds import (
@@ -177,6 +179,12 @@ def test_leading_underline_count():
     assert relation.pk_name() == "EmpNo"
 
 
+def rejects(schema, message):
+    """check_schema raises with exactly this message."""
+    with pytest.raises(SchemaInvariantError, match=f"^{re.escape(message)}$"):
+        check_schema(schema)
+
+
 class TestCheckSchema:
     def good(self):
         return RelationalSchema([
@@ -190,17 +198,15 @@ class TestCheckSchema:
     def test_rejects_duplicate_relation_names(self):
         schema = self.good()
         schema.relations.append(Relation("Employee", [RdsAttribute("X", underlined=True)]))
-        with pytest.raises(SchemaInvariantError, match="duplicate relation"):
-            check_schema(schema)
+        rejects(schema, "duplicate relation name 'Employee'")
 
     def test_rejects_an_empty_relation(self):
-        with pytest.raises(SchemaInvariantError, match="no attributes"):
-            check_schema(RelationalSchema([Relation("Empty", [])]))
+        rejects(RelationalSchema([Relation("Empty", [])]),
+                "relation 'Empty' has no attributes")
 
     def test_rejects_missing_underline(self):
         schema = RelationalSchema([Relation("E", [RdsAttribute("A")])])
-        with pytest.raises(SchemaInvariantError, match="no underlined"):
-            check_schema(schema)
+        rejects(schema, "relation 'E' has no underlined attribute")
 
     def test_rejects_underline_after_gap(self):
         schema = RelationalSchema([Relation("E", [
@@ -208,24 +214,21 @@ class TestCheckSchema:
             RdsAttribute("B"),
             RdsAttribute("C", underlined=True),
         ])])
-        with pytest.raises(SchemaInvariantError, match="after a non-underlined"):
-            check_schema(schema)
+        rejects(schema, "underlined attribute after a non-underlined one at E.C")
 
     def test_rejects_suffix_on_underlined_attribute(self):
         schema = RelationalSchema([Relation("E", [
             RdsAttribute("A", underlined=True,
                          suffix=FkSuffix("R", "1", "1", "1")),
         ])])
-        with pytest.raises(SchemaInvariantError, match="underlined attribute with suffix"):
-            check_schema(schema)
+        rejects(schema, "underlined attribute with suffix at E.A")
 
     def test_rejects_prefix_without_suffix(self):
         schema = RelationalSchema([Relation("E", [
             RdsAttribute("A", underlined=True),
             RdsAttribute("B", prefix="Sub"),
         ])])
-        with pytest.raises(SchemaInvariantError, match="prefix without suffix"):
-            check_schema(schema)
+        rejects(schema, "prefix without suffix at E.Sub-B")
 
     def test_rejects_duplicate_display_names(self):
         schema = RelationalSchema([Relation("E", [
@@ -233,8 +236,21 @@ class TestCheckSchema:
             RdsAttribute("B"),
             RdsAttribute("B"),
         ])])
-        with pytest.raises(SchemaInvariantError, match="duplicate attribute"):
-            check_schema(schema)
+        rejects(schema, "duplicate attribute E.B")
+
+    def test_messages_name_a_prefixed_attribute_by_its_display_name(self):
+        fk = RdsAttribute("EmpNo", prefix="Manager",
+                          suffix=FkSuffix("Manages", "1", "1", "1"))
+        schema = RelationalSchema([Relation("E", [
+            RdsAttribute("A", underlined=True), fk, fk,
+        ])])
+        rejects(schema, "duplicate attribute E.Manager-EmpNo")
+        schema = RelationalSchema([Relation("E", [
+            RdsAttribute("A", underlined=True),
+            RdsAttribute("EmpNo", underlined=True, prefix="Manager",
+                         suffix=FkSuffix("Manages", "1", "1", "1")),
+        ])])
+        rejects(schema, "underlined attribute with suffix at E.Manager-EmpNo")
 
 
 class TestFormatDiagnostic:

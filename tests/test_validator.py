@@ -4,12 +4,14 @@ from er2rds import (
     Attribute,
     AttributeKind,
     CardinalityPair,
+    Diagnostic,
     ERModel,
     RegularEntityType,
     RelationshipEndpoint,
     RelationshipType,
     Severity,
     Subtype,
+    WeakEntityType,
     parse_er,
     validate_notation,
 )
@@ -82,6 +84,68 @@ class TestNameRules:
             "rel Controls (Alpha 1..n, Bravo 1..1) { }"
         )
         assert findings(model) == []
+
+
+def _attributes_named(*names):
+    return tuple(Attribute(name) for name in names)
+
+
+class TestNameRuleMessages:
+    """The full text and element of every attribute name diagnostic."""
+
+    def model(self):
+        # non-alphabetic names cannot come through the parser
+        return ERModel(
+            entities=(
+                RegularEntityType("Employee", (
+                    Attribute("EmpNo", AttributeKind.KEY),
+                    *_attributes_named("salary", "Start_Date"),
+                )),
+                RegularEntityType("Project", (Attribute("ProNo", AttributeKind.KEY),)),
+            ),
+            subtypes=(Subtype("Engineer", "Employee",
+                              _attributes_named("grade", "Grade2")),),
+            weak_entities=(WeakEntityType(
+                "Dependent", "Employee", "depends", Attribute("name"),
+                _attributes_named("Birth_Day")),),
+            relationships=(RelationshipType(
+                "WorksOn",
+                (RelationshipEndpoint("Employee", CardinalityPair("1", "n")),
+                 RelationshipEndpoint("Project", CardinalityPair("1", "1"))),
+                _attributes_named("hours", "Hours2")),),
+        )
+
+    def test_each_attribute_name_diagnostic_in_full(self):
+        error = Severity.ERROR
+        assert validate_notation(self.model()) == [
+            Diagnostic("R2.5.1", error,
+                       "name 'salary' must start with an uppercase letter",
+                       element="entity Employee, attribute salary"),
+            Diagnostic("R2.5.2", error,
+                       "name 'Start_Date' contains non-alphabetic characters",
+                       element="entity Employee, attribute Start_Date"),
+            Diagnostic("R2.5.1", error,
+                       "name 'grade' must start with an uppercase letter",
+                       element="subtype Engineer, attribute grade"),
+            Diagnostic("R2.5.2", error,
+                       "name 'Grade2' contains non-alphabetic characters",
+                       element="subtype Engineer, attribute Grade2"),
+            Diagnostic("R2.5.1", error,
+                       "name 'depends' must start with an uppercase letter",
+                       element="weak entity Dependent, identifying relationship"),
+            Diagnostic("R2.5.1", error,
+                       "name 'name' must start with an uppercase letter",
+                       element="weak entity Dependent, attribute name"),
+            Diagnostic("R2.5.2", error,
+                       "name 'Birth_Day' contains non-alphabetic characters",
+                       element="weak entity Dependent, attribute Birth_Day"),
+            Diagnostic("R2.5.1", error,
+                       "name 'hours' must start with an uppercase letter",
+                       element="relationship WorksOn, attribute hours"),
+            Diagnostic("R2.5.2", error,
+                       "name 'Hours2' contains non-alphabetic characters",
+                       element="relationship WorksOn, attribute Hours2"),
+        ]
 
 
 class TestSubtypeIndependence:
