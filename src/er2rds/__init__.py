@@ -11,14 +11,12 @@ from .ddl import render_ddl
 from .er_text import emit_er, parse_er
 from .errors import (
     BadSideChoice,
-    MissingOwnerRelation,
-    MissingSupertypeRelation,
+    MissingRelation,
     NameCollision,
     NoDesignatedKey,
     PrerequisiteFailed,
     SchemaInvariantError,
     TransformError,
-    UnsupportedParticipant,
 )
 from .forward import TraceEntry, TransformConfig, transform_model
 from .model import (
@@ -68,8 +66,7 @@ __all__ = [
     "Diagnostic",
     "ERModel",
     "FkSuffix",
-    "MissingOwnerRelation",
-    "MissingSupertypeRelation",
+    "MissingRelation",
     "NameCollision",
     "NoDesignatedKey",
     "PrerequisiteFailed",
@@ -88,7 +85,6 @@ __all__ = [
     "TraceEntry",
     "TransformConfig",
     "TransformError",
-    "UnsupportedParticipant",
     "WeakEntityType",
     "canonical_model",
     "check_schema",

@@ -11,20 +11,12 @@ class NoDesignatedKey(TransformError):
     """No key attribute shares its first three letters with the entity name."""
 
 
-class MissingSupertypeRelation(TransformError):
-    """A subtype was transformed before its supertype's relation existed."""
-
-
-class MissingOwnerRelation(TransformError):
-    """A weak entity or multivalued attribute was reached before its owner's relation."""
+class MissingRelation(TransformError):
+    """A step needs the relation of an element the model does not contain."""
 
 
 class NameCollision(TransformError):
     """A new relation would reuse a name already present in the schema."""
-
-
-class UnsupportedParticipant(TransformError):
-    """A relationship endpoint kind falls outside the supported transformation set."""
 
 
 class BadSideChoice(TransformError):

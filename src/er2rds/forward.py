@@ -25,12 +25,10 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BadSideChoice,
-    MissingOwnerRelation,
-    MissingSupertypeRelation,
+    MissingRelation,
     NameCollision,
     PrerequisiteFailed,
     SchemaInvariantError,
-    UnsupportedParticipant,
 )
 from .model import (
     Attribute,
@@ -160,14 +158,19 @@ def subtype_needs_relation(subtype: Subtype, model: ERModel,
     return False
 
 
+def _relation(schema: RelationalSchema, name: str, needed_by: str) -> Relation:
+    """The relation called ``name``; only a model built in code, which the
+    parser never checked, can name one that does not exist."""
+    relation = schema.find(name)
+    if relation is None:
+        raise MissingRelation(f"{needed_by} refers to {name!r}, which has no relation")
+    return relation
+
+
 def transform_subtype(subtype: Subtype, schema: RelationalSchema) -> Relation:
     """Subtype to relation keyed by its supertype's propagated key."""
-    supertype_relation = schema.find(subtype.supertype)
-    if supertype_relation is None:
-        raise MissingSupertypeRelation(
-            f"subtype {subtype.name!r} transformed before supertype "
-            f"{subtype.supertype!r}"
-        )
+    supertype_relation = _relation(schema, subtype.supertype,
+                                   f"subtype {subtype.name!r}")
     attributes = [RdsAttribute(supertype_relation.pk_name(), underlined=True)]
     attributes += [RdsAttribute(a.name) for a in subtype.attributes]
     return Relation(subtype.name, attributes)
@@ -182,8 +185,8 @@ def _append_attribute(relation: Relation, attr: RdsAttribute) -> None:
     relation.attributes.append(attr)
 
 
-def _fk_identity(participant: str, model: ERModel,
-                 schema: RelationalSchema) -> tuple[str, str | None]:
+def _fk_identity(participant: str, model: ERModel, schema: RelationalSchema,
+                 needed_by: str) -> tuple[str, str | None]:
     """Foreign-key name and prefix for the side whose key is propagated.
 
     For a regular entity the key of its own relation travels unprefixed.
@@ -191,19 +194,8 @@ def _fk_identity(participant: str, model: ERModel,
     name so the reader can tell which subtype the reference narrows to."""
     subtype = model.subtype(participant)
     if subtype is None:
-        relation = schema.find(participant)
-        if relation is None:
-            raise UnsupportedParticipant(
-                f"participant {participant!r} has no relation to take a key from"
-            )
-        return relation.pk_name(), None
-    supertype_relation = schema.find(subtype.supertype)
-    if supertype_relation is None:
-        raise MissingSupertypeRelation(
-            f"subtype {participant!r} referenced before supertype "
-            f"{subtype.supertype!r} was transformed"
-        )
-    return supertype_relation.pk_name(), subtype.name
+        return _relation(schema, participant, needed_by).pk_name(), None
+    return _relation(schema, subtype.supertype, needed_by).pk_name(), subtype.name
 
 
 def _relationship_payload(rel: RelationshipType) -> list[RdsAttribute]:
@@ -211,7 +203,7 @@ def _relationship_payload(rel: RelationshipType) -> list[RdsAttribute]:
 
 
 def transform_one_to_many(rel: RelationshipType, schema: RelationalSchema,
-                          model: ERModel, cfg: TransformConfig) -> Relation:
+                          model: ERModel) -> Relation:
     """Put the 1-side's key into the N-side's relation.
 
     The suffix records the minimum written nearest the N-side (its maximum
@@ -220,19 +212,9 @@ def transform_one_to_many(rel: RelationshipType, schema: RelationalSchema,
     ratio = ratio_class(rel)
     n_end = rel.endpoints[ratio.n_side]
     far_end = rel.endpoints[1 - ratio.n_side]
-    if not cfg.extensions:
-        for endpoint in rel.endpoints:
-            if model.subtype(endpoint.participant) is not None:
-                raise UnsupportedParticipant(
-                    f"relationship {rel.name!r} has subtype endpoint "
-                    f"{endpoint.participant!r}; enable extensions to allow it"
-                )
-    host = schema.find(n_end.participant)
-    if host is None:
-        raise UnsupportedParticipant(
-            f"N-side participant {n_end.participant!r} of {rel.name!r} has no relation"
-        )
-    fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema)
+    needed_by = f"relationship {rel.name!r}"
+    host = _relation(schema, n_end.participant, needed_by)
+    fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema, needed_by)
     suffix = FkSuffix(rel.name, n_end.pair.min, far_end.pair.min, far_end.pair.max)
     _append_attribute(host, RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
     for attr in _relationship_payload(rel):
@@ -240,30 +222,14 @@ def transform_one_to_many(rel: RelationshipType, schema: RelationalSchema,
     return host
 
 
-def _resolve_side(rel: RelationshipType, model: ERModel, schema: RelationalSchema,
-                  cfg: TransformConfig) -> RelationshipEndpoint:
-    """Pick the endpoint whose relation absorbs the one-to-one foreign key."""
-    subtype_end = next(
-        (ep for ep in rel.endpoints if model.subtype(ep.participant) is not None), None
-    )
-    regular_end = next(
-        (ep for ep in rel.endpoints if model.entity(ep.participant) is not None), None
-    )
-    if subtype_end is None or regular_end is None:
-        raise UnsupportedParticipant(
-            f"one-to-one relationship {rel.name!r} must relate a subtype to a "
-            f"regular entity type"
-        )
-    explicit = cfg.sog_choice.get(rel.name)
-    if explicit is not None:
-        if explicit not in rel.participants():
-            raise BadSideChoice(
-                f"{explicit!r} is not a participant of relationship {rel.name!r}"
-            )
-        return subtype_end if explicit == subtype_end.participant else regular_end
-    if not cfg.prefer_regular and schema.find(subtype_end.participant) is not None:
-        return subtype_end
-    return regular_end
+def _resolve_side(rel: RelationshipType, model: ERModel
+                  ) -> tuple[RelationshipEndpoint, RelationshipEndpoint]:
+    """The subtype's endpoint, then the regular entity type's: validation
+    lets a one-to-one relationship through only if it joins the two."""
+    first, second = rel.endpoints
+    if model.entity(first.participant) is not None:
+        return second, first
+    return first, second
 
 
 def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
@@ -277,10 +243,18 @@ def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
     relations a reversal discovers first are always created before the
     relationship steps run, so listing order can only be reconciled by
     moving the absorbing relation."""
-    chosen_end = _resolve_side(rel, model, schema, cfg)
-    far_end = next(ep for ep in rel.endpoints if ep is not chosen_end)
+    subtype_end, regular_end = _resolve_side(rel, model)
+    explicit = cfg.sog_choice.get(rel.name)
+    if explicit is not None:
+        chosen_end = subtype_end if explicit == subtype_end.participant else regular_end
+    elif not cfg.prefer_regular and schema.find(subtype_end.participant) is not None:
+        chosen_end = subtype_end
+    else:
+        chosen_end = regular_end
+    far_end = regular_end if chosen_end is subtype_end else subtype_end
     chosen = schema.find(chosen_end.participant)
-    fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema)
+    fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema,
+                                      f"relationship {rel.name!r}")
     suffix = FkSuffix(rel.name, chosen_end.pair.min, far_end.pair.min,
                       far_end.pair.max)
     _append_attribute(chosen, RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
@@ -292,19 +266,13 @@ def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
     return chosen
 
 
-def transform_multivalued(entity: RegularEntityType, attr: Attribute,
+def transform_multivalued(owner: Relation, attr: Attribute,
                           schema: RelationalSchema) -> Relation:
-    """One relation per multivalued attribute, named after the attribute and
-    keyed by owner key plus value."""
-    owner = schema.find(entity.name)
-    if owner is None:
-        raise MissingOwnerRelation(
-            f"multivalued attribute {attr.name!r} reached before owner "
-            f"{entity.name!r} was transformed"
-        )
+    """One relation per multivalued attribute of the entity whose relation is
+    ``owner``, named after the attribute and keyed by owner key plus value."""
     if schema.find(attr.name) is not None:
         raise NameCollision(
-            f"multivalued attribute {attr.name!r} of {entity.name!r} collides "
+            f"multivalued attribute {attr.name!r} of {owner.name!r} collides "
             f"with an existing relation"
         )
     return Relation(attr.name, [
@@ -315,12 +283,7 @@ def transform_multivalued(entity: RegularEntityType, attr: Attribute,
 
 def transform_weak(weak: WeakEntityType, schema: RelationalSchema) -> Relation:
     """Weak entity to relation keyed by owner key plus partial key."""
-    owner = schema.find(weak.owner)
-    if owner is None:
-        raise MissingOwnerRelation(
-            f"weak entity {weak.name!r} reached before owner {weak.owner!r} "
-            f"was transformed"
-        )
+    owner = _relation(schema, weak.owner, f"weak entity {weak.name!r}")
     attributes = [
         RdsAttribute(owner.pk_name(), underlined=True),
         RdsAttribute(weak.partial_key.name, underlined=True),
@@ -368,9 +331,15 @@ def transform_model(model: ERModel,
                     ) -> tuple[RelationalSchema, list[TraceEntry]]:
     """Run all six steps; returns the schema and a step-by-step trace.
 
-    Raises PrerequisiteFailed when notation validation finds errors, and the
-    step errors otherwise.  Each trace entry records one event; nothing is
-    rendered until some entry's ``schema_after`` is read."""
+    Notation validation is the steps' one gate.  Raises PrerequisiteFailed
+    when it finds errors; BadSideChoice for a side choice that names no
+    one-to-one relationship or no participant of it; NameCollision for a
+    multivalued attribute named like a relation already there;
+    SchemaInvariantError for a repeated relation or attribute, as when two
+    entities share a key name across a 1:N; and MissingRelation only for a
+    model built in code that names an element it does not contain.  Each
+    trace entry records one event; nothing is rendered until some entry's
+    ``schema_after`` is read."""
     schema, events = _validated_steps(model, cfg or TransformConfig())
     return schema, _Replay(events, schema).entries()
 
@@ -411,7 +380,7 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
 
     for rel in model.relationships:
         if ratio_class(rel).kind is RatioKind.ONE_TO_MANY:
-            relation = transform_one_to_many(rel, schema, model, cfg)
+            relation = transform_one_to_many(rel, schema, model)
             record(STEP_ONE_TO_MANY, rel.name, relation)
 
     for rel in model.relationships:
@@ -427,7 +396,7 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         if entity is None:
             continue
         for attr in entity.multivalued_attributes():
-            created = transform_multivalued(entity, attr, schema)
+            created = transform_multivalued(relation, attr, schema)
             schema.add(created)
             record(STEP_MULTIVALUED, f"{entity.name}.{attr.name}", created)
 

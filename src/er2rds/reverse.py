@@ -84,7 +84,7 @@ def classify_relations(schema: RelationalSchema
                        element=relation.name)
         )
 
-    shaped: list[Relation] = []
+    shaped: list[tuple[Relation, int]] = []
     for relation in schema.relations:
         lead = leading_underline_count(relation)
         if lead == 0:
@@ -93,13 +93,13 @@ def classify_relations(schema: RelationalSchema
         if any(a.underlined for a in relation.attributes[lead:]):
             unclassifiable(relation, "underlined attribute after a non-underlined one")
             continue
-        shaped.append(relation)
+        shaped.append((relation, lead))
         if name_prefix(relation.attributes[0].name) == name_prefix(relation.name):
             kinds[relation.name] = RelationKind.REGULAR_ENTITY
 
     # kinds holds only the regular relations at this point.
     owners = key_owners(schema, kinds)
-    for relation in shaped:
+    for relation, _ in shaped:
         pk = relation.pk_name()
         if relation.name in kinds and owners[pk] != relation.name:
             diagnostics.append(
@@ -109,15 +109,15 @@ def classify_relations(schema: RelationalSchema
                            f"{owners[pk]!r}", element=relation.name)
             )
 
-    def dependent_kind(relation: Relation) -> tuple[RelationKind | None, str]:
-        lead = leading_underline_count(relation)
+    def dependent_kind(relation: Relation,
+                       lead: int) -> tuple[RelationKind | None, str]:
+        # Every underlined attribute of a shaped relation is a leading one.
         pk = relation.attributes[0].name
         owner = owners.get(pk)
         if owner is None or owner == relation.name:
             return None, (f"leading attribute {pk!r} is not the primary key of "
                           f"another regular relation")
-        underlined = sum(1 for a in relation.attributes if a.underlined)
-        if underlined == 1:
+        if lead == 1:
             return RelationKind.SUBTYPE, ""
         if lead == 2 and len(relation.attributes) == 2:
             if relation.attributes[1].name == relation.name:
@@ -126,13 +126,13 @@ def classify_relations(schema: RelationalSchema
                           "named after the relation")
         if lead == 2 and len(relation.attributes) > 2:
             return RelationKind.WEAK, ""
-        return None, f"{underlined} underlined attributes fit no known shape"
+        return None, f"{lead} underlined attributes fit no known shape"
 
-    for relation in shaped:
+    for relation, lead in shaped:
         if relation.name in kinds:
             # A relation can match the regular-entity shape and a dependent
             # shape at once; the regular reading wins, with a warning.
-            other, _ = dependent_kind(relation)
+            other, _ = dependent_kind(relation, lead)
             if other is not None:
                 diagnostics.append(
                     Diagnostic("CLASSIFY", Severity.WARNING,
@@ -141,7 +141,7 @@ def classify_relations(schema: RelationalSchema
                                f"entity relation", element=relation.name)
                 )
             continue
-        kind, why = dependent_kind(relation)
+        kind, why = dependent_kind(relation, lead)
         if kind is None:
             unclassifiable(relation, why)
         else:

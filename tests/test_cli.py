@@ -420,3 +420,20 @@ class TestThinCli:
 
     def test_the_cli_reexports_the_library_ddl(self):
         assert cli.render_ddl is render_ddl
+
+
+class TestErrorClasses:
+    def test_every_error_class_is_raised_somewhere(self):
+        # A class with no raise site is dead API; only the base may have none.
+        source = CHECKOUT / "src" / "er2rds"
+        errors = ast.parse((source / "errors.py").read_text(encoding="utf-8"))
+        declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+        raised = {
+            getattr(node.exc, "func", node.exc).id
+            for _, tree in _parsed_modules(source)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)
+            and isinstance(getattr(node.exc, "func", node.exc), ast.Name)
+        }
+        assert "NameCollision" in declared
+        assert declared - raised - {"TransformError"} == set()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
@@ -7,37 +8,32 @@ from er2rds import (
     Attribute,
     AttributeKind,
     BadSideChoice,
+    CardinalityPair,
     ERModel,
-    MissingOwnerRelation,
-    MissingSupertypeRelation,
+    MissingRelation,
     NameCollision,
     PrerequisiteFailed,
     RdsAttribute,
     RegularEntityType,
-    Relation,
-    RelationalSchema,
+    RelationshipEndpoint,
+    RelationshipType,
     SchemaInvariantError,
     Subtype,
     TransformConfig,
-    UnsupportedParticipant,
     WeakEntityType,
     designated_key,
     emit_er,
     normalize_model,
     emit_rds,
+    has_errors,
     parse_er,
     run_roundtrip,
     transform_model,
     validate_notation,
 )
 from er2rds import forward
-from er2rds.forward import (
-    transform_multivalued,
-    transform_one_to_many,
-    transform_subtype,
-    transform_weak,
-)
 from genmodels import scaled_model
+from test_er_text import colliding_text
 
 
 def transform_text(text, cfg=None):
@@ -293,43 +289,122 @@ class TestStepErrors:
             )),
             RegularEntityType("Bravo", (Attribute("BraNo", AttributeKind.KEY),)),
         ))
-        with pytest.raises(NameCollision, match="Bravo"):
+        with pytest.raises(NameCollision,
+                           match="^multivalued attribute 'Bravo' of 'Alpha' "
+                                 "collides with an existing relation$"):
             transform_model(model)
 
-    def test_subtype_before_its_supertype_relation(self):
-        subtype = Subtype("Engineer", "Employee", (Attribute("Grade"),))
-        with pytest.raises(MissingSupertypeRelation):
-            transform_subtype(subtype, RelationalSchema())
+    # The parser refuses these dangling references; a model built in code
+    # reaches the steps with them.
+    def test_dangling_supertype(self):
+        model = ERModel(subtypes=(Subtype("Engineer", "Employee", (Attribute("Grade"),)),))
+        with pytest.raises(MissingRelation,
+                           match="^subtype 'Engineer' refers to 'Employee', "
+                                 "which has no relation$"):
+            transform_model(model)
 
-    def test_weak_entity_before_its_owner_relation(self):
-        weak = WeakEntityType("Dependent", "Employee", "DependentOf",
-                              Attribute("Name", AttributeKind.PARTIAL_KEY))
-        with pytest.raises(MissingOwnerRelation):
-            transform_weak(weak, RelationalSchema())
+    def test_dangling_weak_owner(self):
+        model = ERModel(weak_entities=(WeakEntityType(
+            "Dependent", "Employee", "DependentOf",
+            Attribute("Name", AttributeKind.PARTIAL_KEY), (Attribute("Sex"),),
+        ),))
+        with pytest.raises(MissingRelation,
+                           match="^weak entity 'Dependent' refers to 'Employee', "
+                                 "which has no relation$"):
+            transform_model(model)
 
-    def test_multivalued_attribute_before_its_owner_relation(self):
-        entity = RegularEntityType("Department", (
-            Attribute("DepNo", AttributeKind.KEY),
-            Attribute("Location", AttributeKind.MULTIVALUED),
-        ))
-        with pytest.raises(MissingOwnerRelation):
-            transform_multivalued(entity, Attribute("Location", AttributeKind.MULTIVALUED),
-                                  RelationalSchema())
+    @pytest.mark.parametrize("ghost_side", [0, 1], ids=["n-side", "one-side"])
+    def test_dangling_one_to_many_participant(self, ghost_side):
+        endpoints = [
+            RelationshipEndpoint("Ghost", CardinalityPair("1", "n")),
+            RelationshipEndpoint("Project", CardinalityPair("0", "1")),
+        ]
+        if ghost_side:
+            endpoints.reverse()
+        model = ERModel(
+            entities=(RegularEntityType("Project", (Attribute("ProNo", AttributeKind.KEY),)),),
+            relationships=(RelationshipType("Works", tuple(endpoints)),),
+        )
+        with pytest.raises(PrerequisiteFailed):
+            transform_model(model)
+        with pytest.raises(MissingRelation,
+                           match="^relationship 'Works' refers to 'Ghost', "
+                                 "which has no relation$"):
+            transform_model(model, TransformConfig(extensions=True))
 
-    def test_one_to_many_rejects_subtype_endpoints_by_default(self, company_model):
+    def test_subtype_in_one_to_many_needs_extensions(self):
         works = parse_er(
             "entity Employee { key EmpNo; }\n"
             "entity Project { key ProNo; }\n"
             "subtype Engineer of Employee { attr Grade; }\n"
             "rel Works (Engineer 1..n, Project 1..1) { }"
         )[0]
-        schema = RelationalSchema([
-            Relation("Employee", [RdsAttribute("EmpNo", underlined=True)]),
-            Relation("Project", [RdsAttribute("ProNo", underlined=True)]),
-        ])
-        with pytest.raises(UnsupportedParticipant):
-            transform_one_to_many(works.relationship("Works"), schema, works,
-                                  TransformConfig())
+        with pytest.raises(PrerequisiteFailed) as info:
+            transform_model(works)
+        assert [(d.rule_id, d.element) for d in info.value.diagnostics] == [
+            ("SUBSET", "relationship Works")]
+
+
+# Models that validate clean yet fail the round trip or stop the transform,
+# each with the error that transform_model and run_roundtrip raise (None:
+# neither raises).  The first three are the clean models that fail the round
+# trip in test_cli.py.
+_CLEAN_BUT_FAILING = [
+    ("entity Brave { key BraNo; multi Bravo; }", None),
+    ("entity Ivory { key IvoNo; attr Name; }\n"
+     "weak Cedar of Ivory via CedarOf { partial CedNo; }", None),
+    ("entity Delta { key DelNo; }\nentity Deltoid { key DelNo; }\n"
+     "rel Has (Delta 1..1, Deltoid 0..n) { }", SchemaInvariantError),
+    ("entity Delta { key DelNo; }\nentity Bravo { key BraNo; multi Delta; }",
+     NameCollision),
+    ("entity Alpha { key AlpNo; multi Cedar; }\n"
+     "weak Cedar of Alpha via CedarOf { partial CedNo; attr Size; }",
+     SchemaInvariantError),
+    ("entity Alpha { key AlpNo; }\n"
+     "weak Cedar of Alpha via CedarOf { partial AlpNo; attr Size; }",
+     SchemaInvariantError),
+]
+
+
+def _outcome(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+class TestCleanModelErrors:
+    """What a model that validates without error can still raise.  Today it
+    is NameCollision or SchemaInvariantError, nothing else."""
+
+    @pytest.mark.parametrize("extensions", [False, True])
+    @pytest.mark.parametrize("text, raised", _CLEAN_BUT_FAILING)
+    def test_hand_written_models(self, text, raised, extensions):
+        model, diagnostics = parse_er(text)
+        assert model is not None and not has_errors(diagnostics)
+        cfg = TransformConfig(extensions=extensions)
+        assert not has_errors(validate_notation(model, allow_extensions=extensions))
+        assert _outcome(transform_model, model, cfg) is raised
+        assert _outcome(run_roundtrip, model, cfg) is raised
+
+    def test_colliding_names(self):
+        rng = random.Random(2)
+        clean = 0
+        for _ in range(1000):
+            text = colliding_text(rng)
+            model, _ = parse_er(text)
+            if model is None:
+                continue
+            for extensions in (False, True):
+                if has_errors(validate_notation(model, allow_extensions=extensions)):
+                    continue
+                clean += 1
+                cfg = TransformConfig(extensions=extensions)
+                for call in (transform_model, run_roundtrip):
+                    assert _outcome(call, model, cfg) in (
+                        None, NameCollision, SchemaInvariantError), text
+        assert clean >= 20
 
 
 class _CountingTuple(tuple):
