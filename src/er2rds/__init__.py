@@ -12,10 +12,8 @@ from .er_text import emit_er, parse_er
 from .errors import (
     BadSideChoice,
     MissingRelation,
-    NameCollision,
     NoDesignatedKey,
     PrerequisiteFailed,
-    SchemaInvariantError,
     TransformError,
 )
 from .forward import TraceEntry, TransformConfig, transform_model
@@ -36,7 +34,6 @@ from .model import (
     Severity,
     Subtype,
     WeakEntityType,
-    check_schema,
     designated_key,
     format_diagnostic,
     has_errors,
@@ -67,7 +64,6 @@ __all__ = [
     "ERModel",
     "FkSuffix",
     "MissingRelation",
-    "NameCollision",
     "NoDesignatedKey",
     "PrerequisiteFailed",
     "RatioKind",
@@ -79,7 +75,6 @@ __all__ = [
     "RelationshipEndpoint",
     "RelationshipType",
     "RoundtripReport",
-    "SchemaInvariantError",
     "Severity",
     "Subtype",
     "TraceEntry",
@@ -87,7 +82,6 @@ __all__ = [
     "TransformError",
     "WeakEntityType",
     "canonical_model",
-    "check_schema",
     "classify_relations",
     "designated_key",
     "emit_er",

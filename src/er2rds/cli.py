@@ -18,11 +18,10 @@ import sys
 from .ddl import render_ddl
 from .er_text import emit_er, parse_er
 from .errors import PrerequisiteFailed, TransformError
-from .forward import TraceEntry, TransformConfig, _Replay, _transform_steps
+from .forward import TraceEntry, TransformConfig, _Replay, gated_transform
 from .model import format_diagnostic, has_errors
 from .rds_text import emit_rds, parse_rds
 from .reverse import reverse_transform, run_roundtrip
-from .validator import validate_notation
 
 EXIT_CLEAN = 0
 EXIT_WARNINGS = 1
@@ -82,8 +81,8 @@ def _print_trace(trace: list[TraceEntry]) -> None:
 def cmd_validate(args: argparse.Namespace, text: str) -> int:
     model, diagnostics = parse_er(text, args.input)
     if model is not None:
-        diagnostics = [*diagnostics,
-                       *validate_notation(model, allow_extensions=args.extensions)]
+        cfg = TransformConfig(extensions=args.extensions)
+        diagnostics = [*diagnostics, *gated_transform(model, cfg)[2]]
     _print_diagnostics(diagnostics, args.input)
     return _exit_code(diagnostics)
 
@@ -94,17 +93,14 @@ def cmd_transform(args: argparse.Namespace, text: str) -> int:
         _print_diagnostics(diagnostics, args.input)
         return EXIT_ERRORS
     try:
-        cfg = _config_from(args)
-        notation = validate_notation(model, allow_extensions=cfg.extensions)
-        if not has_errors(notation):
-            schema, events = _transform_steps(model, cfg)
+        schema, events, checked = gated_transform(model, _config_from(args))
     except (TransformError, ValueError) as exc:
         _print_diagnostics(diagnostics, args.input)
         print(f"er2rds: {exc}", file=sys.stderr)
         return EXIT_ERRORS
-    diagnostics = [*diagnostics, *notation]
+    diagnostics = [*diagnostics, *checked]
     _print_diagnostics(diagnostics, args.input)
-    if has_errors(notation):
+    if schema is None:
         return EXIT_ERRORS
     if args.trace:
         _print_trace(_Replay(events, schema).entries())

@@ -15,21 +15,14 @@ class MissingRelation(TransformError):
     """A step needs the relation of an element the model does not contain."""
 
 
-class NameCollision(TransformError):
-    """A new relation would reuse a name already present in the schema."""
-
-
 class BadSideChoice(TransformError):
     """A side choice names an unknown relationship or a non-participant."""
 
 
 class PrerequisiteFailed(TransformError):
-    """The model failed notation validation; carries the offending diagnostics."""
+    """The model failed validation: a notation error, or a CLASH in the
+    schema its steps built.  Carries every diagnostic the gate found."""
 
     def __init__(self, diagnostics):
-        super().__init__("model failed notation validation")
+        super().__init__("model failed validation")
         self.diagnostics = list(diagnostics)
-
-
-class SchemaInvariantError(TransformError):
-    """A relation violates a structural invariant of produced schemas."""

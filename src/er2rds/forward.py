@@ -6,7 +6,8 @@ one-to-one relationships involving a subtype, multivalued attributes and
 weak entity types are handled, each step appending foreign keys or new
 relations.  Foreign keys carry a bracketed suffix naming the relationship
 and three cardinality variables, so the whole transformation stays
-reversible.
+reversible.  ``gated_transform`` is the one gate every caller goes through:
+notation validation before the steps, a check for clashing names after.
 
 Ordering rules that the reverse direction depends on:
 
@@ -21,17 +22,13 @@ Ordering rules that the reverse direction depends on:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import (
-    BadSideChoice,
-    MissingRelation,
-    NameCollision,
-    PrerequisiteFailed,
-    SchemaInvariantError,
-)
+from .errors import BadSideChoice, MissingRelation, PrerequisiteFailed
 from .model import (
     Attribute,
+    Diagnostic,
     ERModel,
     FkSuffix,
     RatioKind,
@@ -41,9 +38,9 @@ from .model import (
     RelationalSchema,
     RelationshipEndpoint,
     RelationshipType,
+    Severity,
     Subtype,
     WeakEntityType,
-    check_schema,
     designated_key,
     has_errors,
     ratio_class,
@@ -176,15 +173,6 @@ def transform_subtype(subtype: Subtype, schema: RelationalSchema) -> Relation:
     return Relation(subtype.name, attributes)
 
 
-def _append_attribute(relation: Relation, attr: RdsAttribute) -> None:
-    if any(a.display_name() == attr.display_name() for a in relation.attributes):
-        raise SchemaInvariantError(
-            f"attribute {attr.display_name()!r} already exists in relation "
-            f"{relation.name!r}"
-        )
-    relation.attributes.append(attr)
-
-
 def _fk_identity(participant: str, model: ERModel, schema: RelationalSchema,
                  needed_by: str) -> tuple[str, str | None]:
     """Foreign-key name and prefix for the side whose key is propagated.
@@ -216,9 +204,8 @@ def transform_one_to_many(rel: RelationshipType, schema: RelationalSchema,
     host = _relation(schema, n_end.participant, needed_by)
     fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema, needed_by)
     suffix = FkSuffix(rel.name, n_end.pair.min, far_end.pair.min, far_end.pair.max)
-    _append_attribute(host, RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
-    for attr in _relationship_payload(rel):
-        _append_attribute(host, attr)
+    host.attributes.append(RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
+    host.attributes += _relationship_payload(rel)
     return host
 
 
@@ -257,24 +244,17 @@ def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
                                       f"relationship {rel.name!r}")
     suffix = FkSuffix(rel.name, chosen_end.pair.min, far_end.pair.min,
                       far_end.pair.max)
-    _append_attribute(chosen, RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
-    for attr in _relationship_payload(rel):
-        _append_attribute(chosen, attr)
+    chosen.attributes.append(RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
+    chosen.attributes += _relationship_payload(rel)
     if fk_prefix is not None:
         schema.relations.remove(chosen)
         schema.relations.append(chosen)
     return chosen
 
 
-def transform_multivalued(owner: Relation, attr: Attribute,
-                          schema: RelationalSchema) -> Relation:
+def transform_multivalued(owner: Relation, attr: Attribute) -> Relation:
     """One relation per multivalued attribute of the entity whose relation is
     ``owner``, named after the attribute and keyed by owner key plus value."""
-    if schema.find(attr.name) is not None:
-        raise NameCollision(
-            f"multivalued attribute {attr.name!r} of {owner.name!r} collides "
-            f"with an existing relation"
-        )
     return Relation(attr.name, [
         RdsAttribute(owner.pk_name(), underlined=True),
         RdsAttribute(attr.name, underlined=True),
@@ -331,32 +311,60 @@ def transform_model(model: ERModel,
                     ) -> tuple[RelationalSchema, list[TraceEntry]]:
     """Run all six steps; returns the schema and a step-by-step trace.
 
-    Notation validation is the steps' one gate.  Raises PrerequisiteFailed
-    when it finds errors; BadSideChoice for a side choice that names no
-    one-to-one relationship or no participant of it; NameCollision for a
-    multivalued attribute named like a relation already there;
-    SchemaInvariantError for a repeated relation or attribute, as when two
-    entities share a key name across a 1:N; and MissingRelation only for a
-    model built in code that names an element it does not contain.  Each
-    trace entry records one event; nothing is rendered until some entry's
+    ``gated_transform`` is the one gate.  Raises PrerequisiteFailed with its
+    diagnostics when it finds an error: a notation error, or a CLASH where
+    the steps built two relations or two attributes of one name.  Raises
+    BadSideChoice for a side choice that names no one-to-one relationship
+    or no participant of it, and MissingRelation only for a model built in
+    code that names an element it does not contain.  Each trace entry
+    records one event; nothing is rendered until some entry's
     ``schema_after`` is read."""
-    schema, events = _validated_steps(model, cfg or TransformConfig())
+    schema, events, diagnostics = gated_transform(model, cfg or TransformConfig())
+    if schema is None:
+        raise PrerequisiteFailed(diagnostics)
     return schema, _Replay(events, schema).entries()
 
 
-def _validated_steps(model: ERModel, cfg: TransformConfig
-                     ) -> tuple[RelationalSchema, list[_Event]]:
-    """``transform_model`` without the trace: the schema and its events."""
+def gated_transform(model: ERModel, cfg: TransformConfig
+                    ) -> tuple[RelationalSchema | None, list[_Event], list[Diagnostic]]:
+    """Validate the notation, run the six steps, and check the built schema
+    for clashes.  Returns the schema (None when any diagnostic is an error),
+    one event per step, and every diagnostic found.  A model the gate passes
+    always transforms."""
     diagnostics = validate_notation(model, allow_extensions=cfg.extensions)
     if has_errors(diagnostics):
-        raise PrerequisiteFailed(diagnostics)
-    return _transform_steps(model, cfg)
+        return None, [], diagnostics
+    schema, events = _transform_steps(model, cfg)
+    diagnostics += _clashes(schema)
+    if has_errors(diagnostics):
+        return None, [], diagnostics
+    return schema, events, diagnostics
+
+
+def _repeated(names: list[str]) -> list[str]:
+    """Each name that occurs more than once, in order of first occurrence."""
+    if len(set(names)) == len(names):
+        return []
+    return [name for name, count in Counter(names).items() if count > 1]
+
+
+def _clashes(schema: RelationalSchema) -> list[Diagnostic]:
+    """One CLASH error for each repeated relation name, and for each repeated
+    attribute name inside a relation."""
+    found = [(f"two relations are named {name!r}", name)
+             for name in _repeated([r.name for r in schema.relations])]
+    for relation in schema.relations:
+        for name in _repeated([a.display_name() for a in relation.attributes]):
+            found.append((f"relation {relation.name!r} has two attributes named "
+                          f"{name!r}", relation.name))
+    return [Diagnostic("CLASH", Severity.ERROR, message, element=element)
+            for message, element in found]
 
 
 def _transform_steps(model: ERModel, cfg: TransformConfig
                      ) -> tuple[RelationalSchema, list[_Event]]:
-    """The six steps of ``transform_model`` on a model that passed notation
-    validation; returns the schema and one event per step."""
+    """The six steps on a model that passed notation validation; returns the
+    schema and one event per step.  The steps check nothing themselves."""
     _check_side_choices(model, cfg)
 
     schema = _IndexedSchema()
@@ -396,7 +404,7 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         if entity is None:
             continue
         for attr in entity.multivalued_attributes():
-            created = transform_multivalued(relation, attr, schema)
+            created = transform_multivalued(relation, attr)
             schema.add(created)
             record(STEP_MULTIVALUED, f"{entity.name}.{attr.name}", created)
 
@@ -406,6 +414,4 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         record(STEP_WEAK, weak.name, created)
 
     # A plain schema, since dataclass equality compares classes.
-    result = RelationalSchema(schema.relations)
-    check_schema(result)
-    return result, events
+    return RelationalSchema(schema.relations), events

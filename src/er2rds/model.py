@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .errors import NoDesignatedKey, SchemaInvariantError
+from .errors import NoDesignatedKey
 
 # Unbounded maximum in a cardinality pair; minima and maxima are kept as the
 # strings "0" / "1" / "n" so they serialize without conversion.
@@ -293,43 +293,6 @@ def leading_underline_count(relation: Relation) -> int:
             break
         count += 1
     return count
-
-
-def check_schema(schema: RelationalSchema) -> None:
-    """Assert the structural invariants every produced schema satisfies.
-
-    Raises SchemaInvariantError on: duplicate relation names, an empty
-    relation, a relation without underlined attributes, underlined
-    attributes after a non-underlined one, a suffix on an underlined
-    attribute, a prefix without a suffix, or duplicate display names.
-    """
-    seen_relations: set[str] = set()
-    for relation in schema.relations:
-        if relation.name in seen_relations:
-            raise SchemaInvariantError(f"duplicate relation name {relation.name!r}")
-        seen_relations.add(relation.name)
-        if not relation.attributes:
-            raise SchemaInvariantError(f"relation {relation.name!r} has no attributes")
-        lead = leading_underline_count(relation)
-        if lead == 0:
-            raise SchemaInvariantError(
-                f"relation {relation.name!r} has no underlined attribute"
-            )
-        seen_names: set[str] = set()
-        for index, attr in enumerate(relation.attributes):
-            name = attr.display_name()
-            if attr.underlined and index >= lead:
-                problem = "underlined attribute after a non-underlined one at"
-            elif attr.underlined and attr.suffix is not None:
-                problem = "underlined attribute with suffix at"
-            elif attr.prefix is not None and attr.suffix is None:
-                problem = "prefix without suffix at"
-            elif name in seen_names:
-                problem = "duplicate attribute"
-            else:
-                seen_names.add(name)
-                continue
-            raise SchemaInvariantError(f"{problem} {relation.name}.{name}")
 
 
 # --------------------------------------------------------------------------

@@ -26,8 +26,8 @@ import dataclasses
 import difflib
 from enum import Enum
 
-from .errors import TransformError
-from .forward import TransformConfig, _validated_steps
+from .errors import PrerequisiteFailed, TransformError
+from .forward import TransformConfig, gated_transform
 from .model import (
     Attribute,
     AttributeKind,
@@ -413,6 +413,12 @@ class RoundtripReport:
     differences: list[str] = dataclasses.field(default_factory=list)
 
 
+def _failed(stage: str, diagnostics: list[Diagnostic]) -> list[str]:
+    return [f"{stage} transformation failed:",
+            *(format_diagnostic(d, "<schema>") for d in diagnostics
+              if d.severity is Severity.ERROR)]
+
+
 def run_roundtrip(model: ERModel, cfg: TransformConfig | None = None
                   ) -> RoundtripReport:
     """Transform, reverse, and re-transform; the report is ok when the
@@ -420,28 +426,30 @@ def run_roundtrip(model: ERModel, cfg: TransformConfig | None = None
     reproduces the first schema byte for byte.
 
     The second run replays the side choices recorded in the first schema's
-    one-to-one foreign keys, so it needs no external configuration."""
+    one-to-one foreign keys, so it needs no external configuration.  Raises
+    as ``transform_model`` does when the first transformation fails."""
     cfg = cfg or TransformConfig()
-    schema, _ = _validated_steps(model, cfg)
+    schema, _, diagnostics = gated_transform(model, cfg)
+    if schema is None:
+        raise PrerequisiteFailed(diagnostics)
     first = emit_rds(schema)
     report = RoundtripReport(ok=False, schema_text=first)
 
     reversed_model, diagnostics = reverse_transform(schema)
     if reversed_model is None:
-        report.differences = [
-            "reverse transformation failed:",
-            *(format_diagnostic(d, "<schema>") for d in diagnostics
-              if d.severity is Severity.ERROR),
-        ]
+        report.differences = _failed("reverse", diagnostics)
         return report
     report.differences.extend(model_diff(normalize_model(model), reversed_model))
 
     replay = TransformConfig(sog_choice=reconstruct_sog_choices(schema),
                              extensions=cfg.extensions)
     try:
-        second_schema, _ = _validated_steps(reversed_model, replay)
+        second_schema, _, diagnostics = gated_transform(reversed_model, replay)
     except TransformError as exc:
         report.differences.append(f"second transformation failed: {exc}")
+        return report
+    if second_schema is None:
+        report.differences += _failed("second", diagnostics)
         return report
     second = emit_rds(second_schema)
     report.second_schema_text = second

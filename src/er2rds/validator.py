@@ -5,7 +5,8 @@ output and tests match on them.  The checks operate on structurally valid
 models (the parser owns reference resolution and shape); they answer whether
 the model sticks to the notation conventions the transformation relies on,
 and whether every relationship falls inside the supported transformation
-subset.
+subset.  ``CLASH`` alone is checked on the schema the steps build, by
+``forward.gated_transform``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ RULES: dict[str, str] = {
                 "relationship",
     "SUBSET": "a relationship is 1:N between two regular entity types or 1:1 "
               "between a subtype and a regular entity type",
+    "CLASH": "the transformation builds no two relations, and no two attributes "
+             "of one relation, with the same name",
 }
 
 

@@ -2,13 +2,24 @@ import pathlib
 
 import pytest
 
-from er2rds import parse_er, parse_rds
+from er2rds import emit_rds, parse_er, parse_rds
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def golden_path(name: str) -> pathlib.Path:
     return GOLDEN / name
+
+
+def assert_well_formed(schema) -> None:
+    """The schema reads back from its own text unchanged and without a
+    diagnostic, and each relation leads with all of its underlined
+    attributes."""
+    assert parse_rds(emit_rds(schema)) == (schema, [])
+    for relation in schema.relations:
+        underlined = [a.underlined for a in relation.attributes]
+        assert underlined[0] and underlined == sorted(underlined, reverse=True), \
+            relation.name
 
 
 @pytest.fixture(scope="session")

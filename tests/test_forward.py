@@ -11,13 +11,11 @@ from er2rds import (
     CardinalityPair,
     ERModel,
     MissingRelation,
-    NameCollision,
     PrerequisiteFailed,
     RdsAttribute,
     RegularEntityType,
     RelationshipEndpoint,
     RelationshipType,
-    SchemaInvariantError,
     Subtype,
     TransformConfig,
     WeakEntityType,
@@ -32,7 +30,8 @@ from er2rds import (
     validate_notation,
 )
 from er2rds import forward
-from genmodels import scaled_model
+from conftest import assert_well_formed
+from genmodels import generate_model, scaled_model, sog_configs
 from test_er_text import colliding_text
 
 
@@ -40,6 +39,14 @@ def transform_text(text, cfg=None):
     model, diagnostics = parse_er(text, "test.er")
     assert model is not None, diagnostics
     return transform_model(model, cfg)
+
+
+def clashes(model, cfg=None):
+    """The (relation, message) of each CLASH that stops transform_model."""
+    with pytest.raises(PrerequisiteFailed) as info:
+        transform_model(model, cfg)
+    return [(d.element, d.message) for d in info.value.diagnostics
+            if d.rule_id == "CLASH"]
 
 
 def states(trace, step):
@@ -148,6 +155,16 @@ class TestWholeSchema:
             self, company_model, company_rds_text):
         schema, _ = transform_model(company_model)
         assert emit_rds(schema) == company_rds_text
+        assert_well_formed(schema)
+
+    def test_every_corpus_schema_is_well_formed(self):
+        # the explicit side choices cover what the default policy picks
+        for seed in range(500):
+            model = generate_model(seed)
+            configs = [TransformConfig(sog_choice=choice)
+                       for choice in sog_configs(model)]
+            for cfg in [*configs, TransformConfig(prefer_regular=True)]:
+                assert_well_formed(transform_model(model, cfg)[0])
 
     def test_transformation_is_deterministic(self, company_model):
         first, _ = transform_model(company_model)
@@ -245,15 +262,6 @@ class TestExtensions:
             "Engineer[_EmpNo_, ProNo(Works, 1, 1, n)]\n"
         )
 
-    def test_subtype_endpoints_stay_rejected_without_the_flag(self):
-        with pytest.raises(PrerequisiteFailed):
-            transform_text(
-                "entity Employee { key EmpNo; }\n"
-                "entity Project { key ProNo; }\n"
-                "subtype Engineer of Employee { attr Grade; }\n"
-                "rel Works (Engineer 1..n, Project 1..1) { }"
-            )
-
 
 class TestConfigErrors:
     def test_notation_errors_abort_with_their_diagnostics(self):
@@ -289,10 +297,7 @@ class TestStepErrors:
             )),
             RegularEntityType("Bravo", (Attribute("BraNo", AttributeKind.KEY),)),
         ))
-        with pytest.raises(NameCollision,
-                           match="^multivalued attribute 'Bravo' of 'Alpha' "
-                                 "collides with an existing relation$"):
-            transform_model(model)
+        assert clashes(model) == [("Bravo", "two relations are named 'Bravo'")]
 
     # The parser refuses these dangling references; a model built in code
     # reaches the steps with them.
@@ -345,66 +350,78 @@ class TestStepErrors:
             ("SUBSET", "relationship Works")]
 
 
-# Models that validate clean yet fail the round trip or stop the transform,
-# each with the error that transform_model and run_roundtrip raise (None:
-# neither raises).  The first three are the clean models that fail the round
-# trip in test_cli.py.
+# Models that pass the gate yet fail the round trip; both are clean models
+# that fail the round trip in test_cli.py.
 _CLEAN_BUT_FAILING = [
-    ("entity Brave { key BraNo; multi Bravo; }", None),
-    ("entity Ivory { key IvoNo; attr Name; }\n"
-     "weak Cedar of Ivory via CedarOf { partial CedNo; }", None),
+    "entity Brave { key BraNo; multi Bravo; }",
+    "entity Ivory { key IvoNo; attr Name; }\n"
+    "weak Cedar of Ivory via CedarOf { partial CedNo; }",
+]
+
+# Models that validate their notation clean but whose steps build two
+# relations or two attributes of one name: the relation and the attribute
+# of the CLASH (None: two relations clash).
+_CLASHING = [
     ("entity Delta { key DelNo; }\nentity Deltoid { key DelNo; }\n"
-     "rel Has (Delta 1..1, Deltoid 0..n) { }", SchemaInvariantError),
+     "rel Has (Delta 1..1, Deltoid 0..n) { }", "Delta", "DelNo"),
     ("entity Delta { key DelNo; }\nentity Bravo { key BraNo; multi Delta; }",
-     NameCollision),
+     "Delta", None),
     ("entity Alpha { key AlpNo; multi Cedar; }\n"
-     "weak Cedar of Alpha via CedarOf { partial CedNo; attr Size; }",
-     SchemaInvariantError),
+     "weak Cedar of Alpha via CedarOf { partial CedNo; attr Size; }", "Cedar", None),
     ("entity Alpha { key AlpNo; }\n"
      "weak Cedar of Alpha via CedarOf { partial AlpNo; attr Size; }",
-     SchemaInvariantError),
+     "Cedar", "AlpNo"),
 ]
 
 
-def _outcome(call, *args):
-    try:
-        call(*args)
-    except Exception as exc:
-        return type(exc)
-    return None
-
-
 class TestCleanModelErrors:
-    """What a model that validates without error can still raise.  Today it
-    is NameCollision or SchemaInvariantError, nothing else."""
+    """A model the gate passes transforms and round-trips without raising;
+    one it stops raises PrerequisiteFailed with the gate's diagnostics."""
 
     @pytest.mark.parametrize("extensions", [False, True])
-    @pytest.mark.parametrize("text, raised", _CLEAN_BUT_FAILING)
-    def test_hand_written_models(self, text, raised, extensions):
+    @pytest.mark.parametrize("text", _CLEAN_BUT_FAILING)
+    def test_clean_models_transform(self, text, extensions):
         model, diagnostics = parse_er(text)
         assert model is not None and not has_errors(diagnostics)
         cfg = TransformConfig(extensions=extensions)
-        assert not has_errors(validate_notation(model, allow_extensions=extensions))
-        assert _outcome(transform_model, model, cfg) is raised
-        assert _outcome(run_roundtrip, model, cfg) is raised
+        assert forward.gated_transform(model, cfg)[2] == []
+        assert_well_formed(transform_model(model, cfg)[0])
+        assert not run_roundtrip(model, cfg).ok
+
+    @pytest.mark.parametrize("extensions", [False, True])
+    @pytest.mark.parametrize("text, relation, attribute", _CLASHING)
+    def test_clashing_models_report_the_clash(self, text, relation, attribute,
+                                              extensions):
+        model, diagnostics = parse_er(text)
+        assert model is not None and not has_errors(diagnostics)
+        cfg = TransformConfig(extensions=extensions)
+        assert validate_notation(model, allow_extensions=extensions) == []
+        message = (f"two relations are named {relation!r}" if attribute is None
+                   else f"relation {relation!r} has two attributes named {attribute!r}")
+        assert clashes(model, cfg) == [(relation, message)]
+        with pytest.raises(PrerequisiteFailed):
+            run_roundtrip(model, cfg)
 
     def test_colliding_names(self):
         rng = random.Random(2)
-        clean = 0
+        clean = clashing = 0
         for _ in range(1000):
             text = colliding_text(rng)
             model, _ = parse_er(text)
             if model is None:
                 continue
             for extensions in (False, True):
-                if has_errors(validate_notation(model, allow_extensions=extensions)):
+                cfg = TransformConfig(extensions=extensions)
+                schema = forward.gated_transform(model, cfg)[0]
+                if schema is None:
+                    if not has_errors(validate_notation(model, extensions)):
+                        clashing += 1
+                        assert clashes(model, cfg), text
                     continue
                 clean += 1
-                cfg = TransformConfig(extensions=extensions)
-                for call in (transform_model, run_roundtrip):
-                    assert _outcome(call, model, cfg) in (
-                        None, NameCollision, SchemaInvariantError), text
-        assert clean >= 20
+                assert_well_formed(transform_model(model, cfg)[0])
+                run_roundtrip(model, cfg)
+        assert clean >= 20 and clashing >= 5
 
 
 class _CountingTuple(tuple):
@@ -435,9 +452,7 @@ class TestLinearLookups:
             RegularEntityType("Alpha", (Attribute("AlpCode", AttributeKind.KEY),)),
         ))
         assert model.entity("Alpha") is model.entities[0]
-        with pytest.raises(SchemaInvariantError,
-                           match="^duplicate relation name 'Alpha'$"):
-            transform_model(model)
+        assert clashes(model) == [("Alpha", "two relations are named 'Alpha'")]
 
     def test_an_entity_and_a_subtype_named_alike(self):
         model = ERModel(
@@ -449,9 +464,7 @@ class TestLinearLookups:
         )
         assert model.entity("Bravo") is model.entities[1]
         assert model.subtype("Bravo") is model.subtypes[0]
-        with pytest.raises(SchemaInvariantError,
-                           match="^duplicate relation name 'Bravo'$"):
-            transform_model(model)
+        assert clashes(model) == [("Bravo", "two relations are named 'Bravo'")]
 
 
 class TestEntityPartitions:

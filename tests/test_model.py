@@ -1,5 +1,3 @@
-import re
-
 import pytest
 
 from er2rds import (
@@ -14,14 +12,11 @@ from er2rds import (
     RdsAttribute,
     RegularEntityType,
     Relation,
-    RelationalSchema,
     RelationshipEndpoint,
     RelationshipType,
-    SchemaInvariantError,
     Severity,
     Subtype,
     WeakEntityType,
-    check_schema,
     designated_key,
     format_diagnostic,
     ratio_class,
@@ -177,80 +172,6 @@ def test_leading_underline_count():
     ])
     assert leading_underline_count(relation) == 2
     assert relation.pk_name() == "EmpNo"
-
-
-def rejects(schema, message):
-    """check_schema raises with exactly this message."""
-    with pytest.raises(SchemaInvariantError, match=f"^{re.escape(message)}$"):
-        check_schema(schema)
-
-
-class TestCheckSchema:
-    def good(self):
-        return RelationalSchema([
-            Relation("Employee", [RdsAttribute("EmpNo", underlined=True),
-                                  RdsAttribute("Name")]),
-        ])
-
-    def test_accepts_a_well_formed_schema(self):
-        check_schema(self.good())
-
-    def test_rejects_duplicate_relation_names(self):
-        schema = self.good()
-        schema.relations.append(Relation("Employee", [RdsAttribute("X", underlined=True)]))
-        rejects(schema, "duplicate relation name 'Employee'")
-
-    def test_rejects_an_empty_relation(self):
-        rejects(RelationalSchema([Relation("Empty", [])]),
-                "relation 'Empty' has no attributes")
-
-    def test_rejects_missing_underline(self):
-        schema = RelationalSchema([Relation("E", [RdsAttribute("A")])])
-        rejects(schema, "relation 'E' has no underlined attribute")
-
-    def test_rejects_underline_after_gap(self):
-        schema = RelationalSchema([Relation("E", [
-            RdsAttribute("A", underlined=True),
-            RdsAttribute("B"),
-            RdsAttribute("C", underlined=True),
-        ])])
-        rejects(schema, "underlined attribute after a non-underlined one at E.C")
-
-    def test_rejects_suffix_on_underlined_attribute(self):
-        schema = RelationalSchema([Relation("E", [
-            RdsAttribute("A", underlined=True,
-                         suffix=FkSuffix("R", "1", "1", "1")),
-        ])])
-        rejects(schema, "underlined attribute with suffix at E.A")
-
-    def test_rejects_prefix_without_suffix(self):
-        schema = RelationalSchema([Relation("E", [
-            RdsAttribute("A", underlined=True),
-            RdsAttribute("B", prefix="Sub"),
-        ])])
-        rejects(schema, "prefix without suffix at E.Sub-B")
-
-    def test_rejects_duplicate_display_names(self):
-        schema = RelationalSchema([Relation("E", [
-            RdsAttribute("A", underlined=True),
-            RdsAttribute("B"),
-            RdsAttribute("B"),
-        ])])
-        rejects(schema, "duplicate attribute E.B")
-
-    def test_messages_name_a_prefixed_attribute_by_its_display_name(self):
-        fk = RdsAttribute("EmpNo", prefix="Manager",
-                          suffix=FkSuffix("Manages", "1", "1", "1"))
-        schema = RelationalSchema([Relation("E", [
-            RdsAttribute("A", underlined=True), fk, fk,
-        ])])
-        rejects(schema, "duplicate attribute E.Manager-EmpNo")
-        schema = RelationalSchema([Relation("E", [
-            RdsAttribute("A", underlined=True),
-            RdsAttribute("EmpNo", underlined=True, prefix="Manager",
-                         suffix=FkSuffix("Manages", "1", "1", "1")),
-        ])])
-        rejects(schema, "underlined attribute with suffix at E.Manager-EmpNo")
 
 
 class TestFormatDiagnostic:

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import pytest
 
 from er2rds import (
@@ -15,6 +18,9 @@ from er2rds import (
     parse_er,
     validate_notation,
 )
+from er2rds.validator import RULES
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def model_of(text):
@@ -30,6 +36,12 @@ def findings(model, allow_extensions=False):
 
 def test_the_company_model_is_clean(company_model):
     assert validate_notation(company_model) == []
+
+
+def test_the_readme_table_lists_exactly_the_catalog():
+    section = README.read_text(encoding="utf-8").split("## Validation rules\n")[1]
+    table = section.split("\n## ")[0]
+    assert re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE) == list(RULES)
 
 
 class TestKeyDesignation:
