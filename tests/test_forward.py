@@ -10,10 +10,13 @@ from er2rds import (
     BadSideChoice,
     CardinalityPair,
     ERModel,
+    FkSuffix,
     MissingRelation,
     PrerequisiteFailed,
     RdsAttribute,
     RegularEntityType,
+    Relation,
+    RelationalSchema,
     RelationshipEndpoint,
     RelationshipType,
     Subtype,
@@ -422,6 +425,48 @@ class TestCleanModelErrors:
                 assert_well_formed(transform_model(model, cfg)[0])
                 run_roundtrip(model, cfg)
         assert clean >= 20 and clashing >= 5
+
+
+class TestClashes:
+    """The clash pass over a built schema: one CLASH error per repeated
+    relation name, and per repeated attribute name inside a relation."""
+
+    KEY = RdsAttribute("A", underlined=True)
+
+    def found(self, *relations):
+        return [(d.rule_id, d.severity.value, d.element, d.message)
+                for d in forward._clashes(RelationalSchema(list(relations)))]
+
+    def test_a_schema_without_repeats_has_no_clash(self):
+        assert self.found(Relation("E", [self.KEY, RdsAttribute("B")]),
+                          Relation("F", [self.KEY, RdsAttribute("B")])) == []
+
+    def test_a_repeated_relation_name(self):
+        assert self.found(Relation("E", [self.KEY]), Relation("E", [self.KEY])) == [
+            ("CLASH", "error", "E", "two relations are named 'E'")]
+
+    def test_a_repeated_attribute_name(self):
+        assert self.found(Relation("E", [self.KEY, RdsAttribute("B"),
+                                         RdsAttribute("B")])) == [
+            ("CLASH", "error", "E", "relation 'E' has two attributes named 'B'")]
+
+    def test_attributes_are_named_by_their_display_name(self):
+        fk = RdsAttribute("EmpNo", prefix="Manager",
+                          suffix=FkSuffix("Manages", "1", "1", "1"))
+        assert self.found(Relation("E", [self.KEY, RdsAttribute("EmpNo"), fk])) == []
+        found = self.found(Relation("E", [self.KEY, fk, fk]))
+        assert [clash[3] for clash in found] == [
+            "relation 'E' has two attributes named 'Manager-EmpNo'"]
+
+    def test_each_repeated_name_is_reported_once_in_first_order(self):
+        b, c = RdsAttribute("B"), RdsAttribute("C")
+        found = self.found(Relation("F", [self.KEY]),
+                           Relation("E", [self.KEY, c, b, b, c, b]),
+                           Relation("F", [self.KEY]), Relation("F", [self.KEY]))
+        assert [clash[3] for clash in found] == [
+            "two relations are named 'F'",
+            "relation 'E' has two attributes named 'C'",
+            "relation 'E' has two attributes named 'B'"]
 
 
 class _CountingTuple(tuple):

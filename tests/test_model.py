@@ -12,6 +12,7 @@ from er2rds import (
     RdsAttribute,
     RegularEntityType,
     Relation,
+    RelationalSchema,
     RelationshipEndpoint,
     RelationshipType,
     Severity,
@@ -22,6 +23,7 @@ from er2rds import (
     ratio_class,
 )
 from er2rds.model import leading_underline_count, matching_keys, name_prefix
+from conftest import assert_well_formed
 
 
 def rel(name, max_a, max_b, min_a="1", min_b="1"):
@@ -172,6 +174,43 @@ def test_leading_underline_count():
     ])
     assert leading_underline_count(relation) == 2
     assert relation.pk_name() == "EmpNo"
+
+
+class TestWellFormedOracle:
+    """assert_well_formed, the test oracle for built schemas, rejects each
+    malformation a relational schema can have."""
+
+    def one(self, *attributes):
+        return RelationalSchema([Relation("E", list(attributes))])
+
+    def test_accepts_a_well_formed_schema(self):
+        assert_well_formed(RelationalSchema([
+            Relation("Employee", [RdsAttribute("EmpNo", underlined=True),
+                                  RdsAttribute("Name")]),
+        ]))
+
+    @pytest.mark.parametrize("case", [
+        "duplicate relation", "empty relation", "no underline",
+        "underline after gap", "suffix on underlined", "prefix without suffix",
+        "duplicate attribute",
+    ])
+    def test_rejects(self, case):
+        key = RdsAttribute("A", underlined=True)
+        suffix = FkSuffix("R", "1", "1", "1")
+        schema = {
+            "duplicate relation": RelationalSchema([
+                Relation("E", [key]), Relation("E", [key])]),
+            "empty relation": self.one(),
+            "no underline": self.one(RdsAttribute("A")),
+            "underline after gap": self.one(
+                key, RdsAttribute("B"), RdsAttribute("C", underlined=True)),
+            "suffix on underlined": self.one(
+                RdsAttribute("A", underlined=True, suffix=suffix)),
+            "prefix without suffix": self.one(key, RdsAttribute("B", prefix="Sub")),
+            "duplicate attribute": self.one(key, RdsAttribute("B"), RdsAttribute("B")),
+        }[case]
+        with pytest.raises(AssertionError):
+            assert_well_formed(schema)
 
 
 class TestFormatDiagnostic:
