@@ -78,11 +78,26 @@ def _print_trace(trace: list[TraceEntry]) -> None:
             print(f"    {line}", file=sys.stderr)
 
 
+def _gate(args: argparse.Namespace, model, diagnostics):
+    """The gate under the command's options: the schema, the step events and
+    every diagnostic.  None, after saying why on stderr, when a side choice is
+    malformed or names no one-to-one relationship or no participant of it."""
+    try:
+        schema, events, checked = gated_transform(model, _config_from(args))
+    except (TransformError, ValueError) as exc:
+        _print_diagnostics(diagnostics, args.input)
+        print(f"er2rds: {exc}", file=sys.stderr)
+        return None
+    return schema, events, [*diagnostics, *checked]
+
+
 def cmd_validate(args: argparse.Namespace, text: str) -> int:
     model, diagnostics = parse_er(text, args.input)
     if model is not None:
-        cfg = TransformConfig(extensions=args.extensions)
-        diagnostics = [*diagnostics, *gated_transform(model, cfg)[2]]
+        gated = _gate(args, model, diagnostics)
+        if gated is None:
+            return EXIT_ERRORS
+        diagnostics = gated[2]
     _print_diagnostics(diagnostics, args.input)
     return _exit_code(diagnostics)
 
@@ -92,13 +107,10 @@ def cmd_transform(args: argparse.Namespace, text: str) -> int:
     if model is None:
         _print_diagnostics(diagnostics, args.input)
         return EXIT_ERRORS
-    try:
-        schema, events, checked = gated_transform(model, _config_from(args))
-    except (TransformError, ValueError) as exc:
-        _print_diagnostics(diagnostics, args.input)
-        print(f"er2rds: {exc}", file=sys.stderr)
+    gated = _gate(args, model, diagnostics)
+    if gated is None:
         return EXIT_ERRORS
-    diagnostics = [*diagnostics, *checked]
+    schema, events, diagnostics = gated
     _print_diagnostics(diagnostics, args.input)
     if schema is None:
         return EXIT_ERRORS
@@ -206,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub
 
     add("validate", "check a .er model against the notation rules",
-        extensions=True)
+        extensions=True, config=True)
     add("transform", "compile a .er model to an annotated .rds schema",
         output=True, extensions=True, config=True, trace=True)
     add("reverse", "rebuild the .er model a .rds schema came from", output=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .model import Diagnostic, RelationalSchema, Severity, leading_underline_count
-from .reverse import RelationKind, classify_relations, key_owners
+from .reverse import RelationKind, _classify
 
 
 def _sql_identifier(name: str) -> str:
@@ -21,8 +21,7 @@ def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
     An unresolvable reference becomes a comment plus a warning diagnostic.
     The diagnostics of classification come first.
     """
-    kinds, diagnostics = classify_relations(schema)
-    owners = key_owners(schema, kinds)
+    kinds, owners, diagnostics = _classify(schema)
 
     statements = []
     for relation in schema.relations:

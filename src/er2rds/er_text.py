@@ -30,7 +30,6 @@ from .model import (
     MAX_MANY,
     Attribute,
     AttributeKind,
-    CardinalityPair,
     Diagnostic,
     ERModel,
     RegularEntityType,
@@ -39,6 +38,7 @@ from .model import (
     Severity,
     Subtype,
     WeakEntityType,
+    cardinality_pair,
 )
 
 
@@ -256,9 +256,8 @@ _MEMBER_KINDS = {
     "partial": AttributeKind.PARTIAL_KEY,
 }
 
-# The parser admits only these four pairs, so every endpoint shares one.
-_PAIRS = {(minimum, maximum): CardinalityPair(minimum, maximum)
-          for minimum in ("0", "1") for maximum in ("1", MAX_MANY)}
+_KEY = AttributeKind.KEY
+_PARTIAL_KEY = AttributeKind.PARTIAL_KEY
 
 
 def _resolve(constructs: list[_RawConstruct]
@@ -272,17 +271,18 @@ def _resolve(constructs: list[_RawConstruct]
     # Global name uniqueness covers the four element kinds plus identifying
     # relationship names, which reversal regenerates as first-class names.
     taken: set[str] = set()
+    entity_names: set[str] = set()
+    subtype_names: set[str] = set()
     for construct in constructs:
-        names = [construct.name]
-        if construct.via is not None:
-            names.append(construct.via)
-        for name in names:
+        for name in (construct.name, construct.via):
             if name in taken:
                 err(construct, "REF", f"name {name!r} is already declared")
-            taken.add(name)
-
-    entity_names = {c.name for c in constructs if c.keyword == "entity"}
-    subtype_names = {c.name for c in constructs if c.keyword == "subtype"}
+            elif name is not None:
+                taken.add(name)
+        if construct.keyword == "entity":
+            entity_names.add(construct.name)
+        elif construct.keyword == "subtype":
+            subtype_names.add(construct.name)
 
     def attributes_of(construct: _RawConstruct) -> tuple[Attribute, ...]:
         seen: set[str] = set()
@@ -303,7 +303,7 @@ def _resolve(constructs: list[_RawConstruct]
     for construct in constructs:
         attrs = attributes_of(construct)
         if construct.keyword == "entity":
-            if not any(a.kind is AttributeKind.KEY for a in attrs):
+            if not any(a.kind is _KEY for a in attrs):
                 err(construct, "MODEL",
                     f"entity {construct.name!r} declares no key attribute")
             entities.append(RegularEntityType(construct.name, attrs))
@@ -316,29 +316,26 @@ def _resolve(constructs: list[_RawConstruct]
             if construct.owner not in entity_names:
                 err(construct, "REF",
                     f"owner {construct.owner!r} is not a regular entity type")
-            partials = [a for a in attrs if a.kind is AttributeKind.PARTIAL_KEY]
+            partials = [a for a in attrs if a.kind is _PARTIAL_KEY]
             if len(partials) != 1:
                 err(construct, "MODEL",
                     f"weak entity {construct.name!r} needs exactly one partial key, "
                     f"found {len(partials)}")
-                partials = partials or [Attribute("", AttributeKind.PARTIAL_KEY)]
-            rest = tuple(a for a in attrs if a.kind is not AttributeKind.PARTIAL_KEY)
+                partials = partials or [Attribute("", _PARTIAL_KEY)]
+            rest = tuple([a for a in attrs if a.kind is not _PARTIAL_KEY])
             weaks.append(
                 WeakEntityType(construct.name, construct.owner or "",
                                construct.via or "", partials[0], rest)
             )
         else:  # rel
-            endpoints = []
-            for participant, minimum, maximum in construct.endpoints:
+            for participant, _, _ in construct.endpoints:
                 if participant not in entity_names and participant not in subtype_names:
                     err(construct, "REF",
                         f"participant {participant!r} is not an entity type or subtype")
-                endpoints.append(
-                    RelationshipEndpoint(participant, _PAIRS[minimum, maximum])
-                )
-            relationships.append(
-                RelationshipType(construct.name, (endpoints[0], endpoints[1]), attrs)
-            )
+            first, second = [
+                RelationshipEndpoint(participant, cardinality_pair(minimum, maximum))
+                for participant, minimum, maximum in construct.endpoints]
+            relationships.append(RelationshipType(construct.name, (first, second), attrs))
 
     if problems:
         return None, problems

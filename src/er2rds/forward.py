@@ -31,6 +31,7 @@ from .model import (
     Diagnostic,
     ERModel,
     FkSuffix,
+    Ratio,
     RatioKind,
     RdsAttribute,
     RegularEntityType,
@@ -43,7 +44,6 @@ from .model import (
     WeakEntityType,
     designated_key,
     has_errors,
-    ratio_class,
 )
 from .rds_text import render_relation
 from .validator import validate_notation
@@ -135,46 +135,29 @@ def transform_regular(entity: RegularEntityType) -> Relation:
     return Relation(entity.name, attributes)
 
 
-def subtype_needs_relation(subtype: Subtype, model: ERModel,
-                           cfg: TransformConfig) -> bool:
-    """A subtype gets its own relation iff it has an intrinsic attribute,
-    sits at the N-side of a one-to-many relationship, or an explicit side
-    choice routes a one-to-one foreign key into it.  Evaluated before the
-    subtype step runs, so the one-to-one step never needs a relation that
-    was not created."""
-    if subtype.attributes:
-        return True
-    for rel in model.relationships_involving(subtype.name):
-        ratio = ratio_class(rel)
-        if (ratio.kind is RatioKind.ONE_TO_MANY
-                and rel.endpoints[ratio.n_side].participant == subtype.name):
-            return True
-        if (ratio.kind is RatioKind.ONE_TO_ONE
-                and cfg.sog_choice.get(rel.name) == subtype.name):
-            return True
-    return False
-
-
-def _relation(schema: RelationalSchema, name: str, needed_by: str) -> Relation:
-    """The relation called ``name``; only a model built in code, which the
-    parser never checked, can name one that does not exist."""
+def _relation(schema: RelationalSchema, name: str, kind: str, owner: str) -> Relation:
+    """The relation called ``name``, needed by the element ``kind owner``;
+    only a model built in code, which the parser never checked, can name one
+    that does not exist."""
     relation = schema.find(name)
     if relation is None:
-        raise MissingRelation(f"{needed_by} refers to {name!r}, which has no relation")
+        raise MissingRelation(f"{kind} {owner!r} refers to {name!r}, "
+                              f"which has no relation")
     return relation
 
 
 def transform_subtype(subtype: Subtype, schema: RelationalSchema) -> Relation:
     """Subtype to relation keyed by its supertype's propagated key."""
-    supertype_relation = _relation(schema, subtype.supertype,
-                                   f"subtype {subtype.name!r}")
-    attributes = [RdsAttribute(supertype_relation.pk_name(), underlined=True)]
+    supertype_relation = _relation(schema, subtype.supertype, "subtype", subtype.name)
+    # Every relation leads with its underlined designated key, which the
+    # dependent relations share rather than rebuild.
+    attributes = [supertype_relation.attributes[0]]
     attributes += [RdsAttribute(a.name) for a in subtype.attributes]
     return Relation(subtype.name, attributes)
 
 
 def _fk_identity(participant: str, model: ERModel, schema: RelationalSchema,
-                 needed_by: str) -> tuple[str, str | None]:
+                 rel: RelationshipType) -> tuple[str, str | None]:
     """Foreign-key name and prefix for the side whose key is propagated.
 
     For a regular entity the key of its own relation travels unprefixed.
@@ -182,27 +165,27 @@ def _fk_identity(participant: str, model: ERModel, schema: RelationalSchema,
     name so the reader can tell which subtype the reference narrows to."""
     subtype = model.subtype(participant)
     if subtype is None:
-        return _relation(schema, participant, needed_by).pk_name(), None
-    return _relation(schema, subtype.supertype, needed_by).pk_name(), subtype.name
+        return _relation(schema, participant, "relationship", rel.name).pk_name(), None
+    return (_relation(schema, subtype.supertype, "relationship", rel.name).pk_name(),
+            subtype.name)
 
 
 def _relationship_payload(rel: RelationshipType) -> list[RdsAttribute]:
     return [RdsAttribute(a.name) for a in rel.attributes]
 
 
-def transform_one_to_many(rel: RelationshipType, schema: RelationalSchema,
-                          model: ERModel) -> Relation:
-    """Put the 1-side's key into the N-side's relation.
+def transform_one_to_many(rel: RelationshipType, ratio: Ratio,
+                          schema: RelationalSchema, model: ERModel) -> Relation:
+    """Put the 1-side's key into the N-side's relation; ``ratio`` is the
+    relationship's, which names the N-side.
 
     The suffix records the minimum written nearest the N-side (its maximum
     is 1 by classification and is dropped) and the far side's full pair.
     Returns the modified relation."""
-    ratio = ratio_class(rel)
     n_end = rel.endpoints[ratio.n_side]
     far_end = rel.endpoints[1 - ratio.n_side]
-    needed_by = f"relationship {rel.name!r}"
-    host = _relation(schema, n_end.participant, needed_by)
-    fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema, needed_by)
+    host = _relation(schema, n_end.participant, "relationship", rel.name)
+    fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema, rel)
     suffix = FkSuffix(rel.name, n_end.pair.min, far_end.pair.min, far_end.pair.max)
     host.attributes.append(RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
     host.attributes += _relationship_payload(rel)
@@ -240,8 +223,7 @@ def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
         chosen_end = regular_end
     far_end = regular_end if chosen_end is subtype_end else subtype_end
     chosen = schema.find(chosen_end.participant)
-    fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema,
-                                      f"relationship {rel.name!r}")
+    fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema, rel)
     suffix = FkSuffix(rel.name, chosen_end.pair.min, far_end.pair.min,
                       far_end.pair.max)
     chosen.attributes.append(RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
@@ -255,29 +237,30 @@ def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
 def transform_multivalued(owner: Relation, attr: Attribute) -> Relation:
     """One relation per multivalued attribute of the entity whose relation is
     ``owner``, named after the attribute and keyed by owner key plus value."""
-    return Relation(attr.name, [
-        RdsAttribute(owner.pk_name(), underlined=True),
-        RdsAttribute(attr.name, underlined=True),
-    ])
+    return Relation(attr.name, [owner.attributes[0],
+                                RdsAttribute(attr.name, underlined=True)])
 
 
 def transform_weak(weak: WeakEntityType, schema: RelationalSchema) -> Relation:
     """Weak entity to relation keyed by owner key plus partial key."""
-    owner = _relation(schema, weak.owner, f"weak entity {weak.name!r}")
-    attributes = [
-        RdsAttribute(owner.pk_name(), underlined=True),
-        RdsAttribute(weak.partial_key.name, underlined=True),
-    ]
+    owner = _relation(schema, weak.owner, "weak entity", weak.name)
+    attributes = [owner.attributes[0],
+                  RdsAttribute(weak.partial_key.name, underlined=True)]
     attributes += [RdsAttribute(a.name) for a in weak.attributes]
     return Relation(weak.name, attributes)
 
 
 def _check_side_choices(model: ERModel, cfg: TransformConfig) -> None:
+    if not cfg.sog_choice:
+        return
+    ratios: dict[str, Ratio] = {}  # of the first relationship of each name
+    for rel, ratio in zip(model.relationships, model.ratios):
+        ratios.setdefault(rel.name, ratio)
     for rel_name, participant in cfg.sog_choice.items():
         rel = model.relationship(rel_name)
         if rel is None:
             raise BadSideChoice(f"unknown relationship {rel_name!r} in side choice")
-        if ratio_class(rel).kind is not RatioKind.ONE_TO_ONE:
+        if ratios[rel_name].kind is not RatioKind.ONE_TO_ONE:
             raise BadSideChoice(
                 f"relationship {rel_name!r} is not one-to-one; only one-to-one "
                 f"relationships take a side choice"
@@ -379,22 +362,38 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         schema.add(relation)
         record(STEP_REGULAR, entity.name, relation)
 
+    # The relationships of each step, in declaration order, from the ratios
+    # the model classified once.
+    one_to_many: list[tuple[RelationshipType, Ratio]] = []
+    one_to_one: list[RelationshipType] = []
+    many, one = RatioKind.ONE_TO_MANY, RatioKind.ONE_TO_ONE
+    for rel, ratio in zip(model.relationships, model.ratios):
+        if ratio.kind is many:
+            one_to_many.append((rel, ratio))
+        elif ratio.kind is one:
+            one_to_one.append(rel)
+
+    # A subtype gets its own relation iff it has an intrinsic attribute, sits
+    # at the N-side of a one-to-many relationship, or a side choice routes a
+    # one-to-one foreign key into it (each choice names a participant of a
+    # one-to-one relationship).  Decided before the subtype step runs, so the
+    # one-to-one step never needs a relation that was not created.
+    hosts = {rel.endpoints[ratio.n_side].participant for rel, ratio in one_to_many}
+    hosts.update(cfg.sog_choice.values())
     for subtype in model.subtypes:
-        if not subtype_needs_relation(subtype, model, cfg):
+        if not subtype.attributes and subtype.name not in hosts:
             continue
         relation = transform_subtype(subtype, schema)
         schema.add(relation)
         record(STEP_SUBTYPE, subtype.name, relation)
 
-    for rel in model.relationships:
-        if ratio_class(rel).kind is RatioKind.ONE_TO_MANY:
-            relation = transform_one_to_many(rel, schema, model)
-            record(STEP_ONE_TO_MANY, rel.name, relation)
+    for rel, ratio in one_to_many:
+        relation = transform_one_to_many(rel, ratio, schema, model)
+        record(STEP_ONE_TO_MANY, rel.name, relation)
 
-    for rel in model.relationships:
-        if ratio_class(rel).kind is RatioKind.ONE_TO_ONE:
-            relation = transform_one_to_one_sub(rel, schema, model, cfg)
-            record(STEP_ONE_TO_ONE, rel.name, relation)
+    for rel in one_to_one:
+        relation = transform_one_to_one_sub(rel, schema, model, cfg)
+        record(STEP_ONE_TO_ONE, rel.name, relation)
 
     # Walk owner relations in schema order, not declaration order: the
     # one-to-one step may have reordered the schema, and reversal derives

@@ -34,12 +34,12 @@ def render_attribute(attr: RdsAttribute) -> str:
 
 
 def render_relation(relation: Relation) -> str:
-    body = ", ".join(render_attribute(a) for a in relation.attributes)
+    body = ", ".join([render_attribute(a) for a in relation.attributes])
     return f"{relation.name}[{body}]"
 
 
 def emit_rds(schema: RelationalSchema) -> str:
-    return "".join(render_relation(r) + "\n" for r in schema.relations)
+    return "".join([render_relation(r) + "\n" for r in schema.relations])
 
 
 _LINE_RE = re.compile(r"^([A-Za-z]+)\[(.*)\]$")

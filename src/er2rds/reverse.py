@@ -25,15 +25,16 @@ from __future__ import annotations
 import dataclasses
 import difflib
 from enum import Enum
+from operator import attrgetter
 
 from .errors import PrerequisiteFailed, TransformError
 from .forward import TransformConfig, gated_transform
 from .model import (
     Attribute,
     AttributeKind,
-    CardinalityPair,
     Diagnostic,
     ERModel,
+    Ratio,
     RatioKind,
     RegularEntityType,
     Relation,
@@ -43,12 +44,12 @@ from .model import (
     Severity,
     Subtype,
     WeakEntityType,
+    cardinality_pair,
     format_diagnostic,
     has_errors,
     leading_underline_count,
     matching_keys,
     name_prefix,
-    ratio_class,
 )
 from .rds_text import emit_rds
 
@@ -74,6 +75,15 @@ def classify_relations(schema: RelationalSchema
                        ) -> tuple[dict[str, RelationKind], list[Diagnostic]]:
     """Classify every relation; unclassifiable ones yield an error diagnostic
     and stay out of the returned map."""
+    kinds, _, diagnostics = _classify(schema)
+    return kinds, diagnostics
+
+
+def _classify(schema: RelationalSchema
+              ) -> tuple[dict[str, RelationKind], dict[str, str], list[Diagnostic]]:
+    """``classify_relations``, plus the ``key_owners`` map it builds on the
+    way, which reversal and the DDL projection reuse."""
+    regular = RelationKind.REGULAR_ENTITY
     kinds: dict[str, RelationKind] = {}
     diagnostics: list[Diagnostic] = []
 
@@ -95,13 +105,15 @@ def classify_relations(schema: RelationalSchema
             continue
         shaped.append((relation, lead))
         if name_prefix(relation.attributes[0].name) == name_prefix(relation.name):
-            kinds[relation.name] = RelationKind.REGULAR_ENTITY
+            kinds[relation.name] = regular
 
     # kinds holds only the regular relations at this point.
     owners = key_owners(schema, kinds)
     for relation, _ in shaped:
+        if relation.name not in kinds:
+            continue
         pk = relation.pk_name()
-        if relation.name in kinds and owners[pk] != relation.name:
+        if owners[pk] != relation.name:
             diagnostics.append(
                 Diagnostic("CLASSIFY", Severity.WARNING,
                            f"relations {owners[pk]!r} and {relation.name!r} both "
@@ -131,7 +143,10 @@ def classify_relations(schema: RelationalSchema
     for relation, lead in shaped:
         if relation.name in kinds:
             # A relation can match the regular-entity shape and a dependent
-            # shape at once; the regular reading wins, with a warning.
+            # shape at once, when another regular relation owns its key; the
+            # regular reading wins, with a warning.
+            if owners[relation.pk_name()] == relation.name:
+                continue
             other, _ = dependent_kind(relation, lead)
             if other is not None:
                 diagnostics.append(
@@ -146,7 +161,7 @@ def classify_relations(schema: RelationalSchema
             unclassifiable(relation, why)
         else:
             kinds[relation.name] = kind
-    return kinds, diagnostics
+    return kinds, owners, diagnostics
 
 
 def _payload_after(relation: Relation, index: int) -> tuple[Attribute, ...]:
@@ -158,12 +173,22 @@ def _payload_after(relation: Relation, index: int) -> tuple[Attribute, ...]:
     return tuple(run)
 
 
+# Every reversal makes these two notes.
+_ORDER_NOTES = (
+    Diagnostic("NORM", Severity.WARNING,
+               "element declaration order reconstructed from schema order"),
+    Diagnostic("NORM", Severity.WARNING,
+               "entity attribute order reconstructed from relation order: "
+               "designated key first, multivalued attributes last"),
+)
+
+
 class _Rebuilder:
     """Accumulates model elements in schema discovery order."""
 
-    def __init__(self, schema: RelationalSchema, kinds: dict[str, RelationKind]):
+    def __init__(self, kinds: dict[str, RelationKind], owners: dict[str, str]):
         self.kinds = kinds
-        self.owners = key_owners(schema, kinds)
+        self.owners = owners
         self.entity_attrs: dict[str, list[Attribute]] = {}
         self.subtypes: dict[str, Subtype] = {}
         self.weaks: list[WeakEntityType] = []
@@ -194,9 +219,9 @@ class _Rebuilder:
 
     def take_entity(self, relation: Relation) -> None:
         lead = leading_underline_count(relation)
+        key = AttributeKind.KEY
         self.entity_attrs[relation.name] = [
-            *(Attribute(a.name, AttributeKind.KEY)
-              for a in relation.attributes[:lead]),
+            *[Attribute(a.name, key) for a in relation.attributes[:lead]],
             *_payload_after(relation, lead - 1),
         ]
 
@@ -238,9 +263,9 @@ class _Rebuilder:
                 return
             self.add_subtype(Subtype(attr.prefix, supertype=owner), relation.name)
             far_participant = attr.prefix
-        near = RelationshipEndpoint(relation.name, CardinalityPair(suffix.v2, "1"))
+        near = RelationshipEndpoint(relation.name, cardinality_pair(suffix.v2, "1"))
         far = RelationshipEndpoint(far_participant,
-                                   CardinalityPair(suffix.v3, suffix.v4))
+                                   cardinality_pair(suffix.v3, suffix.v4))
         self.relationships[suffix.relationship] = RelationshipType(
             suffix.relationship, (near, far), _payload_after(relation, index))
 
@@ -281,36 +306,36 @@ def reverse_transform(schema: RelationalSchema
                       ) -> tuple[ERModel | None, list[Diagnostic]]:
     """Rebuild the source model; returns (model, diagnostics), model None when
     classification or interpretation fails."""
-    kinds, diagnostics = classify_relations(schema)
+    kinds, owners, diagnostics = _classify(schema)
     if has_errors(diagnostics):
         return None, diagnostics
-    rebuilder = _Rebuilder(schema, kinds)
+    rebuilder = _Rebuilder(kinds, owners)
 
+    regular, subtype = RelationKind.REGULAR_ENTITY, RelationKind.SUBTYPE
+    multivalued, weak = RelationKind.MULTIVALUED, RelationKind.WEAK
     for relation in schema.relations:
-        if kinds[relation.name] is RelationKind.REGULAR_ENTITY:
+        if kinds[relation.name] is regular:
             rebuilder.take_entity(relation)
     for relation in schema.relations:
         kind = kinds[relation.name]
-        if kind is RelationKind.SUBTYPE:
+        if kind is subtype:
             rebuilder.take_subtype_relation(relation)
-        if kind in (RelationKind.REGULAR_ENTITY, RelationKind.SUBTYPE):
+        if kind is regular or kind is subtype:
             for index, attr in enumerate(relation.attributes):
                 if attr.suffix is not None:
                     rebuilder.take_fk(relation, index)
-        elif kind is RelationKind.MULTIVALUED:
+        elif kind is multivalued:
             if any(a.suffix is not None for a in relation.attributes):
                 rebuilder.error("FK",
                                 f"multivalued relation {relation.name!r} carries "
                                 f"an unexpected foreign key", relation.name)
             else:
                 rebuilder.take_multivalued(relation)
-        elif kind is RelationKind.WEAK:
+        elif kind is weak:
             rebuilder.take_weak(relation)
 
-    rebuilder.note("element declaration order reconstructed from schema order")
-    rebuilder.note("entity attribute order reconstructed from relation order: "
-                   "designated key first, multivalued attributes last")
-    diagnostics.extend(rebuilder.diagnostics)
+    diagnostics += rebuilder.diagnostics
+    diagnostics += _ORDER_NOTES
     if has_errors(diagnostics):
         return None, diagnostics
     return rebuilder.build(), diagnostics
@@ -345,34 +370,42 @@ def normalize_model(model: ERModel) -> ERModel:
             keys.insert(0, designated)
         attrs = (*keys, *entity.simple_attributes(),
                  *entity.multivalued_attributes())
-        entities.append(RegularEntityType(entity.name, attrs))
+        entities.append(entity if attrs == entity.attributes
+                        else RegularEntityType(entity.name, attrs))
     weaks = tuple(
-        dataclasses.replace(w, identifying_relationship=w.name + "Of")
+        w if w.identifying_relationship == w.name + "Of"
+        else WeakEntityType(w.name, w.owner, w.name + "Of", w.partial_key, w.attributes)
         for w in model.weak_entities
     )
-    return ERModel(tuple(entities), model.subtypes, weaks, model.relationships)
+    # Elements already in normal form are kept, and so is a model made only
+    # of them, with the lookups and ratios it has computed.
+    entities = tuple(entities)
+    if entities == model.entities and weaks == model.weak_entities:
+        return model
+    return ERModel(entities, model.subtypes, weaks, model.relationships)
 
 
-def _canonical_relationship(rel: RelationshipType) -> RelationshipType:
+def _canonical_relationship(rel: RelationshipType, ratio: Ratio) -> RelationshipType:
     """The relationship itself when its endpoints are in canonical order."""
-    ratio = ratio_class(rel)
     if ratio.kind is RatioKind.ONE_TO_MANY:
         swap = ratio.n_side == 1
     else:
         swap = rel.endpoints[1].participant < rel.endpoints[0].participant
-    return dataclasses.replace(rel, endpoints=rel.endpoints[::-1]) if swap else rel
+    if not swap:
+        return rel
+    return RelationshipType(rel.name, rel.endpoints[::-1], rel.attributes)
 
 
 def canonical_model(model: ERModel) -> ERModel:
     """Order-insensitive form: element lists sorted by name, relationship
     endpoints in canonical order (N-side first, else lexicographic).  Used
     for comparisons only; emission never canonicalizes."""
-    by_name = lambda element: element.name
+    by_name = attrgetter("name")
     return ERModel(
         tuple(sorted(model.entities, key=by_name)),
         tuple(sorted(model.subtypes, key=by_name)),
         tuple(sorted(model.weak_entities, key=by_name)),
-        tuple(sorted((_canonical_relationship(r) for r in model.relationships),
+        tuple(sorted(map(_canonical_relationship, model.relationships, model.ratios),
                      key=by_name)),
     )
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 from .model import (
     Diagnostic,
     ERModel,
+    Ratio,
     RatioKind,
     RegularEntityType,
     RelationshipType,
     Severity,
     matching_keys,
-    ratio_class,
 )
 
 RULES: dict[str, str] = {
@@ -51,8 +51,14 @@ class _Collector:
              Diagnostic(rule, severity, message, element=element))
         )
 
-    def name_checks(self, position: tuple[int, ...], name: str, element: str,
-                    plural_check: bool = False) -> None:
+    def name_checks(self, position: tuple[int, ...], name: str, kind: str,
+                    owner: str, detail: str = "", plural_check: bool = False) -> None:
+        """The name rules for ``name``; the element, ``kind owner`` followed
+        by ``detail``, is built only if one fails."""
+        if name.isalpha() and name[:1].isupper() and not (
+                plural_check and _looks_plural(name)):
+            return
+        element = f"{kind} {owner}{detail}"
         if not name.isalpha():
             self.add(position, "R2.5.2", Severity.ERROR,
                      f"name {name!r} contains non-alphabetic characters", element)
@@ -64,14 +70,14 @@ class _Collector:
             self.add(position, "R2.5.1", Severity.WARNING,
                      f"name {name!r} looks plural; names should be singular", element)
 
-    def attribute_checks(self, position: tuple[int, ...], owner: str,
+    def attribute_checks(self, position: tuple[int, ...], kind: str, owner: str,
                          attributes) -> None:
-        """``name_checks`` per attribute; the element is built only if one fails."""
+        """``name_checks`` per attribute, whose element names its owner."""
         for index, attr in enumerate(attributes):
             name = attr.name
             if not (name.isalpha() and name[:1].isupper()):
-                self.name_checks((*position, index), name,
-                                 f"{owner}, attribute {name}")
+                self.name_checks((*position, index), name, kind, owner,
+                                 f", attribute {name}")
 
     def sorted_diagnostics(self) -> list[Diagnostic]:
         return [d for _, _, d in sorted(self.found, key=lambda item: item[:2])]
@@ -79,19 +85,21 @@ class _Collector:
 
 def _check_entity(out: _Collector, index: int, entity: RegularEntityType) -> None:
     position = (0, index)
-    element = f"entity {entity.name}"
-    out.name_checks(position, entity.name, element, plural_check=True)
-    out.attribute_checks(position, element, entity.attributes)
+    name = entity.name
+    out.name_checks(position, name, "entity", name, plural_check=True)
+    out.attribute_checks(position, "entity", name, entity.attributes)
     matches = matching_keys(entity)
+    if len(matches) == 1:
+        return
     if not matches:
         out.add(position, "R2.4.2", Severity.ERROR,
-                f"entity {entity.name!r} has no key attribute whose first three "
-                f"letters match the entity name", element)
-    elif len(matches) > 1:
+                f"entity {name!r} has no key attribute whose first three "
+                f"letters match the entity name", f"entity {name}")
+    else:
         out.add(position, "R2.4.2", Severity.WARNING,
-                f"entity {entity.name!r} has {len(matches)} key attributes matching "
+                f"entity {name!r} has {len(matches)} key attributes matching "
                 f"its name; {matches[0].name!r} is designated by declaration order",
-                element)
+                f"entity {name}")
 
 
 def _supported_kinds(model: ERModel, rel: RelationshipType) -> list[str]:
@@ -106,37 +114,37 @@ def _supported_kinds(model: ERModel, rel: RelationshipType) -> list[str]:
     return kinds
 
 
+_ONE_TO_ONE = RatioKind.ONE_TO_ONE
+_MANY_TO_MANY = RatioKind.MANY_TO_MANY
+
+
 def _check_relationship(out: _Collector, model: ERModel, index: int,
-                        rel: RelationshipType, allow_extensions: bool) -> None:
+                        rel: RelationshipType, ratio: Ratio,
+                        allow_extensions: bool) -> None:
     position = (3, index)
-    element = f"relationship {rel.name}"
-    out.name_checks(position, rel.name, element)
-    out.attribute_checks(position, element, rel.attributes)
+    name = rel.name
+    out.name_checks(position, name, "relationship", name)
+    out.attribute_checks(position, "relationship", name, rel.attributes)
 
     first, second = rel.participants()
     if first == second:
-        out.add(position, "SUBSET", Severity.ERROR,
-                f"relationship {rel.name!r} relates {first!r} to itself; only "
-                f"binary relationships between distinct participants are supported",
-                element)
+        message = (f"relationship {name!r} relates {first!r} to itself; only "
+                   f"binary relationships between distinct participants are "
+                   f"supported")
+    elif ratio.kind is _MANY_TO_MANY:
+        message = (f"relationship {name!r} is many-to-many, which is not in the "
+                   f"supported transformation subset")
+    elif ratio.kind is _ONE_TO_ONE:
+        if sorted(_supported_kinds(model, rel)) == ["entity", "subtype"]:
+            return
+        message = (f"one-to-one relationship {name!r} must relate a subtype "
+                   f"to a regular entity type")
+    elif allow_extensions or _supported_kinds(model, rel) == ["entity", "entity"]:
         return
-    kinds = _supported_kinds(model, rel)
-    ratio = ratio_class(rel)
-    if ratio.kind is RatioKind.MANY_TO_MANY:
-        out.add(position, "SUBSET", Severity.ERROR,
-                f"relationship {rel.name!r} is many-to-many, which is not in the "
-                f"supported transformation subset", element)
-    elif ratio.kind is RatioKind.ONE_TO_ONE:
-        if sorted(kinds) != ["entity", "subtype"]:
-            out.add(position, "SUBSET", Severity.ERROR,
-                    f"one-to-one relationship {rel.name!r} must relate a subtype "
-                    f"to a regular entity type", element)
-    else:  # ONE_TO_MANY
-        if kinds != ["entity", "entity"] and not allow_extensions:
-            out.add(position, "SUBSET", Severity.ERROR,
-                    f"one-to-many relationship {rel.name!r} must relate two "
-                    f"regular entity types (subtype endpoints need extensions)",
-                    element)
+    else:
+        message = (f"one-to-many relationship {name!r} must relate two "
+                   f"regular entity types (subtype endpoints need extensions)")
+    out.add(position, "SUBSET", Severity.ERROR, message, f"relationship {name}")
 
 
 def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Diagnostic]:
@@ -146,20 +154,21 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
         _check_entity(out, index, entity)
     for index, subtype in enumerate(model.subtypes):
         position = (1, index)
-        element = f"subtype {subtype.name}"
-        out.name_checks(position, subtype.name, element, plural_check=True)
-        out.attribute_checks(position, element, subtype.attributes)
-        if not subtype.attributes and not model.relationships_involving(subtype.name):
+        name = subtype.name
+        out.name_checks(position, name, "subtype", name, plural_check=True)
+        out.attribute_checks(position, "subtype", name, subtype.attributes)
+        if not subtype.attributes and not model.relationships_involving(name):
             out.add(position, "R2.2.1-I", Severity.ERROR,
-                    f"subtype {subtype.name!r} has no intrinsic attribute and "
-                    f"participates in no relationship", element)
+                    f"subtype {name!r} has no intrinsic attribute and "
+                    f"participates in no relationship", f"subtype {name}")
     for index, weak in enumerate(model.weak_entities):
         position = (2, index)
-        element = f"weak entity {weak.name}"
-        out.name_checks(position, weak.name, element, plural_check=True)
-        out.name_checks(position, weak.identifying_relationship,
-                        f"weak entity {weak.name}, identifying relationship")
-        out.attribute_checks(position, element, (weak.partial_key, *weak.attributes))
-    for index, rel in enumerate(model.relationships):
-        _check_relationship(out, model, index, rel, allow_extensions)
+        name = weak.name
+        out.name_checks(position, name, "weak entity", name, plural_check=True)
+        out.name_checks(position, weak.identifying_relationship, "weak entity", name,
+                        ", identifying relationship")
+        out.attribute_checks(position, "weak entity", name,
+                             (weak.partial_key, *weak.attributes))
+    for index, (rel, ratio) in enumerate(zip(model.relationships, model.ratios)):
+        _check_relationship(out, model, index, rel, ratio, allow_extensions)
     return out.sorted_diagnostics()

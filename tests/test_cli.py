@@ -29,6 +29,16 @@ def checkout_env() -> dict[str, str]:
     return env
 
 
+# Found at seed 54 by tests/probe_clean_models.py: it clashes under the
+# default side choices only.
+SIDE_CHOICE_CLASH = """\
+subtype Ivory of Del { attr Ced; attr Ivo; }
+entity Del { key DelNo; attr Ivo; }
+rel DelNo (Ivory 1..1, Del 1..1) { attr Ivory; attr Delta; }
+subtype Brave of Del { attr Bra; }
+"""
+
+
 class TestValidate:
     def test_clean_model_exits_zero_silently(self, capsys):
         assert main(["validate", COMPANY_ER]) == 0
@@ -46,6 +56,34 @@ class TestValidate:
         advisory.write_text("entity Employees { key EmpNo; }")
         assert main(["validate", str(advisory)]) == 1
         assert "R2.5.1" in capsys.readouterr().err
+
+    def test_side_choices_decide_the_clash_as_in_transform(self, tmp_path, capsys):
+        # Under the default policy the unprefixed DelNo foreign key lands in
+        # Ivory, whose key is DelNo already; --prefer-regular puts it in Del.
+        model = tmp_path / "seed54.er"
+        model.write_text(SIDE_CHOICE_CLASH)
+        assert main(["validate", str(model)]) == 2
+        assert capsys.readouterr().err == (
+            f"{model}: error[CLASH]: relation 'Ivory' has two attributes named "
+            f"'DelNo' (Ivory)\n")
+        for options in (["--prefer-regular"], ["--sog-choice", "DelNo=Del"]):
+            assert main(["validate", str(model), *options]) == 0
+            assert capsys.readouterr().err == ""
+            assert main(["transform", str(model), *options]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert "Ivory-DelNo(DelNo, 1, 1, 1)" in captured.out
+
+    @pytest.mark.parametrize("choice, message", [
+        ("Consult", "--sog-choice expects RELATIONSHIP=PARTICIPANT, got 'Consult'"),
+        ("Ghost=Project", "unknown relationship 'Ghost' in side choice"),
+        ("Consult=Ghost", "'Ghost' is not a participant of relationship 'Consult'"),
+    ])
+    def test_a_bad_side_choice_exits_two_as_in_transform(self, choice, message,
+                                                          capsys):
+        for command in ("validate", "transform"):
+            assert main([command, COMPANY_ER, "--sog-choice", choice]) == 2
+            assert capsys.readouterr() == ("", f"er2rds: {message}\n")
 
     def test_a_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -33,6 +34,7 @@ from er2rds import (
     validate_notation,
 )
 from er2rds import forward
+from er2rds import model as model_module
 from conftest import assert_well_formed
 from genmodels import generate_model, scaled_model, sog_configs
 from test_er_text import colliding_text
@@ -510,6 +512,50 @@ class TestLinearLookups:
         assert model.entity("Bravo") is model.entities[1]
         assert model.subtype("Bravo") is model.subtypes[0]
         assert clashes(model) == [("Bravo", "two relations are named 'Bravo'")]
+
+
+class TestRatiosOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = model_module.ratio_class
+
+        def counting(rel):
+            calls.append(rel)
+            return original(rel)
+
+        # wherever a module of the package has imported it
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("er2rds")
+                    and getattr(module, "ratio_class", None) is original):
+                monkeypatch.setattr(module, "ratio_class", counting)
+        return calls
+
+    @pytest.mark.parametrize("cfg", [
+        TransformConfig(),
+        TransformConfig(sog_choice={"Consult": "Project"}),
+        TransformConfig(prefer_regular=True),
+    ], ids=["default", "side-choice", "prefer-regular"])
+    def test_a_transform_classifies_each_relationship_once(self, company_text,
+                                                           calls, cfg):
+        # a fresh parse: the session's model keeps the ratios it has read
+        model, _ = parse_er(company_text)
+        transform_model(model, cfg)
+        assert calls == list(model.relationships)
+
+    def test_a_model_keeps_its_ratios_across_transforms(self, company_text, calls):
+        model, _ = parse_er(company_text)
+        transform_model(model)
+        transform_model(model, TransformConfig(prefer_regular=True))
+        assert calls == list(model.relationships)
+
+    def test_reading_the_ratios_leaves_equality_hash_and_asdict_alone(self,
+                                                                      company_text):
+        (read, _), (unread, _) = parse_er(company_text), parse_er(company_text)
+        assert [ratio.kind.value for ratio in read.ratios] == ["1:N", "1:1", "1:1"]
+        assert read == unread and hash(read) == hash(unread)
+        assert dataclasses.asdict(read) == dataclasses.asdict(unread)
+        assert "ratios" not in dataclasses.asdict(read)
 
 
 class TestEntityPartitions:

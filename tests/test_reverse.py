@@ -1,6 +1,7 @@
 import pytest
 
 from er2rds import (
+    Diagnostic,
     Severity,
     canonical_model,
     classify_relations,
@@ -9,10 +10,12 @@ from er2rds import (
     parse_er,
     parse_rds,
     reconstruct_sog_choices,
+    render_ddl,
     reverse_transform,
 )
-from er2rds import reverse
+from er2rds import ddl, reverse
 from er2rds.reverse import RelationKind
+from conftest import golden_path
 
 
 def schema_of(text):
@@ -142,16 +145,64 @@ class TestReverseGolden:
 class TestClassifiesOnce:
     def test_reversal_classifies_the_schema_once(self, company_schema, monkeypatch):
         calls = []
-        original = reverse.classify_relations
+        original = reverse._classify
 
         def counting(schema):
             calls.append(schema)
             return original(schema)
 
-        monkeypatch.setattr(reverse, "classify_relations", counting)
+        monkeypatch.setattr(reverse, "_classify", counting)
         model, _ = reverse_transform(company_schema)
         assert model is not None and len(model.relationships) == 3
         assert len(calls) == 1
+
+
+class TestOneKeyOwnerMap:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = reverse.key_owners
+
+        def counting(schema, kinds):
+            calls.append(schema)
+            return original(schema, kinds)
+
+        for module in (reverse, ddl):
+            monkeypatch.setattr(module, "key_owners", counting, raising=False)
+        return calls
+
+    def test_reversal_builds_one_key_owner_map(self, company_schema, calls):
+        model, _ = reverse_transform(company_schema)
+        assert model is not None and len(model.relationships) == 3
+        assert calls == [company_schema]
+
+    def test_the_ddl_projection_builds_one_key_owner_map(self, company_schema, calls):
+        sql = golden_path("company.sql").read_text(encoding="utf-8")
+        assert render_ddl(company_schema) == (sql, [])
+        assert calls == [company_schema]
+
+
+class TestOrderNotes:
+    def test_each_reversal_returns_its_own_list_with_equal_notes(self, company_schema):
+        first_model, first = reverse_transform(company_schema)
+        second_model, second = reverse_transform(company_schema)
+        assert first_model is not None and second_model is not None
+        assert first is not second
+        assert first == second
+        notes = [d for d in first if d.rule_id == "NORM" and d.element is None]
+        assert [d.message for d in notes] == [
+            "element declaration order reconstructed from schema order",
+            "entity attribute order reconstructed from relation order: "
+            "designated key first, multivalued attributes last",
+        ]
+
+    def test_extending_one_list_leaves_the_next_alone(self, company_schema):
+        _, first = reverse_transform(company_schema)
+        expected = list(first)
+        first.append(Diagnostic("NORM", Severity.WARNING, "added by the caller"))
+        first.extend(first[:2])
+        _, second = reverse_transform(company_schema)
+        assert second == expected
 
 
 class TestReverseErrors:
