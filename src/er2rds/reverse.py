@@ -65,8 +65,9 @@ def key_owners(schema: RelationalSchema,
                kinds: dict[str, RelationKind]) -> dict[str, str]:
     """Map each primary-key name to the first regular relation owning it."""
     owners: dict[str, str] = {}
+    regular = RelationKind.REGULAR_ENTITY
     for relation in schema.relations:
-        if kinds.get(relation.name) is RelationKind.REGULAR_ENTITY:
+        if kinds.get(relation.name) is regular:
             owners.setdefault(relation.pk_name(), relation.name)
     return owners
 
@@ -83,7 +84,8 @@ def _classify(schema: RelationalSchema
               ) -> tuple[dict[str, RelationKind], dict[str, str], list[Diagnostic]]:
     """``classify_relations``, plus the ``key_owners`` map it builds on the
     way, which reversal and the DDL projection reuse."""
-    regular = RelationKind.REGULAR_ENTITY
+    regular, subtype = RelationKind.REGULAR_ENTITY, RelationKind.SUBTYPE
+    multivalued, weak = RelationKind.MULTIVALUED, RelationKind.WEAK
     kinds: dict[str, RelationKind] = {}
     diagnostics: list[Diagnostic] = []
 
@@ -130,14 +132,14 @@ def _classify(schema: RelationalSchema
             return None, (f"leading attribute {pk!r} is not the primary key of "
                           f"another regular relation")
         if lead == 1:
-            return RelationKind.SUBTYPE, ""
+            return subtype, ""
         if lead == 2 and len(relation.attributes) == 2:
             if relation.attributes[1].name == relation.name:
-                return RelationKind.MULTIVALUED, ""
+                return multivalued, ""
             return None, ("two underlined attributes but the second is not "
                           "named after the relation")
         if lead == 2 and len(relation.attributes) > 2:
-            return RelationKind.WEAK, ""
+            return weak, ""
         return None, f"{lead} underlined attributes fit no known shape"
 
     for relation, lead in shaped:
