@@ -538,7 +538,7 @@ class TestRatiosOnce:
     ], ids=["default", "side-choice", "prefer-regular"])
     def test_a_transform_classifies_each_relationship_once(self, company_text,
                                                            calls, cfg):
-        # a fresh parse: the session's model keeps the ratios it has read
+        # a fresh parse: the session-scoped company_model fixture keeps its ratios
         model, _ = parse_er(company_text)
         transform_model(model, cfg)
         assert calls == list(model.relationships)
