@@ -19,7 +19,7 @@ from .ddl import render_ddl
 from .er_text import emit_er, parse_er
 from .errors import PrerequisiteFailed, TransformError
 from .forward import TraceEntry, TransformConfig, _Replay, gated_transform
-from .model import format_diagnostic, has_errors
+from .model import ERModel, RelationalSchema, format_diagnostic, has_errors
 from .rds_text import emit_rds, parse_rds
 from .reverse import reverse_transform, run_roundtrip
 
@@ -78,55 +78,22 @@ def _print_trace(trace: list[TraceEntry]) -> None:
             print(f"    {line}", file=sys.stderr)
 
 
-def _gate(args: argparse.Namespace, model, diagnostics):
-    """The gate under the command's options: the schema, the step events and
-    every diagnostic.  None, after saying why on stderr, when a side choice is
-    malformed or names no one-to-one relationship or no participant of it."""
-    try:
-        schema, events, checked = gated_transform(model, _config_from(args))
-    except (TransformError, ValueError) as exc:
-        _print_diagnostics(diagnostics, args.input)
-        print(f"er2rds: {exc}", file=sys.stderr)
-        return None
-    return schema, events, [*diagnostics, *checked]
-
-
-def cmd_validate(args: argparse.Namespace, text: str) -> int:
-    model, diagnostics = parse_er(text, args.input)
-    if model is not None:
-        gated = _gate(args, model, diagnostics)
-        if gated is None:
-            return EXIT_ERRORS
-        diagnostics = gated[2]
-    _print_diagnostics(diagnostics, args.input)
-    return _exit_code(diagnostics)
-
-
-def cmd_transform(args: argparse.Namespace, text: str) -> int:
-    model, diagnostics = parse_er(text, args.input)
-    if model is None:
-        _print_diagnostics(diagnostics, args.input)
-        return EXIT_ERRORS
-    gated = _gate(args, model, diagnostics)
-    if gated is None:
-        return EXIT_ERRORS
-    schema, events, diagnostics = gated
+def cmd_check(args: argparse.Namespace, model: ERModel) -> int:
+    """validate and transform: the gate under the command's options, then,
+    for transform only, the trace and the schema."""
+    schema, events, diagnostics = gated_transform(model, _config_from(args))
     _print_diagnostics(diagnostics, args.input)
     if schema is None:
         return EXIT_ERRORS
-    if args.trace:
-        _print_trace(_Replay(events, schema).entries())
-    _write_output(emit_rds(schema), args.output)
+    if args.command == "transform":
+        if args.trace:
+            _print_trace(_Replay(events, schema).entries())
+        _write_output(emit_rds(schema), args.output)
     return _exit_code(diagnostics)
 
 
-def cmd_reverse(args: argparse.Namespace, text: str) -> int:
-    schema, diagnostics = parse_rds(text, args.input)
-    if schema is None:
-        _print_diagnostics(diagnostics, args.input)
-        return EXIT_ERRORS
-    model, reverse_diags = reverse_transform(schema)
-    diagnostics = [*diagnostics, *reverse_diags]
+def cmd_reverse(args: argparse.Namespace, schema: RelationalSchema) -> int:
+    model, diagnostics = reverse_transform(schema)
     _print_diagnostics(diagnostics, args.input)
     if model is None:
         return EXIT_ERRORS
@@ -137,18 +104,11 @@ def cmd_reverse(args: argparse.Namespace, text: str) -> int:
     return EXIT_CLEAN
 
 
-def cmd_roundtrip(args: argparse.Namespace, text: str) -> int:
-    model, diagnostics = parse_er(text, args.input)
-    if model is None:
-        _print_diagnostics(diagnostics, args.input)
-        return EXIT_ERRORS
+def cmd_roundtrip(args: argparse.Namespace, model: ERModel) -> int:
     try:
         report = run_roundtrip(model, _config_from(args))
     except PrerequisiteFailed as exc:
-        _print_diagnostics([*diagnostics, *exc.diagnostics], args.input)
-        return EXIT_ERRORS
-    except (TransformError, ValueError) as exc:
-        print(f"er2rds: {exc}", file=sys.stderr)
+        _print_diagnostics(exc.diagnostics, args.input)
         return EXIT_ERRORS
     if report.ok:
         count = report.schema_text.count("\n")
@@ -160,24 +120,22 @@ def cmd_roundtrip(args: argparse.Namespace, text: str) -> int:
     return EXIT_ERRORS
 
 
-def cmd_ddl(args: argparse.Namespace, text: str) -> int:
-    schema, diagnostics = parse_rds(text, args.input)
-    if schema is None:
-        _print_diagnostics(diagnostics, args.input)
-        return EXIT_ERRORS
-    sql, ddl_diags = render_ddl(schema)
-    diagnostics = [*diagnostics, *ddl_diags]
+def cmd_ddl(args: argparse.Namespace, schema: RelationalSchema) -> int:
+    sql, diagnostics = render_ddl(schema)
     _print_diagnostics(diagnostics, args.input)
     _write_output(sql, args.output)
     return _exit_code(diagnostics)
 
 
+# Each command's reader and handler: ``main`` parses the input with the
+# reader, which returns its value with no diagnostic or None with its
+# errors, and hands the value to the handler.
 _COMMANDS = {
-    "validate": cmd_validate,
-    "transform": cmd_transform,
-    "reverse": cmd_reverse,
-    "roundtrip": cmd_roundtrip,
-    "ddl": cmd_ddl,
+    "validate": (parse_er, cmd_check),
+    "transform": (parse_er, cmd_check),
+    "reverse": (parse_rds, cmd_reverse),
+    "roundtrip": (parse_er, cmd_roundtrip),
+    "ddl": (parse_rds, cmd_ddl),
 }
 
 
@@ -230,20 +188,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    reader, handler = _COMMANDS[args.command]
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+        value, errors = reader(text, args.input)
+        if value is None:
+            _print_diagnostics(errors, args.input)
+            return EXIT_ERRORS
+        return handler(args, value)
+    except OSError as exc:  # reading the input or writing -o
         print(f"er2rds: {exc}", file=sys.stderr)
         return EXIT_IO
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # only the input is decoded
         print(f"er2rds: {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        return _COMMANDS[args.command](args, text)
-    except OSError as exc:
+    except (TransformError, ValueError) as exc:  # a bad side choice
         print(f"er2rds: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_ERRORS
 
 
 if __name__ == "__main__":

@@ -64,8 +64,8 @@ class TransformConfig:
     whose relation takes the foreign key.  Relationships not in the map fall
     back to the default policy: the subtype's relation when it exists,
     otherwise the regular entity's; ``prefer_regular`` flips that default.
-    ``extensions`` additionally lets the one-to-many step accept subtype
-    endpoints.
+    ``extensions`` lets the gate admit subtype endpoints in one-to-many
+    relationships, which the steps then treat as any other endpoint.
     """
 
     sog_choice: dict[str, str] = field(default_factory=dict)
@@ -203,8 +203,10 @@ def _resolve_side(rel: RelationshipType, model: ERModel
 
 
 def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
-                             model: ERModel, cfg: TransformConfig) -> Relation:
-    """Put the far side's key into the chosen relation.
+                             model: ERModel, cfg: TransformConfig
+                             ) -> tuple[Relation, bool]:
+    """Put the far side's key into the chosen relation; returns the relation
+    and whether it moves to the end of the schema.
 
     When the far side is the subtype (the regular side was chosen), the key
     is the supertype's and gets the subtype name as prefix; a relation that
@@ -212,7 +214,7 @@ def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
     keeps re-derived schemas byte-identical to their source: the subtype
     relations a reversal discovers first are always created before the
     relationship steps run, so listing order can only be reconciled by
-    moving the absorbing relation."""
+    moving the absorbing relation.  The caller makes the move."""
     subtype_end, regular_end = _resolve_side(rel, model)
     explicit = cfg.sog_choice.get(rel.name)
     if explicit is not None:
@@ -228,10 +230,7 @@ def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
                       far_end.pair.max)
     chosen.attributes.append(RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
     chosen.attributes += _relationship_payload(rel)
-    if fk_prefix is not None:
-        schema.relations.remove(chosen)
-        schema.relations.append(chosen)
-    return chosen
+    return chosen, fk_prefix is not None
 
 
 def transform_multivalued(owner: Relation, attr: Attribute) -> Relation:
@@ -391,9 +390,20 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         relation = transform_one_to_many(rel, ratio, schema, model)
         record(STEP_ONE_TO_MANY, rel.name, relation)
 
+    # The relations to move, by identity, in order of last move; they move after
+    # the step, since a removal scans the list.  ``end`` will end the schema.
+    moved: dict[int, Relation] = {}
+    end = schema.relations[-1] if schema.relations else None
     for rel in one_to_one:
-        relation = transform_one_to_one_sub(rel, schema, model, cfg)
-        record(STEP_ONE_TO_ONE, rel.name, relation)
+        relation, moves = transform_one_to_one_sub(rel, schema, model, cfg)
+        if moves:
+            moved.pop(id(relation), None)
+            moved[id(relation)] = end = relation
+        events.append((STEP_ONE_TO_ONE, rel.name, relation.name,
+                       len(relation.attributes), relation is end))
+    if moved:
+        schema.relations[:] = [r for r in schema.relations if id(r) not in moved]
+        schema.relations += moved.values()
 
     # Walk owner relations in schema order, not declaration order: the
     # one-to-one step may have reordered the schema, and reversal derives

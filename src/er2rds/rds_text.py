@@ -101,7 +101,8 @@ def _parse_attribute(text: str, line_no: int,
 
 def parse_rds(text: str, path: str = "<rds>") -> tuple[RelationalSchema | None,
                                                        list[Diagnostic]]:
-    """Parse schema text; returns (schema, diagnostics), schema None on errors.
+    """Parse schema text; returns ``(schema, [])`` or ``(None, errors)``: a
+    schema never comes with a diagnostic, and every diagnostic is an error.
 
     Enforces the attribute laws (prefix implies suffix, underlined excludes
     suffix) and relation-name uniqueness.  Whether underlined attributes lead

@@ -14,12 +14,26 @@ each tree's ``cli.main``, in memory apart from the input files:
 - ``large``: ``roundtrip`` over ``genmodels.scaled_model(n)`` at n = 40, 80
   and 160 (100, 200 and 400 relations).
 
-Before any timing, every op must give the same exit code, stdout and stderr
-in both trees; the script stops at the first op that does not.  Then each
-round times one pass of each tree over each workload, and the script
-prints ops/s per tree and the ratio NEW/OLD, both for the summed time and
-as the median of the per-round ratios.  Inside a round the
-two trees take turns op by op, so a slow phase of the host slows both.
+Before any timing, every op of both workloads must give the same exit code,
+stdout and stderr in both trees, and so must a wider set of calls that is
+checked but not timed:
+
+- ``validate``, ``transform --trace -o FILE`` (the written file is compared
+  too) and ``roundtrip`` over the 500 corpus models and 1,000
+  ``colliding_text`` texts (generator seed 91), each with no option,
+  ``--prefer-regular``, ``--extensions``, a malformed and an unknown
+  ``--sog-choice``;
+- ``reverse`` and ``ddl`` on every schema those transforms wrote and on the
+  golden schemas;
+- every command on a missing file and on a file that is not UTF-8, ``-o``
+  into a missing directory, and usage errors, whose argparse exit code is
+  compared.
+
+The script stops at the first call that differs.  Then each round times one
+pass of each tree over each workload, and the script prints ops/s per tree
+and the ratio NEW/OLD, both for the summed time and as the median of the
+per-round ratios.  Inside a round the two trees take turns op by op, so a
+slow phase of the host slows both.
 
 Pytest does not collect this file; it is a script.
 """
@@ -29,6 +43,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import io
+import random
 import statistics
 import sys
 import tempfile
@@ -39,6 +54,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 CORPUS_MODELS = 500
+COLLIDING_TEXTS = 1000
+COLLIDING_SEED = 91
+COMMANDS = ("validate", "transform", "reverse", "roundtrip", "ddl")
+# The options of each checked call on a model.
+OPTIONS = ([], ["--prefer-regular"], ["--extensions"],
+           ["--sog-choice", "Malformed"], ["--sog-choice", "Ghost=Nobody"])
+GOLDEN = Path(__file__).parent / "golden"
 LARGE_SIZES = (40, 80, 160)
 # Passes over each workload's ops in one round, so that a round of the large
 # workload lasts about as long as one of the corpus.
@@ -85,11 +107,80 @@ def write_inputs(work: Path, seed: int, new_src: Path) -> dict[str, list[list[st
     return {"corpus": corpus, "large": large}
 
 
-def call(main, argv: list[str]) -> tuple[int, str, str]:
+def call(main, argv: list[str], output: Path | None = None
+         ) -> tuple[int, str, str, str | None]:
+    """The exit code, stdout and stderr of one call, and the text it wrote to
+    ``output``, which is then removed.  A usage error's SystemExit gives the
+    exit code."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = None
+    if output is not None and output.exists():
+        written = output.read_text(encoding="utf-8")
+        output.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) -> None:
+    """Exit at the first call whose outcome differs between the two trees;
+    otherwise print how many calls were compared."""
+    count = 0
+
+    def same(argv: list[str], output: Path | None = None):
+        nonlocal count
+        count += 1
+        outcome = call(old, argv, output)
+        if outcome != call(new, argv, output):
+            sys.exit(f"compare_speed: {' '.join(argv)} differs between the two trees")
+        return outcome
+
+    for workload, argvs in workloads.items():
+        for argv in argvs:
+            same(argv)
+        print(f"{workload}: {len(argvs)} ops give identical exit codes, "
+              f"stdout and stderr")
+
+    from test_er_text import colliding_text  # imports er2rds by name
+    rng = random.Random(COLLIDING_SEED)
+    models = sorted(work.glob("model*.er"))
+    for index in range(COLLIDING_TEXTS):
+        path = work / f"colliding{index}.er"
+        path.write_text(colliding_text(rng), encoding="utf-8")
+        models.append(path)
+    output = work / "out.rds"
+    schemas = {path.read_text(encoding="utf-8")
+               for path in (GOLDEN / "company.rds", GOLDEN / "company_consult_project.rds")}
+    for path in models:
+        for options in OPTIONS:
+            same(["validate", str(path), *options])
+            written = same(["transform", str(path), "--trace", "-o", str(output),
+                            *options], output)[3]
+            if written is not None:
+                schemas.add(written)
+            same(["roundtrip", str(path), *options])
+    produced = work / "produced.rds"
+    for schema in sorted(schemas):
+        produced.write_text(schema, encoding="utf-8")
+        same(["reverse", str(produced)])
+        same(["ddl", str(produced)])
+
+    latin = work / "latin.er"
+    latin.write_bytes(b"entity Dep\xff { key DepNo; }")
+    for command in COMMANDS:
+        same([command, str(work / "absent.er")])
+        same([command, str(latin)])
+    for command, source in (("transform", models[0]), ("reverse", produced),
+                            ("ddl", produced)):
+        same([command, str(source), "-o", str(work / "missing" / "out")])
+    for argv in ([], ["bogus"], ["validate"], ["ddl", str(produced), "--trace"],
+                 ["transform", str(models[0]), "--sog-choice"]):
+        same(argv)
+    print(f"identity: {count} calls give identical exit codes, stdout, stderr "
+          f"and -o files ({len(models)} models, {len(schemas)} schemas)")
 
 
 def timed_round(old, new, argvs: list[list[str]], flip: bool) -> tuple[float, float]:
@@ -125,13 +216,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as work:
         workloads = write_inputs(Path(work), args.seed, args.new_src.resolve())
-        for workload, argvs in workloads.items():
-            for argv in argvs:
-                if call(old, argv) != call(new, argv):
-                    sys.exit(f"compare_speed: {workload} op {' '.join(argv)} "
-                             f"differs between the two trees")
-            print(f"{workload}: {len(argvs)} ops give identical exit codes, "
-                  f"stdout and stderr")
+        check_identity(old, new, Path(work), workloads)
 
         for workload, argvs in workloads.items():
             argvs = argvs * REPEATS[workload]

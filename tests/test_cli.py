@@ -81,7 +81,7 @@ class TestValidate:
     ])
     def test_a_bad_side_choice_exits_two_as_in_transform(self, choice, message,
                                                           capsys):
-        for command in ("validate", "transform"):
+        for command in ("validate", "transform", "roundtrip"):
             assert main([command, COMPANY_ER, "--sog-choice", choice]) == 2
             assert capsys.readouterr() == ("", f"er2rds: {message}\n")
 
@@ -422,6 +422,38 @@ class TestRenderDdl:
         assert "CREATE TABLE Employee (" in sql
         assert '"Manager-EmpNo"' in sql
         assert '"EmpNo"' not in sql
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("command, name, text, message", [
+        (command, "bad.er", "entity Alpha { key AlpNo }",
+         "1:26: error[SYNTAX]: expected ';', found '}'")
+        for command in ("validate", "transform", "roundtrip")
+    ] + [
+        (command, "bad.rds", "Employee[_EmpNo_",
+         "1: error[SYNTAX]: malformed relation line 'Employee[_EmpNo_'")
+        for command in ("reverse", "ddl")
+    ])
+    def test_an_unreadable_input_exits_two_with_the_readers_errors(
+            self, command, name, text, message, tmp_path, capsys):
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"{bad}:{message}\n")
+
+    @pytest.mark.parametrize("command, source", [
+        ("transform", COMPANY_ER), ("reverse", COMPANY_RDS), ("ddl", COMPANY_RDS),
+    ])
+    def test_output_into_a_missing_directory_exits_three(self, command, source,
+                                                          tmp_path, capsys):
+        target = tmp_path / "missing" / "out"
+        assert main([command, source, "-o", str(target)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # reverse says its NORM notes first
+        said = [line for line in captured.err.splitlines() if line.startswith("er2rds:")]
+        assert said == [f"er2rds: [Errno 2] No such file or directory: '{target}'"]
+        assert captured.err.endswith(said[0] + "\n")
 
 
 def _parsed_modules(directory: pathlib.Path):

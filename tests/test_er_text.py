@@ -361,6 +361,23 @@ class TestGoldenDiagnostics:
         assert golden_diagnostics(company_text) == expected
 
 
+class TestValueOrErrors:
+    def test_every_text_reads_to_a_model_or_to_errors(self, company_text):
+        # the contract the command-line pipeline relies on
+        texts = [*_CLEAN_EDGE_TEXTS, *_POSITIONED_EDGE_TEXTS, *colliding_texts(),
+                 *mutant_texts(company_text)]
+        verdicts = set()
+        for text in texts:
+            model, diagnostics = parse_er(text)
+            if model is None:
+                assert diagnostics, repr(text)
+                assert all(d.severity is Severity.ERROR for d in diagnostics), repr(text)
+            else:
+                assert diagnostics == [], repr(text)
+            verdicts.add(model is None)
+        assert verdicts == {True, False}
+
+
 class TestPositionFreeReading:
     def test_clean_text_skips_the_positioned_lexer(self, company_text, monkeypatch):
         calls = []

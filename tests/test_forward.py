@@ -120,12 +120,20 @@ class TestStepByStep:
 
 
 class TestTraceEvents:
-    def test_each_event_records_width_and_whether_it_ends_the_schema(self, trace):
+    @pytest.mark.parametrize("cfg, sog_events", [
+        (TransformConfig(), [("Department", 5, True), ("Engineer", 4, False)]),
+        # Both relations take a prefixed key and move, Project last.
+        (TransformConfig(prefer_regular=True),
+         [("Department", 5, True), ("Project", 6, True)]),
+    ], ids=["default", "prefer-regular"])
+    def test_each_event_records_width_and_whether_it_ends_the_schema(
+            self, company_model, cfg, sog_events):
+        _, trace = transform_model(company_model, cfg)
         assert [(e.relation, e.width, e.at_end) for e in trace] == [
             ("Employee", 4, True), ("Department", 3, True), ("Project", 3, True),
             ("Engineer", 2, True),
             ("Project", 4, False),
-            ("Department", 5, True), ("Engineer", 4, False),
+            *sog_events,
             ("Location", 2, True),
             ("Dependent", 4, True),
         ]
@@ -489,9 +497,30 @@ def _element_list_walks(n):
     return {name: elements.iterations for name, elements in counted.items()}
 
 
+def _relation_comparisons(n, monkeypatch):
+    compared = []
+    original = Relation.__eq__
+
+    def counting(self, other):
+        compared.append(self.name)
+        return original(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Relation, "__eq__", counting)
+        transform_model(scaled_model(n), TransformConfig(prefer_regular=True))
+    return len(compared)
+
+
 class TestLinearLookups:
     def test_element_lists_are_walked_as_often_at_every_size(self):
         assert _element_list_walks(20) == _element_list_walks(80)
+
+    def test_moving_relations_to_the_end_compares_as_often_at_every_size(
+            self, monkeypatch):
+        # Under --prefer-regular every one-to-one relationship moves the
+        # entity relation that takes the prefixed key to the end.
+        assert (_relation_comparisons(20, monkeypatch)
+                == _relation_comparisons(80, monkeypatch))
 
     def test_two_entities_named_alike(self):
         model = ERModel(entities=(

@@ -1,7 +1,32 @@
+import random
+
 import pytest
 
+from conftest import golden_path
 from er2rds import FkSuffix, RdsAttribute, Relation, RelationalSchema, emit_rds, parse_rds
+from er2rds.model import Severity
 from er2rds.rds_text import render_attribute, render_relation
+
+MALFORMED_LINES = ["Employee", "Employee[_EmpNo_", "Emp loyee[_EmpNo_]"]
+MALFORMED_ATTRIBUTES = [
+    "DepNo(Controls, 1, 1)",
+    "DepNo(Controls, 1, 1, x)",
+    "DepNo(Controls, 2, 1, n)",
+    "_Emp_No_",
+]
+# Every other text the tests below read.
+TEXTS = [
+    "Project[_ProNo_, DepNo(Controls,1,1,n)]",
+    "Department[_DepNo_, Manager–EmpNo(Manages, 1, 1, 1)]",
+    "// header\n\nEmployee[_EmpNo_] // trailing\n",
+    "",
+    "Project[_ProNo_(Controls, 1, 1, n)]",
+    "Department[_DepNo_, Manager-EmpNo]",
+    "Employee[]",
+    "Employee[_EmpNo_]\nEmployee[_Name_]",
+    "Employee[_EmpNo_, Name, Name]",
+    "Employee[_EmpNo_]\nbroken line\n",
+]
 
 
 def parse_clean(text):
@@ -90,22 +115,13 @@ class TestParseErrors:
         assert schema is None
         assert rule_ids(diagnostics) == ["INVARIANT"]
 
-    @pytest.mark.parametrize("line", [
-        "Employee",
-        "Employee[_EmpNo_",
-        "Emp loyee[_EmpNo_]",
-    ])
+    @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_malformed_relation_lines(self, line):
         schema, diagnostics = parse_rds(line)
         assert schema is None
         assert rule_ids(diagnostics) == ["SYNTAX"]
 
-    @pytest.mark.parametrize("attr", [
-        "DepNo(Controls, 1, 1)",
-        "DepNo(Controls, 1, 1, x)",
-        "DepNo(Controls, 2, 1, n)",
-        "_Emp_No_",
-    ])
+    @pytest.mark.parametrize("attr", MALFORMED_ATTRIBUTES)
     def test_malformed_attributes(self, attr):
         schema, diagnostics = parse_rds(f"Employee[{attr}]")
         assert schema is None
@@ -129,3 +145,35 @@ class TestParseErrors:
     def test_diagnostics_carry_line_numbers(self):
         _, diagnostics = parse_rds("Employee[_EmpNo_]\nbroken line\n")
         assert diagnostics[0].line == 2
+
+
+def company_mutants(company_rds_text, count=1000):
+    """Texts one character away from the golden schema."""
+    rng = random.Random(4)
+    alphabet = "aEnN01_-–[](),/ \t\n"
+    for _ in range(count):
+        at = rng.randrange(len(company_rds_text) + 1)
+        if rng.random() < 0.5 and at < len(company_rds_text):
+            yield company_rds_text[:at] + company_rds_text[at + 1:]
+        else:
+            yield company_rds_text[:at] + rng.choice(alphabet) + company_rds_text[at:]
+
+
+class TestValueOrErrors:
+    def test_every_text_reads_to_a_schema_or_to_errors(self, company_rds_text):
+        # the contract the command-line pipeline relies on
+        texts = [*TEXTS, *MALFORMED_LINES,
+                 *(f"Employee[{attr}]" for attr in MALFORMED_ATTRIBUTES),
+                 company_rds_text,
+                 golden_path("company_consult_project.rds").read_text(encoding="utf-8"),
+                 *company_mutants(company_rds_text)]
+        verdicts = set()
+        for text in texts:
+            schema, diagnostics = parse_rds(text)
+            if schema is None:
+                assert diagnostics, repr(text)
+                assert all(d.severity is Severity.ERROR for d in diagnostics), repr(text)
+            else:
+                assert diagnostics == [], repr(text)
+            verdicts.add(schema is None)
+        assert verdicts == {True, False}
