@@ -11,7 +11,6 @@ from .ddl import render_ddl
 from .er_text import emit_er, parse_er
 from .errors import (
     BadSideChoice,
-    MissingRelation,
     NoDesignatedKey,
     PrerequisiteFailed,
     TransformError,
@@ -63,7 +62,6 @@ __all__ = [
     "Diagnostic",
     "ERModel",
     "FkSuffix",
-    "MissingRelation",
     "NoDesignatedKey",
     "PrerequisiteFailed",
     "RatioKind",

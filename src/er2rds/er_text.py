@@ -370,7 +370,8 @@ def _clean_tokens(text: str) -> list[str] | None:
 def parse_er(text: str, path: str = "<er>") -> tuple[ERModel | None, list[Diagnostic]]:
     """Parse ER source text; returns ``(model, [])`` or ``(None, errors)``:
     a model never comes with a diagnostic, and every diagnostic is an error.
-    ``path`` is unused: callers give the path to ``format_diagnostic``."""
+    ``path`` is unused: callers give the path to ``format_diagnostic``.  It
+    stays while ``bench/worker.py`` passes it."""
     tokens = _clean_tokens(text)
     if tokens is not None:
         tokens.append("")

@@ -11,10 +11,6 @@ class NoDesignatedKey(TransformError):
     """No key attribute shares its first three letters with the entity name."""
 
 
-class MissingRelation(TransformError):
-    """A step needs the relation of an element the model does not contain."""
-
-
 class BadSideChoice(TransformError):
     """A side choice names an unknown relationship or a non-participant."""
 

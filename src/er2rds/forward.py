@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import BadSideChoice, MissingRelation, PrerequisiteFailed
+from .errors import BadSideChoice, PrerequisiteFailed
 from .model import (
     Attribute,
     Diagnostic,
@@ -135,29 +135,17 @@ def transform_regular(entity: RegularEntityType) -> Relation:
     return Relation(entity.name, attributes)
 
 
-def _relation(schema: RelationalSchema, name: str, kind: str, owner: str) -> Relation:
-    """The relation called ``name``, needed by the element ``kind owner``;
-    only a model built in code, which the parser never checked, can name one
-    that does not exist."""
-    relation = schema.find(name)
-    if relation is None:
-        raise MissingRelation(f"{kind} {owner!r} refers to {name!r}, "
-                              f"which has no relation")
-    return relation
-
-
-def transform_subtype(subtype: Subtype, schema: RelationalSchema) -> Relation:
+def transform_subtype(subtype: Subtype, relations: dict[str, Relation]) -> Relation:
     """Subtype to relation keyed by its supertype's propagated key."""
-    supertype_relation = _relation(schema, subtype.supertype, "subtype", subtype.name)
     # Every relation leads with its underlined designated key, which the
     # dependent relations share rather than rebuild.
-    attributes = [supertype_relation.attributes[0]]
+    attributes = [relations[subtype.supertype].attributes[0]]
     attributes += [RdsAttribute(a.name) for a in subtype.attributes]
     return Relation(subtype.name, attributes)
 
 
-def _fk_identity(participant: str, model: ERModel, schema: RelationalSchema,
-                 rel: RelationshipType) -> tuple[str, str | None]:
+def _fk_identity(participant: str, model: ERModel,
+                 relations: dict[str, Relation]) -> tuple[str, str | None]:
     """Foreign-key name and prefix for the side whose key is propagated.
 
     For a regular entity the key of its own relation travels unprefixed.
@@ -165,9 +153,8 @@ def _fk_identity(participant: str, model: ERModel, schema: RelationalSchema,
     name so the reader can tell which subtype the reference narrows to."""
     subtype = model.subtype(participant)
     if subtype is None:
-        return _relation(schema, participant, "relationship", rel.name).pk_name(), None
-    return (_relation(schema, subtype.supertype, "relationship", rel.name).pk_name(),
-            subtype.name)
+        return relations[participant].pk_name(), None
+    return relations[subtype.supertype].pk_name(), subtype.name
 
 
 def _relationship_payload(rel: RelationshipType) -> list[RdsAttribute]:
@@ -175,7 +162,7 @@ def _relationship_payload(rel: RelationshipType) -> list[RdsAttribute]:
 
 
 def transform_one_to_many(rel: RelationshipType, ratio: Ratio,
-                          schema: RelationalSchema, model: ERModel) -> Relation:
+                          relations: dict[str, Relation], model: ERModel) -> Relation:
     """Put the 1-side's key into the N-side's relation; ``ratio`` is the
     relationship's, which names the N-side.
 
@@ -184,8 +171,8 @@ def transform_one_to_many(rel: RelationshipType, ratio: Ratio,
     Returns the modified relation."""
     n_end = rel.endpoints[ratio.n_side]
     far_end = rel.endpoints[1 - ratio.n_side]
-    host = _relation(schema, n_end.participant, "relationship", rel.name)
-    fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema, rel)
+    host = relations[n_end.participant]
+    fk_name, fk_prefix = _fk_identity(far_end.participant, model, relations)
     suffix = FkSuffix(rel.name, n_end.pair.min, far_end.pair.min, far_end.pair.max)
     host.attributes.append(RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
     host.attributes += _relationship_payload(rel)
@@ -202,7 +189,7 @@ def _resolve_side(rel: RelationshipType, model: ERModel
     return first, second
 
 
-def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
+def transform_one_to_one_sub(rel: RelationshipType, relations: dict[str, Relation],
                              model: ERModel, cfg: TransformConfig
                              ) -> tuple[Relation, bool]:
     """Put the far side's key into the chosen relation; returns the relation
@@ -219,13 +206,13 @@ def transform_one_to_one_sub(rel: RelationshipType, schema: RelationalSchema,
     explicit = cfg.sog_choice.get(rel.name)
     if explicit is not None:
         chosen_end = subtype_end if explicit == subtype_end.participant else regular_end
-    elif not cfg.prefer_regular and schema.find(subtype_end.participant) is not None:
+    elif not cfg.prefer_regular and subtype_end.participant in relations:
         chosen_end = subtype_end
     else:
         chosen_end = regular_end
     far_end = regular_end if chosen_end is subtype_end else subtype_end
-    chosen = schema.find(chosen_end.participant)
-    fk_name, fk_prefix = _fk_identity(far_end.participant, model, schema, rel)
+    chosen = relations[chosen_end.participant]
+    fk_name, fk_prefix = _fk_identity(far_end.participant, model, relations)
     suffix = FkSuffix(rel.name, chosen_end.pair.min, far_end.pair.min,
                       far_end.pair.max)
     chosen.attributes.append(RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
@@ -240,10 +227,9 @@ def transform_multivalued(owner: Relation, attr: Attribute) -> Relation:
                                 RdsAttribute(attr.name, underlined=True)])
 
 
-def transform_weak(weak: WeakEntityType, schema: RelationalSchema) -> Relation:
+def transform_weak(weak: WeakEntityType, relations: dict[str, Relation]) -> Relation:
     """Weak entity to relation keyed by owner key plus partial key."""
-    owner = _relation(schema, weak.owner, "weak entity", weak.name)
-    attributes = [owner.attributes[0],
+    attributes = [relations[weak.owner].attributes[0],
                   RdsAttribute(weak.partial_key.name, underlined=True)]
     attributes += [RdsAttribute(a.name) for a in weak.attributes]
     return Relation(weak.name, attributes)
@@ -270,37 +256,18 @@ def _check_side_choices(model: ERModel, cfg: TransformConfig) -> None:
             )
 
 
-class _IndexedSchema(RelationalSchema):
-    """The schema under construction.  ``find`` answers from a map of each
-    name to the first relation added with it, so a lookup costs constant
-    time.  Relations enter through ``add``; one the one-to-one step moves to
-    the end keeps its entry."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._first: dict[str, Relation] = {}
-
-    def add(self, relation: Relation) -> None:
-        self.relations.append(relation)
-        self._first.setdefault(relation.name, relation)
-
-    def find(self, name: str) -> Relation | None:
-        return self._first.get(name)
-
-
 def transform_model(model: ERModel,
                     cfg: TransformConfig | None = None
                     ) -> tuple[RelationalSchema, list[TraceEntry]]:
     """Run all six steps; returns the schema and a step-by-step trace.
 
     ``gated_transform`` is the one gate.  Raises PrerequisiteFailed with its
-    diagnostics when it finds an error: a notation error, or a CLASH where
-    the steps built two relations or two attributes of one name.  Raises
-    BadSideChoice for a side choice that names no one-to-one relationship
-    or no participant of it, and MissingRelation only for a model built in
-    code that names an element it does not contain.  Each trace entry
-    records one event; nothing is rendered until some entry's
-    ``schema_after`` is read."""
+    diagnostics when it finds an error: a notation error (a dangling
+    reference is a REF error), or a CLASH where the steps built two
+    relations or two attributes of one name.  Raises BadSideChoice for a
+    side choice that names no one-to-one relationship or no participant of
+    it.  Each trace entry records one event; nothing is rendered until some
+    entry's ``schema_after`` is read."""
     schema, events, diagnostics = gated_transform(model, cfg or TransformConfig())
     if schema is None:
         raise PrerequisiteFailed(diagnostics)
@@ -312,7 +279,8 @@ def gated_transform(model: ERModel, cfg: TransformConfig
     """Validate the notation, run the six steps, and check the built schema
     for clashes.  Returns the schema (None when any diagnostic is an error),
     one event per step, and every diagnostic found.  A model the gate passes
-    always transforms."""
+    always transforms: the only exception is BadSideChoice, for a bad
+    ``cfg``."""
     diagnostics = validate_notation(model, allow_extensions=cfg.extensions)
     if has_errors(diagnostics):
         return None, [], diagnostics
@@ -346,20 +314,23 @@ def _clashes(schema: RelationalSchema) -> list[Diagnostic]:
 def _transform_steps(model: ERModel, cfg: TransformConfig
                      ) -> tuple[RelationalSchema, list[_Event]]:
     """The six steps on a model that passed notation validation; returns the
-    schema and one event per step.  The steps check nothing themselves."""
+    schema and one event per step.  The steps check nothing themselves: they
+    index ``relations``, which maps each name to the first relation added
+    under it, and the notation gate has made sure every name they look up
+    is there."""
     _check_side_choices(model, cfg)
 
-    schema = _IndexedSchema()
+    schema = RelationalSchema()
+    relations: dict[str, Relation] = {}
     events: list[_Event] = []
 
-    def record(step: str, subject: str, relation: Relation) -> None:
-        events.append((step, subject, relation.name, len(relation.attributes),
-                       schema.relations[-1] is relation))
+    def add(step: str, subject: str, relation: Relation) -> None:
+        schema.relations.append(relation)
+        relations.setdefault(relation.name, relation)
+        events.append((step, subject, relation.name, len(relation.attributes), True))
 
     for entity in model.entities:
-        relation = transform_regular(entity)
-        schema.add(relation)
-        record(STEP_REGULAR, entity.name, relation)
+        add(STEP_REGULAR, entity.name, transform_regular(entity))
 
     # The relationships of each step, in declaration order, from the ratios
     # the model classified once.
@@ -382,20 +353,19 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
     for subtype in model.subtypes:
         if not subtype.attributes and subtype.name not in hosts:
             continue
-        relation = transform_subtype(subtype, schema)
-        schema.add(relation)
-        record(STEP_SUBTYPE, subtype.name, relation)
+        add(STEP_SUBTYPE, subtype.name, transform_subtype(subtype, relations))
 
     for rel, ratio in one_to_many:
-        relation = transform_one_to_many(rel, ratio, schema, model)
-        record(STEP_ONE_TO_MANY, rel.name, relation)
+        relation = transform_one_to_many(rel, ratio, relations, model)
+        events.append((STEP_ONE_TO_MANY, rel.name, relation.name,
+                       len(relation.attributes), schema.relations[-1] is relation))
 
     # The relations to move, by identity, in order of last move; they move after
     # the step, since a removal scans the list.  ``end`` will end the schema.
     moved: dict[int, Relation] = {}
     end = schema.relations[-1] if schema.relations else None
     for rel in one_to_one:
-        relation, moves = transform_one_to_one_sub(rel, schema, model, cfg)
+        relation, moves = transform_one_to_one_sub(rel, relations, model, cfg)
         if moves:
             moved.pop(id(relation), None)
             moved[id(relation)] = end = relation
@@ -413,14 +383,10 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         if entity is None:
             continue
         for attr in entity.multivalued_attributes():
-            created = transform_multivalued(relation, attr)
-            schema.add(created)
-            record(STEP_MULTIVALUED, f"{entity.name}.{attr.name}", created)
+            add(STEP_MULTIVALUED, f"{entity.name}.{attr.name}",
+                transform_multivalued(relation, attr))
 
     for weak in model.weak_entities:
-        created = transform_weak(weak, schema)
-        schema.add(created)
-        record(STEP_WEAK, weak.name, created)
+        add(STEP_WEAK, weak.name, transform_weak(weak, relations))
 
-    # A plain schema, since dataclass equality compares classes.
-    return RelationalSchema(schema.relations), events
+    return schema, events

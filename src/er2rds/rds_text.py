@@ -107,7 +107,8 @@ def parse_rds(text: str, path: str = "<rds>") -> tuple[RelationalSchema | None,
     Enforces the attribute laws (prefix implies suffix, underlined excludes
     suffix) and relation-name uniqueness.  Whether underlined attributes lead
     the relation is left to classification: only transformer output promises
-    that, and hand-written files are still parseable.
+    that, and hand-written files are still parseable.  ``path`` is unused,
+    as in ``parse_er``.
     """
     schema = RelationalSchema()
     diagnostics: list[Diagnostic] = []

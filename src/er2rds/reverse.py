@@ -27,7 +27,7 @@ import difflib
 from enum import Enum
 from operator import attrgetter
 
-from .errors import PrerequisiteFailed, TransformError
+from .errors import PrerequisiteFailed
 from .forward import TransformConfig, gated_transform
 from .model import (
     Attribute,
@@ -478,11 +478,7 @@ def run_roundtrip(model: ERModel, cfg: TransformConfig | None = None
 
     replay = TransformConfig(sog_choice=reconstruct_sog_choices(schema),
                              extensions=cfg.extensions)
-    try:
-        second_schema, _, diagnostics = gated_transform(reversed_model, replay)
-    except TransformError as exc:
-        report.differences.append(f"second transformation failed: {exc}")
-        return report
+    second_schema, _, diagnostics = gated_transform(reversed_model, replay)
     if second_schema is None:
         report.differences += _failed("second", diagnostics)
         return report

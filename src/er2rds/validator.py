@@ -1,11 +1,12 @@
 """Notation rules checked before a model may be transformed.
 
 The catalog below is the stable diagnostic contract: rule ids appear in CLI
-output and tests match on them.  The checks operate on structurally valid
-models (the parser owns reference resolution and shape); they answer whether
-the model sticks to the notation conventions the transformation relies on,
-and whether every relationship falls inside the supported transformation
-subset.  ``CLASH`` alone is checked on the schema the steps build, by
+output and tests match on them.  ``REF`` repeats the parser's reference
+checks, with its messages, so a model built in code meets the bar that
+parsed text does; the other rules answer whether the model sticks to the
+notation conventions the transformation relies on, and whether every
+relationship falls inside the supported transformation subset.  ``CLASH``
+alone is checked on the schema the steps build, by
 ``forward.gated_transform``.
 """
 
@@ -23,6 +24,8 @@ from .model import (
 )
 
 RULES: dict[str, str] = {
+    "REF": "a subtype's supertype and a weak entity's owner are regular entity "
+           "types; a relationship's participants are entity types or subtypes",
     "R2.4.2": "a regular entity type declares a key whose first three letters "
               "match the entity name's",
     "R2.5.1": "names are capitalized (singular form is advisory)",
@@ -126,6 +129,12 @@ def _check_relationship(out: _Collector, model: ERModel, index: int,
     out.name_checks(position, name, "relationship", name)
     out.attribute_checks(position, "relationship", name, rel.attributes)
 
+    kinds = _supported_kinds(model, rel)
+    for endpoint, kind in zip(rel.endpoints, kinds):
+        if kind == "other":
+            out.add(position, "REF", Severity.ERROR,
+                    f"participant {endpoint.participant!r} is not an entity type "
+                    f"or subtype", f"relationship {name}")
     first, second = rel.participants()
     if first == second:
         message = (f"relationship {name!r} relates {first!r} to itself; only "
@@ -135,11 +144,11 @@ def _check_relationship(out: _Collector, model: ERModel, index: int,
         message = (f"relationship {name!r} is many-to-many, which is not in the "
                    f"supported transformation subset")
     elif ratio.kind is _ONE_TO_ONE:
-        if sorted(_supported_kinds(model, rel)) == ["entity", "subtype"]:
+        if sorted(kinds) == ["entity", "subtype"]:
             return
         message = (f"one-to-one relationship {name!r} must relate a subtype "
                    f"to a regular entity type")
-    elif allow_extensions or _supported_kinds(model, rel) == ["entity", "entity"]:
+    elif allow_extensions or kinds == ["entity", "entity"]:
         return
     else:
         message = (f"one-to-many relationship {name!r} must relate two "
@@ -157,6 +166,10 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
         name = subtype.name
         out.name_checks(position, name, "subtype", name, plural_check=True)
         out.attribute_checks(position, "subtype", name, subtype.attributes)
+        if model.entity(subtype.supertype) is None:
+            out.add(position, "REF", Severity.ERROR,
+                    f"supertype {subtype.supertype!r} is not a regular entity type",
+                    f"subtype {name}")
         if not subtype.attributes and not model.relationships_involving(name):
             out.add(position, "R2.2.1-I", Severity.ERROR,
                     f"subtype {name!r} has no intrinsic attribute and "
@@ -169,6 +182,10 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
                         ", identifying relationship")
         out.attribute_checks(position, "weak entity", name,
                              (weak.partial_key, *weak.attributes))
+        if model.entity(weak.owner) is None:
+            out.add(position, "REF", Severity.ERROR,
+                    f"owner {weak.owner!r} is not a regular entity type",
+                    f"weak entity {name}")
     for index, (rel, ratio) in enumerate(zip(model.relationships, model.ratios)):
         _check_relationship(out, model, index, rel, ratio, allow_extensions)
     return out.sorted_diagnostics()

@@ -507,5 +507,18 @@ class TestErrorClasses:
             if isinstance(node, ast.Raise)
             and isinstance(getattr(node.exc, "func", node.exc), ast.Name)
         }
-        assert "MissingRelation" in declared
+        assert "BadSideChoice" in declared
         assert declared - raised - {"TransformError"} == set()
+
+    def test_the_forward_steps_raise_nothing(self):
+        # The gate checks every name the steps look up, so only the side
+        # choice check and transform_model's stop at the gate may raise.
+        tree = ast.parse((CHECKOUT / "src" / "er2rds" / "forward.py")
+                         .read_text(encoding="utf-8"))
+        raising = {
+            getattr(top, "name", None)
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Raise)
+        }
+        assert raising == {"_check_side_choices", "transform_model"}

@@ -12,7 +12,6 @@ from er2rds import (
     CardinalityPair,
     ERModel,
     FkSuffix,
-    MissingRelation,
     PrerequisiteFailed,
     RdsAttribute,
     RegularEntityType,
@@ -301,6 +300,40 @@ class TestConfigErrors:
                             TransformConfig(sog_choice={"Controls": "Project"}))
 
 
+def gate_errors(model, cfg=None):
+    """(rule, message, element) of each error that stops ``transform_model``."""
+    with pytest.raises(PrerequisiteFailed) as info:
+        transform_model(model, cfg)
+    return [(d.rule_id, d.message, d.element) for d in info.value.diagnostics]
+
+
+def parser_refs(text):
+    """(rule, message) of each REF diagnostic the parser gives ``text``."""
+    return [(d.rule_id, d.message) for d in parse_er(text)[1] if d.rule_id == "REF"]
+
+
+def repointed(model, site, target):
+    """``model`` with the reference at ``site`` naming ``target``: site
+    ("subtype", i) is the supertype of subtype i, ("weak", i) the owner of
+    weak entity i, and ("rel", i, j) endpoint j of relationship i."""
+    kind, index, *side = site
+    if kind == "subtype":
+        field, element = "subtypes", dataclasses.replace(
+            model.subtypes[index], supertype=target)
+    elif kind == "weak":
+        field, element = "weak_entities", dataclasses.replace(
+            model.weak_entities[index], owner=target)
+    else:
+        rel = model.relationships[index]
+        endpoints = list(rel.endpoints)
+        endpoints[side[0]] = dataclasses.replace(endpoints[side[0]], participant=target)
+        field, element = "relationships", dataclasses.replace(
+            rel, endpoints=tuple(endpoints))
+    elements = list(getattr(model, field))
+    elements[index] = element
+    return dataclasses.replace(model, **{field: tuple(elements)})
+
+
 class TestStepErrors:
     def test_multivalued_attribute_name_clashing_with_a_relation(self):
         model = ERModel(entities=(
@@ -313,23 +346,21 @@ class TestStepErrors:
         assert clashes(model) == [("Bravo", "two relations are named 'Bravo'")]
 
     # The parser refuses these dangling references; a model built in code
-    # reaches the steps with them.
+    # meets the same check at the gate, so the steps never see one.
     def test_dangling_supertype(self):
         model = ERModel(subtypes=(Subtype("Engineer", "Employee", (Attribute("Grade"),)),))
-        with pytest.raises(MissingRelation,
-                           match="^subtype 'Engineer' refers to 'Employee', "
-                                 "which has no relation$"):
-            transform_model(model)
+        assert gate_errors(model) == [
+            ("REF", "supertype 'Employee' is not a regular entity type",
+             "subtype Engineer")]
 
     def test_dangling_weak_owner(self):
         model = ERModel(weak_entities=(WeakEntityType(
             "Dependent", "Employee", "DependentOf",
             Attribute("Name", AttributeKind.PARTIAL_KEY), (Attribute("Sex"),),
         ),))
-        with pytest.raises(MissingRelation,
-                           match="^weak entity 'Dependent' refers to 'Employee', "
-                                 "which has no relation$"):
-            transform_model(model)
+        assert gate_errors(model) == [
+            ("REF", "owner 'Employee' is not a regular entity type",
+             "weak entity Dependent")]
 
     @pytest.mark.parametrize("ghost_side", [0, 1], ids=["n-side", "one-side"])
     def test_dangling_one_to_many_participant(self, ghost_side):
@@ -343,12 +374,43 @@ class TestStepErrors:
             entities=(RegularEntityType("Project", (Attribute("ProNo", AttributeKind.KEY),)),),
             relationships=(RelationshipType("Works", tuple(endpoints)),),
         )
+        ref = ("REF", "participant 'Ghost' is not an entity type or subtype",
+               "relationship Works")
+        subset = ("SUBSET", "one-to-many relationship 'Works' must relate two "
+                  "regular entity types (subtype endpoints need extensions)",
+                  "relationship Works")
+        assert gate_errors(model) == [ref, subset]
+        assert gate_errors(model, TransformConfig(extensions=True)) == [ref]
+
+    # Each names an element of the wrong kind; the parser refuses the text.
+    @pytest.mark.parametrize("text, site, target, error", [
+        ("entity Employee { key EmpNo; }\n"
+         "entity Project { key ProNo; }\n"
+         "weak Dependent of Employee via DependentOf { partial Name; attr Sex; }\n"
+         "rel Works (Employee 1..n, Project 1..1) { }",
+         ("rel", 0, 0), "Dependent",
+         ("REF", "participant 'Dependent' is not an entity type or subtype",
+          "relationship Works")),
+        ("entity Employee { key EmpNo; }\n"
+         "subtype Engineer of Employee { attr Grade; }\n"
+         "subtype Chief of Employee { attr Rank; }",
+         ("subtype", 1), "Engineer",
+         ("REF", "supertype 'Engineer' is not a regular entity type",
+          "subtype Chief")),
+        ("entity Employee { key EmpNo; }\n"
+         "subtype Engineer of Employee { attr Grade; }\n"
+         "weak Badge of Employee via BadgeOf { partial Serial; attr Color; }",
+         ("weak", 0), "Engineer",
+         ("REF", "owner 'Engineer' is not a regular entity type",
+          "weak entity Badge")),
+    ], ids=["weak-participant", "subtype-of-subtype", "weak-owned-by-subtype"])
+    def test_reference_to_an_element_of_the_wrong_kind(self, text, site, target, error):
+        model = repointed(parse_er(text)[0], site, target)
+        assert gate_errors(model, TransformConfig(extensions=True)) == [error]
+        assert gate_errors(model)[0] == error
         with pytest.raises(PrerequisiteFailed):
-            transform_model(model)
-        with pytest.raises(MissingRelation,
-                           match="^relationship 'Works' refers to 'Ghost', "
-                                 "which has no relation$"):
-            transform_model(model, TransformConfig(extensions=True))
+            run_roundtrip(model, TransformConfig(extensions=True))
+        assert parser_refs(emit_er(model)) == [error[:2]]
 
     def test_subtype_in_one_to_many_needs_extensions(self):
         works = parse_er(
@@ -435,6 +497,42 @@ class TestCleanModelErrors:
                 assert_well_formed(transform_model(model, cfg)[0])
                 run_roundtrip(model, cfg)
         assert clean >= 20 and clashing >= 5
+
+
+class TestReferenceMutations:
+    """Corpus models with one reference re-pointed at a missing name, a
+    subtype or a weak entity.  The validator reports the REF errors that the
+    parser gives the mutant's text, and a mutant the gate passes transforms
+    and round-trips without raising."""
+
+    def test_repointed_references(self):
+        rng = random.Random(14)
+        dangling = passed = 0
+        for seed in range(600):
+            model = generate_model(seed)
+            sites = [("subtype", i) for i in range(len(model.subtypes))]
+            sites += [("weak", i) for i in range(len(model.weak_entities))]
+            sites += [("rel", i, side) for i in range(len(model.relationships))
+                      for side in (0, 1)]
+            if not sites:
+                continue
+            targets = ["Nowhere", *(s.name for s in model.subtypes),
+                       *(w.name for w in model.weak_entities)]
+            mutant = repointed(model, rng.choice(sites), rng.choice(targets))
+            text = emit_er(mutant)
+            expected = parser_refs(text)
+            dangling += bool(expected)
+            for cfg in (TransformConfig(), TransformConfig(prefer_regular=True),
+                        TransformConfig(extensions=True)):
+                assert [(d.rule_id, d.message)
+                        for d in validate_notation(mutant, cfg.extensions)
+                        if d.rule_id == "REF"] == expected, text
+                if forward.gated_transform(mutant, cfg)[0] is None:
+                    continue
+                passed += 1
+                assert_well_formed(transform_model(mutant, cfg)[0])
+                run_roundtrip(mutant, cfg)
+        assert dangling >= 400 and passed >= 80, (dangling, passed)
 
 
 class TestClashes:
