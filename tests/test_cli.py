@@ -209,6 +209,24 @@ class TestReverse:
         assert main(["reverse", str(orphan)]) == 2
         assert "CLASSIFY" in capsys.readouterr().err
 
+    def test_classification_warnings_exit_one(self, tmp_path, capsys):
+        shared = tmp_path / "shared.rds"
+        shared.write_text("Abc[_AbcNo_, Name]\nAbcd[_AbcNo_, Size]\n")
+        assert main(["reverse", str(shared)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ("entity Abc {\n  key AbcNo;\n  attr Name;\n}\n\n"
+                                "entity Abcd {\n  key AbcNo;\n  attr Size;\n}\n")
+        assert captured.err.splitlines() == [
+            f"{shared}: warning[CLASSIFY]: relations 'Abc' and 'Abcd' both own "
+            f"primary key 'AbcNo'; references resolve to 'Abc' (Abcd)",
+            f"{shared}: warning[CLASSIFY]: relation 'Abcd' also matches the "
+            f"subtype shape; treating it as a regular entity relation (Abcd)",
+            f"{shared}: warning[NORM]: element declaration order reconstructed "
+            f"from schema order",
+            f"{shared}: warning[NORM]: entity attribute order reconstructed from "
+            f"relation order: designated key first, multivalued attributes last",
+        ]
+
     def test_single_relation_schema_reverses_to_one_entity(self, tmp_path, capsys):
         lone = tmp_path / "lone.rds"
         lone.write_text("Employee[_EmpNo_]\n")
@@ -240,7 +258,9 @@ class TestRoundtrip:
     # Models that validate clean but do not survive the round trip: a
     # multivalued attribute named with its owner key's three-letter prefix
     # comes back as an entity, and a weak entity without simple attributes
-    # reads as a malformed multivalued relation.  Two entities sharing a key
+    # reads as a malformed multivalued relation.  A subtype named with its
+    # supertype key's prefix also comes back as an entity, so its one-to-one
+    # relationship no longer fits the subset when transformed again.  Two entities sharing a key
     # name across a 1:n relationship collide in the holding relation, which
     # validate and roundtrip both report as the same CLASH.
     @pytest.mark.parametrize("text, validated, out, err", [
@@ -256,7 +276,16 @@ class TestRoundtrip:
          "rel Has (Delta 1..1, Deltoid 0..n) { }", 2,
          "", "{path}: error[CLASH]: relation 'Delta' has two attributes named "
              "'DelNo' (Delta)\n"),
-    ], ids=["multi-named-like-an-entity", "weak-partial-key", "shared-key-name"])
+        ("entity Brave { key BraNo; }\nentity Flint { key FliNo; }\n"
+         "subtype Bravo of Brave { attr Size; }\n"
+         "rel Owns (Bravo 0..1, Flint 0..1) { }", 0,
+         "round trip FAILED\nmodel.entities: 2 elements expected, 3 found\n"
+         "model.subtypes: 1 elements expected, 0 found\n"
+         "second transformation failed:\n"
+         "<schema>: error[SUBSET]: one-to-one relationship 'Owns' must relate a "
+         "subtype to a regular entity type (relationship Owns)\n", ""),
+    ], ids=["multi-named-like-an-entity", "weak-partial-key", "shared-key-name",
+            "subtype-named-like-its-supertype"])
     def test_clean_models_that_fail_the_round_trip(self, text, validated, out, err,
                                                    tmp_path, capsys):
         source = tmp_path / "model.er"

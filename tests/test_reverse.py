@@ -2,9 +2,14 @@ import pytest
 
 from er2rds import (
     Diagnostic,
+    FkSuffix,
+    RdsAttribute,
+    Relation,
+    RelationalSchema,
     Severity,
     canonical_model,
     classify_relations,
+    format_diagnostic,
     model_diff,
     normalize_model,
     parse_er,
@@ -35,6 +40,14 @@ def error_rules(text):
     model, diagnostics = reverse_transform(schema_of(text))
     assert model is None
     return [d.rule_id for d in diagnostics if d.severity is Severity.ERROR]
+
+
+def errors_of(schema):
+    """The formatted error diagnostics of a failed reversal."""
+    model, diagnostics = reverse_transform(schema)
+    assert model is None
+    return [format_diagnostic(d, "test.rds") for d in diagnostics
+            if d.severity is Severity.ERROR]
 
 
 class TestClassification:
@@ -75,6 +88,14 @@ class TestClassification:
     def test_orphan_dependent_relation_is_an_error(self):
         # no relation owns EmpNo, so the weak shape cannot anchor
         assert error_rules("Dependent[_EmpNo_, _Name_, Sex]") == ["CLASSIFY"]
+
+    def test_three_underlines_fit_no_shape(self):
+        schema = schema_of("Abc[_AbcNo_]\nXyz[_AbcNo_, _Big_, _Cat_]")
+        kinds, diagnostics = classify_relations(schema)
+        assert kinds == {"Abc": RelationKind.REGULAR_ENTITY}
+        assert [format_diagnostic(d, "test.rds") for d in diagnostics] == [
+            "test.rds: error[CLASSIFY]: relation 'Xyz' is unclassifiable: 3 "
+            "underlined attributes fit no known shape (Xyz)"]
 
     def test_duplicate_primary_keys_resolve_to_the_first_owner(self):
         schema = schema_of("Employee[_EmpNo_]\nEmp[_EmpNo_, Grade, Extra]")
@@ -207,32 +228,59 @@ class TestOrderNotes:
 
 class TestReverseErrors:
     def test_a_dangling_foreign_key(self):
-        assert error_rules("Alpha[_AlpNo_, BetNo(Grove, 1, 1, n)]") == ["FK"]
+        assert errors_of(schema_of("Alpha[_AlpNo_, BetNo(Grove, 1, 1, n)]")) == [
+            "test.rds: error[FK]: foreign key 'BetNo' in relation 'Alpha' matches "
+            "no regular relation's primary key (Alpha)"]
 
     def test_two_foreign_keys_encoding_the_same_relationship(self):
         text = ("Alpha[_AlpNo_]\n"
                 "Bravo[_BraNo_, AlpNo(Grove, 1, 1, n)]\n"
                 "Cedar[_CedNo_, AlpNo(Grove, 1, 1, n)]\n")
-        assert error_rules(text) == ["FK"]
+        assert errors_of(schema_of(text)) == [
+            "test.rds: error[FK]: relationship 'Grove' is encoded by more than "
+            "one foreign key (Cedar)"]
 
     def test_a_prefix_naming_a_regular_relation(self):
         text = ("Alpha[_AlpNo_]\n"
                 "Bravo[_BraNo_]\n"
                 "Cedar[_CedNo_, Bravo-AlpNo(Grove, 1, 1, 1)]\n")
-        assert error_rules(text) == ["FK"]
+        assert errors_of(schema_of(text)) == [
+            "test.rds: error[FK]: prefix 'Bravo' names a regular-entity relation "
+            "(Cedar)"]
 
     def test_a_prefix_reused_with_a_different_supertype(self):
         text = ("Alpha[_AlpNo_]\n"
                 "Bravo[_BraNo_]\n"
                 "Cedar[_CedNo_, Sub-AlpNo(Grove, 1, 1, 1)]\n"
                 "Delta[_DelNo_, Sub-BraNo(Hazel, 1, 1, 1)]\n")
-        assert error_rules(text) == ["FK"]
+        assert errors_of(schema_of(text)) == [
+            "test.rds: error[FK]: subtype 'Sub' appears with supertypes 'Alpha' "
+            "and 'Bravo' (Delta)"]
 
     def test_a_foreign_key_inside_a_weak_relation(self):
         text = ("Alpha[_AlpNo_]\n"
                 "Bravo[_BraNo_]\n"
                 "Cedar[_AlpNo_, _PartAa_, BraNo(Grove, 1, 1, n)]\n")
-        assert error_rules(text) == ["FK"]
+        assert errors_of(schema_of(text)) == [
+            "test.rds: error[FK]: weak entity relation 'Cedar' carries an "
+            "unexpected foreign key (Cedar)"]
+
+    def test_a_foreign_key_inside_a_multivalued_relation(self):
+        # Both attributes of a multivalued relation are underlined, and the
+        # reader refuses a suffix on an underlined attribute, so only a schema
+        # built in code can hold one.
+        schema = RelationalSchema([
+            Relation("Alpha", [RdsAttribute("AlpNo", underlined=True)]),
+            Relation("Color", [
+                RdsAttribute("AlpNo", underlined=True),
+                RdsAttribute("Color", underlined=True,
+                             suffix=FkSuffix("Grove", "1", "1", "n")),
+            ]),
+        ])
+        assert classify_relations(schema)[0]["Color"] is RelationKind.MULTIVALUED
+        assert errors_of(schema) == [
+            "test.rds: error[FK]: multivalued relation 'Color' carries an "
+            "unexpected foreign key (Color)"]
 
 
 class TestModelComparison:
