@@ -405,12 +405,7 @@ def _block(header: str, members: list[str]) -> list[str]:
     return [f"{header} {{", *(f"  {line}" for line in members), "}"]
 
 
-_KIND_KEYWORDS = {
-    AttributeKind.KEY: "key",
-    AttributeKind.SIMPLE: "attr",
-    AttributeKind.MULTIVALUED: "multi",
-    AttributeKind.PARTIAL_KEY: "partial",
-}
+_KIND_KEYWORDS = {kind: keyword for keyword, kind in _MEMBER_KINDS.items()}
 
 
 def _member_lines(attributes) -> list[str]:

@@ -51,21 +51,17 @@ _PLAIN_RE = re.compile(
 
 
 def _split_attributes(body: str) -> list[str]:
+    """Split at the commas outside parentheses: a piece joins the previous
+    part while the parentheses before it do not balance."""
     parts: list[str] = []
     depth = 0
-    current = ""
-    for ch in body:
-        if ch == "," and depth == 0:
-            parts.append(current.strip())
-            current = ""
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        current += ch
-    parts.append(current.strip())
-    return parts
+    for piece in body.split(","):
+        if depth:
+            parts[-1] += "," + piece
+        else:
+            parts.append(piece)
+        depth += piece.count("(") - piece.count(")")
+    return [part.strip() for part in parts]
 
 
 def _parse_attribute(text: str, line_no: int,

@@ -36,6 +36,7 @@ from .model import (
     ERModel,
     Ratio,
     RatioKind,
+    RdsAttribute,
     RegularEntityType,
     Relation,
     RelationalSchema,
@@ -61,17 +62,6 @@ class RelationKind(Enum):
     WEAK = "weak"
 
 
-def key_owners(schema: RelationalSchema,
-               kinds: dict[str, RelationKind]) -> dict[str, str]:
-    """Map each primary-key name to the first regular relation owning it."""
-    owners: dict[str, str] = {}
-    regular = RelationKind.REGULAR_ENTITY
-    for relation in schema.relations:
-        if kinds.get(relation.name) is regular:
-            owners.setdefault(relation.pk_name(), relation.name)
-    return owners
-
-
 def classify_relations(schema: RelationalSchema
                        ) -> tuple[dict[str, RelationKind], list[Diagnostic]]:
     """Classify every relation; unclassifiable ones yield an error diagnostic
@@ -82,8 +72,9 @@ def classify_relations(schema: RelationalSchema
 
 def _classify(schema: RelationalSchema
               ) -> tuple[dict[str, RelationKind], dict[str, str], list[Diagnostic]]:
-    """``classify_relations``, plus the ``key_owners`` map it builds on the
-    way, which reversal and the DDL projection reuse."""
+    """``classify_relations``, plus the map it builds on the way from each
+    primary-key name to the first regular relation owning it, which reversal
+    and the DDL projection reuse."""
     regular, subtype = RelationKind.REGULAR_ENTITY, RelationKind.SUBTYPE
     multivalued, weak = RelationKind.MULTIVALUED, RelationKind.WEAK
     kinds: dict[str, RelationKind] = {}
@@ -110,17 +101,18 @@ def _classify(schema: RelationalSchema
             kinds[relation.name] = regular
 
     # kinds holds only the regular relations at this point.
-    owners = key_owners(schema, kinds)
+    owners: dict[str, str] = {}
     for relation, _ in shaped:
         if relation.name not in kinds:
             continue
         pk = relation.pk_name()
-        if owners[pk] != relation.name:
+        owner = owners.setdefault(pk, relation.name)
+        if owner != relation.name:
             diagnostics.append(
                 Diagnostic("CLASSIFY", Severity.WARNING,
-                           f"relations {owners[pk]!r} and {relation.name!r} both "
-                           f"own primary key {pk!r}; references resolve to "
-                           f"{owners[pk]!r}", element=relation.name)
+                           f"relations {owner!r} and {relation.name!r} both own "
+                           f"primary key {pk!r}; references resolve to {owner!r}",
+                           element=relation.name)
             )
 
     def dependent_kind(relation: Relation,
@@ -185,162 +177,118 @@ _ORDER_NOTES = (
 )
 
 
-class _Rebuilder:
-    """Accumulates model elements in schema discovery order."""
+def reverse_transform(schema: RelationalSchema
+                      ) -> tuple[ERModel | None, list[Diagnostic]]:
+    """Rebuild the source model; returns (model, diagnostics), model None when
+    classification or interpretation fails.
 
-    def __init__(self, kinds: dict[str, RelationKind], owners: dict[str, str]):
-        self.kinds = kinds
-        self.owners = owners
-        self.entity_attrs: dict[str, list[Attribute]] = {}
-        self.subtypes: dict[str, Subtype] = {}
-        self.weaks: list[WeakEntityType] = []
-        self.relationships: dict[str, RelationshipType] = {}
-        self.diagnostics: list[Diagnostic] = []
+    Elements are rebuilt in schema discovery order: every regular relation
+    first gives an entity, then each relation in turn gives its subtype,
+    relationships, multivalued attribute or weak entity."""
+    kinds, owners, diagnostics = _classify(schema)
+    if has_errors(diagnostics):
+        return None, diagnostics
+    regular, subtype = RelationKind.REGULAR_ENTITY, RelationKind.SUBTYPE
+    multivalued, key = RelationKind.MULTIVALUED, AttributeKind.KEY
+    entity_attrs: dict[str, list[Attribute]] = {}
+    subtypes: dict[str, Subtype] = {}
+    weaks: list[WeakEntityType] = []
+    relationships: dict[str, RelationshipType] = {}
 
-    def error(self, rule: str, message: str, element: str) -> None:
-        self.diagnostics.append(
-            Diagnostic(rule, Severity.ERROR, message, element=element)
+    def fk_error(message: str, relation: Relation) -> None:
+        diagnostics.append(
+            Diagnostic("FK", Severity.ERROR, message, element=relation.name)
         )
 
-    def note(self, message: str, element: str | None = None) -> None:
-        self.diagnostics.append(
-            Diagnostic("NORM", Severity.WARNING, message, element=element)
-        )
-
-    def add_subtype(self, subtype: Subtype, via: str) -> None:
-        known = self.subtypes.get(subtype.name)
+    def add_subtype(found: Subtype, via: Relation) -> None:
+        known = subtypes.get(found.name)
         if known is None:
-            self.subtypes[subtype.name] = subtype
-            return
-        if known.supertype != subtype.supertype:
-            self.error("FK",
-                       f"subtype {subtype.name!r} appears with supertypes "
-                       f"{known.supertype!r} and {subtype.supertype!r}", via)
-        elif subtype.attributes and not known.attributes:
-            self.subtypes[subtype.name] = subtype
+            subtypes[found.name] = found
+        elif known.supertype != found.supertype:
+            fk_error(f"subtype {found.name!r} appears with supertypes "
+                     f"{known.supertype!r} and {found.supertype!r}", via)
+        elif found.attributes and not known.attributes:
+            subtypes[found.name] = found
 
-    def take_entity(self, relation: Relation) -> None:
-        lead = leading_underline_count(relation)
-        key = AttributeKind.KEY
-        self.entity_attrs[relation.name] = [
-            *[Attribute(a.name, key) for a in relation.attributes[:lead]],
-            *_payload_after(relation, lead - 1),
-        ]
-
-    def take_subtype_relation(self, relation: Relation) -> None:
-        owner = self.owners[relation.attributes[0].name]
-        intrinsics = _payload_after(relation, 0)
-        self.add_subtype(Subtype(relation.name, owner, intrinsics), relation.name)
-
-    def take_fk(self, relation: Relation, index: int) -> None:
-        """Decode the suffixed attribute at ``index`` of an entity or subtype
+    def decode_fk(relation: Relation, index: int, attr: RdsAttribute) -> None:
+        """Decode the suffixed ``attr`` at ``index`` of an entity or subtype
         relation.
 
         The holding relation is the near side with pair (v2, 1); the key's
         owner (prefix subtype, or the regular relation owning the key) is the
         far side with pair (v3, v4).  Plain attributes following the foreign
         key are the relationship's own attributes."""
-        attr = relation.attributes[index]
         suffix = attr.suffix
-        assert suffix is not None
-        owner = self.owners.get(attr.name)
+        owner = owners.get(attr.name)
         if owner is None:
-            self.error("FK",
-                       f"foreign key {attr.display_name()!r} in relation "
-                       f"{relation.name!r} matches no regular relation's "
-                       f"primary key", relation.name)
+            fk_error(f"foreign key {attr.display_name()!r} in relation "
+                     f"{relation.name!r} matches no regular relation's "
+                     f"primary key", relation)
             return
-        if suffix.relationship in self.relationships:
-            self.error("FK",
-                       f"relationship {suffix.relationship!r} is encoded by more "
-                       f"than one foreign key", relation.name)
+        if suffix.relationship in relationships:
+            fk_error(f"relationship {suffix.relationship!r} is encoded by more "
+                     f"than one foreign key", relation)
             return
         far_participant = owner
         if attr.prefix is not None:
-            prefix_kind = self.kinds.get(attr.prefix)
-            if prefix_kind not in (None, RelationKind.SUBTYPE):
-                self.error("FK",
-                           f"prefix {attr.prefix!r} names a {prefix_kind.value} "
-                           f"relation", relation.name)
+            prefix_kind = kinds.get(attr.prefix)
+            if prefix_kind not in (None, subtype):
+                fk_error(f"prefix {attr.prefix!r} names a {prefix_kind.value} "
+                         f"relation", relation)
                 return
-            self.add_subtype(Subtype(attr.prefix, supertype=owner), relation.name)
+            add_subtype(Subtype(attr.prefix, supertype=owner), relation)
             far_participant = attr.prefix
         near = RelationshipEndpoint(relation.name, cardinality_pair(suffix.v2, "1"))
         far = RelationshipEndpoint(far_participant,
                                    cardinality_pair(suffix.v3, suffix.v4))
-        self.relationships[suffix.relationship] = RelationshipType(
+        relationships[suffix.relationship] = RelationshipType(
             suffix.relationship, (near, far), _payload_after(relation, index))
 
-    def take_multivalued(self, relation: Relation) -> None:
-        owner = self.owners[relation.attributes[0].name]
-        self.entity_attrs[owner].append(
-            Attribute(relation.name, AttributeKind.MULTIVALUED)
-        )
-
-    def take_weak(self, relation: Relation) -> None:
-        if any(a.suffix is not None for a in relation.attributes):
-            self.error("FK",
-                       f"weak entity relation {relation.name!r} carries an "
-                       f"unexpected foreign key", relation.name)
-            return
-        owner = self.owners[relation.attributes[0].name]
-        identifying = relation.name + "Of"
-        self.note(f"identifying relationship of weak entity {relation.name!r} "
-                  f"regenerated as {identifying!r}", relation.name)
-        self.weaks.append(
-            WeakEntityType(
-                relation.name, owner, identifying,
-                Attribute(relation.attributes[1].name, AttributeKind.PARTIAL_KEY),
-                tuple(Attribute(a.name) for a in relation.attributes[2:]),
-            )
-        )
-
-    def build(self) -> ERModel:
-        entities = tuple(
-            RegularEntityType(name, tuple(attrs))
-            for name, attrs in self.entity_attrs.items()
-        )
-        return ERModel(entities, tuple(self.subtypes.values()),
-                       tuple(self.weaks), tuple(self.relationships.values()))
-
-
-def reverse_transform(schema: RelationalSchema
-                      ) -> tuple[ERModel | None, list[Diagnostic]]:
-    """Rebuild the source model; returns (model, diagnostics), model None when
-    classification or interpretation fails."""
-    kinds, owners, diagnostics = _classify(schema)
-    if has_errors(diagnostics):
-        return None, diagnostics
-    rebuilder = _Rebuilder(kinds, owners)
-
-    regular, subtype = RelationKind.REGULAR_ENTITY, RelationKind.SUBTYPE
-    multivalued, weak = RelationKind.MULTIVALUED, RelationKind.WEAK
     for relation in schema.relations:
         if kinds[relation.name] is regular:
-            rebuilder.take_entity(relation)
+            lead = leading_underline_count(relation)
+            entity_attrs[relation.name] = [
+                *[Attribute(a.name, key) for a in relation.attributes[:lead]],
+                *_payload_after(relation, lead - 1),
+            ]
     for relation in schema.relations:
         kind = kinds[relation.name]
-        if kind is subtype:
-            rebuilder.take_subtype_relation(relation)
+        attributes = relation.attributes
         if kind is regular or kind is subtype:
-            for index, attr in enumerate(relation.attributes):
+            if kind is subtype:
+                add_subtype(Subtype(relation.name, owners[attributes[0].name],
+                                    _payload_after(relation, 0)), relation)
+            for index, attr in enumerate(attributes):
                 if attr.suffix is not None:
-                    rebuilder.take_fk(relation, index)
+                    decode_fk(relation, index, attr)
+        elif any(a.suffix is not None for a in attributes):
+            holder = "multivalued" if kind is multivalued else "weak entity"
+            fk_error(f"{holder} relation {relation.name!r} carries an "
+                     f"unexpected foreign key", relation)
         elif kind is multivalued:
-            if any(a.suffix is not None for a in relation.attributes):
-                rebuilder.error("FK",
-                                f"multivalued relation {relation.name!r} carries "
-                                f"an unexpected foreign key", relation.name)
-            else:
-                rebuilder.take_multivalued(relation)
-        elif kind is weak:
-            rebuilder.take_weak(relation)
+            entity_attrs[owners[attributes[0].name]].append(
+                Attribute(relation.name, AttributeKind.MULTIVALUED))
+        else:  # weak
+            identifying = relation.name + "Of"
+            diagnostics.append(
+                Diagnostic("NORM", Severity.WARNING,
+                           f"identifying relationship of weak entity "
+                           f"{relation.name!r} regenerated as {identifying!r}",
+                           element=relation.name)
+            )
+            weaks.append(WeakEntityType(
+                relation.name, owners[attributes[0].name], identifying,
+                Attribute(attributes[1].name, AttributeKind.PARTIAL_KEY),
+                tuple(Attribute(a.name) for a in attributes[2:]),
+            ))
 
-    diagnostics += rebuilder.diagnostics
     diagnostics += _ORDER_NOTES
     if has_errors(diagnostics):
         return None, diagnostics
-    return rebuilder.build(), diagnostics
+    entities = tuple(RegularEntityType(name, tuple(attrs))
+                     for name, attrs in entity_attrs.items())
+    return ERModel(entities, tuple(subtypes.values()), tuple(weaks),
+                   tuple(relationships.values())), diagnostics
 
 
 def reconstruct_sog_choices(schema: RelationalSchema) -> dict[str, str]:

@@ -2,12 +2,12 @@
 
 The catalog below is the stable diagnostic contract: rule ids appear in CLI
 output and tests match on them.  ``REF`` repeats the parser's reference
-checks, with its messages, so a model built in code meets the bar that
-parsed text does; the other rules answer whether the model sticks to the
-notation conventions the transformation relies on, and whether every
-relationship falls inside the supported transformation subset.  ``CLASH``
-alone is checked on the schema the steps build, by
-``forward.gated_transform``.
+checks, with its messages and element names (``weak Badge``, ``rel
+Works``), so a model built in code meets the bar that parsed text does; the
+other rules answer whether the model sticks to the notation conventions the
+transformation relies on, and whether every relationship falls inside the
+supported transformation subset.  ``CLASH`` alone is checked on the schema
+the steps build, by ``forward.gated_transform``.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def _check_relationship(out: _Collector, model: ERModel, index: int,
         if kind == "other":
             out.add(position, "REF", Severity.ERROR,
                     f"participant {endpoint.participant!r} is not an entity type "
-                    f"or subtype", f"relationship {name}")
+                    f"or subtype", f"rel {name}")
     first, second = rel.participants()
     if first == second:
         message = (f"relationship {name!r} relates {first!r} to itself; only "
@@ -185,7 +185,7 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
         if model.entity(weak.owner) is None:
             out.add(position, "REF", Severity.ERROR,
                     f"owner {weak.owner!r} is not a regular entity type",
-                    f"weak entity {name}")
+                    f"weak {name}")
     for index, (rel, ratio) in enumerate(zip(model.relationships, model.ratios)):
         _check_relationship(out, model, index, rel, ratio, allow_extensions)
     return out.sorted_diagnostics()

@@ -308,8 +308,10 @@ def gate_errors(model, cfg=None):
 
 
 def parser_refs(text):
-    """(rule, message) of each REF diagnostic the parser gives ``text``."""
-    return [(d.rule_id, d.message) for d in parse_er(text)[1] if d.rule_id == "REF"]
+    """(rule, message, element) of each REF diagnostic the parser gives
+    ``text``."""
+    return [(d.rule_id, d.message, d.element) for d in parse_er(text)[1]
+            if d.rule_id == "REF"]
 
 
 def repointed(model, site, target):
@@ -360,7 +362,7 @@ class TestStepErrors:
         ),))
         assert gate_errors(model) == [
             ("REF", "owner 'Employee' is not a regular entity type",
-             "weak entity Dependent")]
+             "weak Dependent")]
 
     @pytest.mark.parametrize("ghost_side", [0, 1], ids=["n-side", "one-side"])
     def test_dangling_one_to_many_participant(self, ghost_side):
@@ -375,7 +377,7 @@ class TestStepErrors:
             relationships=(RelationshipType("Works", tuple(endpoints)),),
         )
         ref = ("REF", "participant 'Ghost' is not an entity type or subtype",
-               "relationship Works")
+               "rel Works")
         subset = ("SUBSET", "one-to-many relationship 'Works' must relate two "
                   "regular entity types (subtype endpoints need extensions)",
                   "relationship Works")
@@ -390,7 +392,7 @@ class TestStepErrors:
          "rel Works (Employee 1..n, Project 1..1) { }",
          ("rel", 0, 0), "Dependent",
          ("REF", "participant 'Dependent' is not an entity type or subtype",
-          "relationship Works")),
+          "rel Works")),
         ("entity Employee { key EmpNo; }\n"
          "subtype Engineer of Employee { attr Grade; }\n"
          "subtype Chief of Employee { attr Rank; }",
@@ -402,7 +404,7 @@ class TestStepErrors:
          "weak Badge of Employee via BadgeOf { partial Serial; attr Color; }",
          ("weak", 0), "Engineer",
          ("REF", "owner 'Engineer' is not a regular entity type",
-          "weak entity Badge")),
+          "weak Badge")),
     ], ids=["weak-participant", "subtype-of-subtype", "weak-owned-by-subtype"])
     def test_reference_to_an_element_of_the_wrong_kind(self, text, site, target, error):
         model = repointed(parse_er(text)[0], site, target)
@@ -410,7 +412,7 @@ class TestStepErrors:
         assert gate_errors(model)[0] == error
         with pytest.raises(PrerequisiteFailed):
             run_roundtrip(model, TransformConfig(extensions=True))
-        assert parser_refs(emit_er(model)) == [error[:2]]
+        assert parser_refs(emit_er(model)) == [error]
 
     def test_subtype_in_one_to_many_needs_extensions(self):
         works = parse_er(
@@ -524,7 +526,7 @@ class TestReferenceMutations:
             dangling += bool(expected)
             for cfg in (TransformConfig(), TransformConfig(prefer_regular=True),
                         TransformConfig(extensions=True)):
-                assert [(d.rule_id, d.message)
+                assert [(d.rule_id, d.message, d.element)
                         for d in validate_notation(mutant, cfg.extensions)
                         if d.rule_id == "REF"] == expected, text
                 if forward.gated_transform(mutant, cfg)[0] is None:

@@ -127,6 +127,17 @@ class TestParseErrors:
         assert schema is None
         assert rule_ids(diagnostics) == ["SYNTAX"]
 
+    # A comma inside parentheses, even unbalanced ones, does not split.
+    @pytest.mark.parametrize("text, part", [
+        ("R[A), B]", "A), B"),
+        ("R[_RNo_, A(B, C]", "A(B, C"),
+    ])
+    def test_unbalanced_parentheses_keep_their_commas(self, text, part):
+        schema, diagnostics = parse_rds(text)
+        assert schema is None
+        assert [(d.rule_id, d.message) for d in diagnostics] == [
+            ("SYNTAX", f"malformed attribute {part!r}")]
+
     def test_a_relation_needs_attributes(self):
         schema, diagnostics = parse_rds("Employee[]")
         assert schema is None

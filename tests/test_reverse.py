@@ -1,5 +1,3 @@
-import pytest
-
 from er2rds import (
     Diagnostic,
     FkSuffix,
@@ -179,25 +177,18 @@ class TestClassifiesOnce:
 
 
 class TestOneKeyOwnerMap:
-    @pytest.fixture
-    def calls(self, monkeypatch):
+    # Classification builds the key-owner map; reversal classifies once
+    # (TestClassifiesOnce), and so does the DDL projection.
+    def test_the_ddl_projection_builds_one_key_owner_map(self, company_schema,
+                                                         monkeypatch):
         calls = []
-        original = reverse.key_owners
+        original = reverse._classify
 
-        def counting(schema, kinds):
+        def counting(schema):
             calls.append(schema)
-            return original(schema, kinds)
+            return original(schema)
 
-        for module in (reverse, ddl):
-            monkeypatch.setattr(module, "key_owners", counting, raising=False)
-        return calls
-
-    def test_reversal_builds_one_key_owner_map(self, company_schema, calls):
-        model, _ = reverse_transform(company_schema)
-        assert model is not None and len(model.relationships) == 3
-        assert calls == [company_schema]
-
-    def test_the_ddl_projection_builds_one_key_owner_map(self, company_schema, calls):
+        monkeypatch.setattr(ddl, "_classify", counting)
         sql = golden_path("company.sql").read_text(encoding="utf-8")
         assert render_ddl(company_schema) == (sql, [])
         assert calls == [company_schema]
