@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from .ddl import render_ddl
@@ -187,11 +188,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic garbage collector paused.  A run makes
+    no reference cycle, so the collector would only trace the model and
+    schemas being built, all still alive; it is on again afterwards if it was
+    on before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read(path: str) -> str:
+    """The file's text, decoded as UTF-8, with a carriage return alone or
+    before a line feed read as a line feed, as text mode reads them."""
+    with open(path, "rb", buffering=0) as handle:
+        text = handle.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     reader, handler = _COMMANDS[args.command]
     try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read(args.input)
         value, errors = reader(text, args.input)
         if value is None:
             _print_diagnostics(errors, args.input)

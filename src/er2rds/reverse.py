@@ -64,8 +64,9 @@ class RelationKind(Enum):
 
 def classify_relations(schema: RelationalSchema
                        ) -> tuple[dict[str, RelationKind], list[Diagnostic]]:
-    """Classify every relation; unclassifiable ones yield an error diagnostic
-    and stay out of the returned map."""
+    """Classify every relation; an unclassifiable relation, or one whose name
+    an earlier relation took, yields an error diagnostic and stays out of the
+    returned map."""
     kinds, _, diagnostics = _classify(schema)
     return kinds, diagnostics
 
@@ -87,8 +88,19 @@ def _classify(schema: RelationalSchema
                        element=relation.name)
         )
 
+    # A schema built in code may repeat a name, which parse_rds refuses;
+    # only the first relation of a name is classified.
+    names: set[str] = set()
     shaped: list[tuple[Relation, int]] = []
     for relation in schema.relations:
+        if relation.name in names:
+            diagnostics.append(
+                Diagnostic("CLASSIFY", Severity.ERROR,
+                           f"relation {relation.name!r} is declared more than once",
+                           element=relation.name)
+            )
+            continue
+        names.add(relation.name)
         lead = leading_underline_count(relation)
         if lead == 0:
             unclassifiable(relation, "no leading underlined attribute")
@@ -360,29 +372,32 @@ def canonical_model(model: ERModel) -> ERModel:
     )
 
 
+def _walk(path: str, left, right, differences: list[str]) -> None:
+    """Append to ``differences`` each place where ``left`` and ``right``, as
+    ``dataclasses.asdict`` gives them, differ."""
+    if isinstance(left, dict) and isinstance(right, dict):
+        for key in sorted(set(left) | set(right)):
+            _walk(f"{path}.{key}", left.get(key), right.get(key), differences)
+    elif isinstance(left, (tuple, list)) and isinstance(right, (tuple, list)):
+        if len(left) != len(right):
+            differences.append(
+                f"{path}: {len(left)} elements expected, {len(right)} found"
+            )
+            return
+        for index, (l, r) in enumerate(zip(left, right)):
+            _walk(f"{path}[{index}]", l, r, differences)
+    elif left != right:
+        differences.append(f"{path}: expected {left!r}, found {right!r}")
+
+
 def model_diff(expected: ERModel, actual: ERModel) -> list[str]:
     """Field-by-field differences between two canonicalized models."""
-    differences: list[str] = []
-
-    def walk(path: str, left, right) -> None:
-        if isinstance(left, dict) and isinstance(right, dict):
-            for key in sorted(set(left) | set(right)):
-                walk(f"{path}.{key}", left.get(key), right.get(key))
-        elif isinstance(left, (tuple, list)) and isinstance(right, (tuple, list)):
-            if len(left) != len(right):
-                differences.append(
-                    f"{path}: {len(left)} elements expected, {len(right)} found"
-                )
-                return
-            for index, (l, r) in enumerate(zip(left, right)):
-                walk(f"{path}[{index}]", l, r)
-        elif left != right:
-            differences.append(f"{path}: expected {left!r}, found {right!r}")
-
     expected, actual = canonical_model(expected), canonical_model(actual)
     if expected == actual:
         return []
-    walk("model", dataclasses.asdict(expected), dataclasses.asdict(actual))
+    differences: list[str] = []
+    _walk("model", dataclasses.asdict(expected), dataclasses.asdict(actual),
+          differences)
     return differences
 
 

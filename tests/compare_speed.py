@@ -29,11 +29,15 @@ checked but not timed:
   into a missing directory, and usage errors, whose argparse exit code is
   compared.
 
-The script stops at the first call that differs.  Then each round times one
-pass of each tree over each workload, and the script prints ops/s per tree
-and the ratio NEW/OLD, both for the summed time and as the median of the
-per-round ratios.  Inside a round the two trees take turns op by op, so a
-slow phase of the host slows both.
+The script stops at the first call that differs.  Then it collects and
+freezes the heap (``gc.collect()``, ``gc.freeze()``), as the benchmark's
+worker does after its set-up, so that the input lists and what the identity
+check left behind stay out of the collector's scans; otherwise they inflate
+the collections of a tree that runs with the collector on.  Each round times
+one pass of each tree over each workload, and the script prints ops/s per
+tree and the ratio NEW/OLD, both for the summed time and as the median of
+the per-round ratios.  Inside a round the two trees take turns op by op, so
+a slow phase of the host slows both.
 
 Pytest does not collect this file; it is a script.
 """
@@ -41,6 +45,7 @@ Pytest does not collect this file; it is a script.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import io
 import random
@@ -217,6 +222,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         workloads = write_inputs(Path(work), args.seed, args.new_src.resolve())
         check_identity(old, new, Path(work), workloads)
+        gc.collect()
+        gc.freeze()
 
         for workload, argvs in workloads.items():
             argvs = argvs * REPEATS[workload]

@@ -1,17 +1,21 @@
 import ast
+import gc
+import io
 import os
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from er2rds import (
-    RoundtripReport, cli, forward, model_diff, normalize_model, parse_er,
-    render_ddl, run_roundtrip, validate_notation,
+    RoundtripReport, cli, emit_er, emit_rds, forward, model_diff, normalize_model,
+    parse_er, render_ddl, run_roundtrip, validate_notation,
 )
 from er2rds.cli import main
 from conftest import golden_path
+from genmodels import generate_model, sog_configs
 
 COMPANY_ER = str(golden_path("company.er"))
 COMPANY_RDS = str(golden_path("company.rds"))
@@ -551,3 +555,167 @@ class TestErrorClasses:
             if isinstance(node, ast.Raise)
         }
         assert raising == {"_check_side_choices", "transform_model"}
+
+
+def cyclic_garbage(*argvs: list[str]) -> list[int]:
+    """For each argv in turn, the objects that one ``main(argv)`` run leaves
+    for the cyclic collector: what ``gc.collect()`` finds unreachable after
+    the run, with the collector off throughout.  A usage error's SystemExit
+    counts as a run."""
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.freeze()  # so that each collection scans only what the runs made
+    try:
+        found = []
+        for argv in argvs:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                try:
+                    main(argv)
+                except SystemExit:
+                    pass
+            found.append(gc.collect())
+        return found
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+# Models that validate clean but fail the round trip: a weak entity with no
+# plain attribute, and a multivalued attribute named with its owner key's
+# prefix.
+KNOWN_FAILURES = [
+    "entity Ivory { key IvoNo; attr Name; }\n"
+    "weak Cedar of Ivory via CedarOf { partial CedNo; }\n",
+    "entity Ivory { key IvoNo; multi IvoryNo; }\n",
+]
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector for the call, so a run must make
+    no reference cycle: a cycle made while the collector is paused outlives
+    the call."""
+
+    @pytest.fixture(autouse=True)
+    def parser_built(self):
+        # argparse's help formatters hold cycles; the parser is built once
+        # per process, so build it before any run is measured.
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            main(["validate", COMPANY_ER])
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", COMPANY_ER],
+        ["transform", COMPANY_ER],
+        ["reverse", COMPANY_RDS],
+        ["roundtrip", COMPANY_ER],
+        ["roundtrip", COMPANY_ER, "--prefer-regular"],
+        ["ddl", COMPANY_RDS],
+        ["reverse", VARIANT_RDS],
+        ["roundtrip", COMPANY_ER, "--sog-choice", "Consult"],
+        ["transform", COMPANY_ER, "--sog-choice", "Ghost=Project"],
+        ["validate", str(golden_path("absent.er"))],
+    ], ids=lambda argv: " ".join(pathlib.Path(a).name for a in argv))
+    def test_a_run_leaves_no_cyclic_garbage(self, argv):
+        assert cyclic_garbage(argv) == [0]
+
+    def test_a_traced_transform_into_a_file_leaves_none(self, tmp_path):
+        output = tmp_path / "out.rds"
+        argv = ["transform", COMPANY_ER, "--trace", "-o", str(output)]
+        assert cyclic_garbage(argv) == [0]
+        assert output.exists()
+
+    @pytest.mark.parametrize("text", KNOWN_FAILURES + [
+        "entity Alpha { key AlpNo }",
+    ], ids=["weak-partial-key", "multi-named-like-its-key", "syntax-error"])
+    def test_failing_models_leave_none(self, text, tmp_path):
+        source = tmp_path / "model.er"
+        source.write_text(text)
+        commands = ("validate", "transform", "roundtrip")
+        assert cyclic_garbage(*([c, str(source)] for c in commands)) == [0, 0, 0]
+
+    def test_generated_models_leave_none(self, tmp_path):
+        argvs = []
+        for seed in range(50):
+            model = generate_model(seed)
+            source = tmp_path / f"model{seed}.er"
+            source.write_text(emit_er(model), encoding="utf-8")
+            variants = [[]]
+            variants += [[f"--sog-choice={rel}={side}" for rel, side in choice.items()]
+                         for choice in sog_configs(model) if choice]
+            variants.append(["--prefer-regular"])
+            argvs += [["roundtrip", str(source), *extra] for extra in variants]
+        found = cyclic_garbage(*argvs)
+        assert [(argv, garbage) for argv, garbage in zip(argvs, found)
+                if garbage] == []
+
+    def test_the_collector_is_off_while_a_command_runs(self, monkeypatch, capsys):
+        seen = []
+
+        def emit(schema):
+            seen.append(gc.isenabled())
+            return emit_rds(schema)
+
+        monkeypatch.setattr(cli, "emit_rds", emit)
+        assert main(["transform", COMPANY_ER]) == 0
+        assert seen == [False]
+
+    RUNS = [
+        (["validate", COMPANY_ER], 0),
+        (["roundtrip", str(golden_path("company.rds"))], 2),
+        (["validate", str(golden_path("absent.er"))], 3),
+        (["validate"], SystemExit),
+        (["--help"], SystemExit),
+    ]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv, outcome", RUNS,
+                             ids=["exit-0", "exit-2", "exit-3", "usage-error", "help"])
+    def test_the_collector_state_is_restored(self, argv, outcome, enabled, capsys):
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome is SystemExit:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == outcome
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+
+
+class TestLineEndings:
+    """The input is read as bytes; carriage returns end lines as in text
+    mode."""
+
+    ENDINGS = ["\n", "\r\n", "\r"]
+
+    def outcomes(self, command, text, tmp_path, capsys):
+        results = []
+        for index, ending in enumerate(self.ENDINGS):
+            source = tmp_path / f"input{index}"
+            source.write_bytes(text.replace("\n", ending).encode("utf-8"))
+            code = main([command, str(source)])
+            out, err = capsys.readouterr()
+            results.append((code, out, err.replace(str(source), "<input>")))
+        return results
+
+    @pytest.mark.parametrize("command, golden", [
+        ("transform", "company.er"), ("roundtrip", "company.er"),
+        ("reverse", "company.rds"), ("ddl", "company.rds"),
+    ])
+    def test_every_line_ending_gives_the_same_output(self, command, golden,
+                                                     tmp_path, capsys):
+        text = golden_path(golden).read_text(encoding="utf-8")
+        first, *others = self.outcomes(command, text, tmp_path, capsys)
+        assert first[0] in (0, 1) and first[1]
+        assert others == [first, first]
+
+    def test_an_error_has_the_same_position_for_every_line_ending(self, tmp_path,
+                                                                 capsys):
+        text = "entity Alpha { key AlpNo; }\n\nentity Bravo {\n  key BraNo\n}\n"
+        first, *others = self.outcomes("validate", text, tmp_path, capsys)
+        assert first == (2, "", "<input>:5:1: error[SYNTAX]: expected ';', "
+                                "found '}'\n")
+        assert others == [first, first]

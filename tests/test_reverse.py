@@ -274,6 +274,40 @@ class TestReverseErrors:
             "unexpected foreign key (Color)"]
 
 
+# The reader refuses a repeated relation name, so only a schema built in code
+# can hold one; before, the second relation silently replaced the first.
+REPEATED_NAME = RelationalSchema([
+    Relation("Alpha", [RdsAttribute("AlpNo", True)]),
+    Relation("Alpha", [RdsAttribute("BraNo", True), RdsAttribute("Size")]),
+])
+REPEATED_NAME_ERROR = ("test.rds: error[CLASSIFY]: relation 'Alpha' is declared "
+                       "more than once (Alpha)")
+
+
+class TestRepeatedRelationName:
+    def test_the_reader_refuses_it_with_the_same_words(self):
+        schema, diagnostics = parse_rds("Alpha[_AlpNo_]\nAlpha[_BraNo_, Size]",
+                                        "test.rds")
+        assert schema is None
+        assert [d.message for d in diagnostics] == [
+            "relation 'Alpha' is declared more than once"]
+
+    def test_reversal_fails_on_it(self):
+        assert errors_of(REPEATED_NAME) == [REPEATED_NAME_ERROR]
+
+    def test_classification_keeps_the_first_relation(self):
+        kinds, diagnostics = classify_relations(REPEATED_NAME)
+        assert kinds == {"Alpha": RelationKind.REGULAR_ENTITY}
+        assert [format_diagnostic(d, "test.rds") for d in diagnostics] == [
+            REPEATED_NAME_ERROR]
+
+    def test_the_ddl_projection_reports_it(self):
+        sql, diagnostics = render_ddl(REPEATED_NAME)
+        assert [format_diagnostic(d, "test.rds") for d in diagnostics] == [
+            REPEATED_NAME_ERROR]
+        assert sql.count("CREATE TABLE Alpha (") == 2
+
+
 class TestModelComparison:
     def test_normalization_reorders_entity_attributes(self):
         model, _ = parse_er(
