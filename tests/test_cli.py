@@ -662,7 +662,7 @@ class TestCollectorPause:
 
     RUNS = [
         (["validate", COMPANY_ER], 0),
-        (["roundtrip", str(golden_path("company.rds"))], 2),
+        (["roundtrip", COMPANY_RDS], 2),  # .rds text does not parse as .er
         (["validate", str(golden_path("absent.er"))], 3),
         (["validate"], SystemExit),
         (["--help"], SystemExit),

@@ -147,6 +147,9 @@ class TestParseErrors:
         schema, diagnostics = parse_rds("Employee[_EmpNo_]\nEmployee[_Name_]")
         assert schema is None
         assert rule_ids(diagnostics) == ["REF"]
+        # Classification words a repeat in a schema built in code the same way.
+        assert diagnostics[0].message == (
+            "relation 'Employee' is declared more than once")
 
     def test_duplicate_attribute_names_within_a_relation(self):
         schema, diagnostics = parse_rds("Employee[_EmpNo_, Name, Name]")

@@ -275,7 +275,7 @@ class TestReverseErrors:
 
 
 # The reader refuses a repeated relation name, so only a schema built in code
-# can hold one; before, the second relation silently replaced the first.
+# can hold one.
 REPEATED_NAME = RelationalSchema([
     Relation("Alpha", [RdsAttribute("AlpNo", True)]),
     Relation("Alpha", [RdsAttribute("BraNo", True), RdsAttribute("Size")]),
@@ -285,13 +285,6 @@ REPEATED_NAME_ERROR = ("test.rds: error[CLASSIFY]: relation 'Alpha' is declared 
 
 
 class TestRepeatedRelationName:
-    def test_the_reader_refuses_it_with_the_same_words(self):
-        schema, diagnostics = parse_rds("Alpha[_AlpNo_]\nAlpha[_BraNo_, Size]",
-                                        "test.rds")
-        assert schema is None
-        assert [d.message for d in diagnostics] == [
-            "relation 'Alpha' is declared more than once"]
-
     def test_reversal_fails_on_it(self):
         assert errors_of(REPEATED_NAME) == [REPEATED_NAME_ERROR]
 
