@@ -104,6 +104,13 @@ class TestParseErrors:
         assert last.message == "unterminated block, expected '}'"
         assert (last.line, last.column) == (1, 29)
 
+    def test_every_one_of_many_lines_is_located(self):
+        # The line starts are found once, not counted again for each error.
+        _, diagnostics = parse_er("#\n" * 100_000)
+        assert rule_ids(diagnostics) == ["SYNTAX"] * 100_000
+        last = diagnostics[-1]
+        assert (last.line, last.column) == (100_000, 1)
+
     def test_missing_semicolon(self):
         model, diagnostics = parse_er("entity Employee { key EmpNo }")
         assert model is None
@@ -292,6 +299,26 @@ _POSITIONED_EDGE_TEXTS = [
     "entity Alpha { key AlpNo; key AlpNo; }",
     "entity Alpha { key AlpNo; }\nentity Alpha { key AlpNo; }",
     "weak Dep of Ghost via DepOf { partial Name; attr Sex; }",
+    # Where str.isalpha and str.isdigit part from re's \w and \d.
+    "entity Abc { key AbcNo; } \u00bd",
+    "entity Abc { key Abc\u00bdNo; }",
+    "entity Alpha { key AlpNo; }\nrel Grove (Alpha 1\u00bd..n, Alpha 0..1) { }",
+    "entity Abc { key AbcNo; } \u2460\u2461",
+    "entity Alpha { key AlpNo; }\nrel Grove (Alpha \u2460..n, Alpha 0..1) { }",
+    "entity Abc { key AbcNo; }\n\u00b2x { }",
+    "entity Alpha { key AlpNo; }\nrel Grove (Alpha \u0663..n, Alpha 0..1) { }",
+    "entity Abc { key Abc\u0663; }",
+    "entity \u216b { key AbcNo; }",
+    "entity Abc { key Abc\u216bNo; }",
+    "entity \u3007 { key AbcNo; }",
+    "entity Abc\u3007 { key AbcNo; }",
+    "entity \u01c5ab { key \u02b0No; }\nentity Bcd { key Bcd\u01c5; attr \u02b0; }",
+    "entity Abc {\u00a0key AbcNo; }",
+    "entity Abc { key AbcNo; }\u2028entity Bcd { key BcdNo; }\nentity",
+    "entity Abc { key Abc\ufeffNo; }",
+    "\ufeffentity Abc { key AbcNo; }",
+    "entity Abc { key Abc1//x\n; }",
+    "entity Abc { key AbcNo; }\n12//c\nentity Bcd { key BcdNo; }",
 ]
 
 
