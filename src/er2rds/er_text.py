@@ -16,15 +16,16 @@ not the parser's.
 
 One parser reads the tokens of either of two tokenizers.  It first reads
 bare token strings, which are cheap to make but carry no position.  Text
-that yields any diagnostic is read again from the tokens of the positioned
-lexer, which locate every diagnostic by line and column.
+that yields any diagnostic is read again by the positioned reader, one token
+pattern matched from offset to offset, which keeps each token's offset.  The
+line and column of an offset are computed only for a diagnostic.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .model import (
     MAX_MANY,
@@ -42,85 +43,63 @@ from .model import (
 )
 
 
-class _Token(NamedTuple):
-    text: str  # "" at the end of input
-    line: int
-    column: int
+# The positioned reader: after any blanks and comments, one match takes a
+# word (group 1), a token of the grammar or the end of input (group 2), or
+# any other character (group 3).  A word is a run of characters that
+# str.isalnum takes, or '_', '-' and '/', as re's \w is str.isalnum or '_'.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*(?:([\w/-]+)|(\.\.|[{}(),;]|\Z)|(.))",
+                    re.DOTALL)
 
 
-def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
-    tokens: list[_Token] = []
-    diagnostics: list[Diagnostic] = []
-    line, column = 1, 1
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
+def _lex(text: str) -> tuple[list[str], list[int], list[tuple]]:
+    """The tokens of ``text`` up to a "" at its end, the offset of each, and
+    the errors of its characters as (offset, rule, message)."""
+    tokens: list[str] = []
+    offsets: list[int] = []
+    errors: list[tuple] = []
+    scan = _TOKEN.match
+    end = 0
+    while True:
+        found = scan(text, end)
+        group = found.lastindex
+        token = found[group]
+        start, end = found.span(group)
+        if group == 1:
+            if token[0].isalpha():
+                # One bad name is one token and one error, not a cascade.
+                if not token.isalpha():
+                    errors.append((start, "R2.5.2", f"name {token!r} contains "
+                                                    "non-alphabetic characters"))
+            elif token[0].isdigit():
+                # A number is the run of str.isdigit characters a word starts with.
+                digits = next((n for n, ch in enumerate(token) if not ch.isdigit()),
+                              len(token))
+                token = token[:digits]
+                end = start + digits
+            else:
+                group = 3
+        if group == 3:
+            errors.append((start, "SYNTAX", f"unexpected character {token[0]!r}"))
+            end = start + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if text.startswith("//", i):
-            end = text.find("\n", i)
-            end = length if end == -1 else end
-            column += end - i
-            i = end
-            continue
-        if ch.isalpha():
-            start = i
-            start_col = column
-            # Swallow an entire name-like chunk so one bad name yields one
-            # diagnostic rather than a token-soup of syntax errors.
-            while i < length and (text[i].isalnum() or text[i] in "_-/"):
-                i += 1
-            chunk = text[start:i]
-            column += len(chunk)
-            if not chunk.isalpha():
-                diagnostics.append(
-                    Diagnostic(
-                        "R2.5.2",
-                        Severity.ERROR,
-                        f"name {chunk!r} contains non-alphabetic characters",
-                        line,
-                        start_col,
-                    )
-                )
-            # Tokenized either way so one bad name cannot cascade into
-            # follow-on syntax errors.
-            tokens.append(_Token(chunk, line, start_col))
-            continue
-        if ch.isdigit():
-            start = i
-            start_col = column
-            while i < length and text[i].isdigit():
-                i += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-            column += i - start
-            continue
-        if text.startswith("..", i):
-            tokens.append(_Token("..", line, column))
-            i += 2
-            column += 2
-            continue
-        if ch in "{}(),;":
-            tokens.append(_Token(ch, line, column))
-            i += 1
-            column += 1
-            continue
-        diagnostics.append(
-            Diagnostic(
-                "SYNTAX", Severity.ERROR, f"unexpected character {ch!r}", line, column
-            )
-        )
-        i += 1
-        column += 1
-    tokens.append(_Token("", line, column))
-    return tokens, diagnostics
+        tokens.append(token)
+        offsets.append(start)
+        if not token:
+            return tokens, offsets, errors
+
+
+def _located(text: str, errors: list[tuple]) -> list[Diagnostic]:
+    """Each (offset, rule, message[, element]) as an error at the line and
+    column of its offset.  The line starts are found once, for all."""
+    if not errors:
+        return []
+    starts = [0, *(newline.end() for newline in re.finditer("\n", text))]
+    diagnostics = []
+    for offset, rule, message, *element in errors:
+        line = bisect_right(starts, offset)
+        diagnostics.append(Diagnostic(rule, Severity.ERROR, message, line,
+                                      offset - starts[line - 1] + 1, *element))
+    return diagnostics
 
 
 @dataclass(slots=True)
@@ -346,13 +325,16 @@ def _resolve(constructs: list[_RawConstruct]
 
 
 # The cheap tokenizer: bare token strings, without positions.  A comment is
-# dropped unless a letter precedes its '//', where _lex would swallow the
-# slashes into a name chunk.  What is left may hold only the characters of
-# the grammar, so its blanks are exactly the four that _lex skips and its
-# letters are ASCII; once the punctuation is spaced apart, str.split yields
-# the tokens that _lex makes.  A chunk that _lex would split or flag, such
-# as a digit glued to a name or a lone '.', stays one token that the grammar
-# rejects or that is read as a name but is not purely alphabetic.
+# dropped unless a letter precedes its '//', where the token pattern would
+# take the slashes into a name's word.  What is left may hold only the
+# characters of the grammar, so its blanks are exactly the four that the
+# pattern skips and its letters are ASCII; once the punctuation is spaced
+# apart, str.split yields the tokens that _lex makes.  A word that _lex
+# would split or flag, such as a digit glued to a name or a lone '.', stays
+# one token that the grammar rejects or that is read as a name but is not
+# purely alphabetic.  Only text that this path does not read clean is
+# scanned with the token pattern, and only a diagnostic gets a line and a
+# column.
 _CLEAN_COMMENT = re.compile(r"(?<![A-Za-z])//[^\n]*")
 _CLEAN_STRAY = re.compile(r"[^ \t\r\nA-Za-z0-9{}(),;.]")
 
@@ -380,23 +362,15 @@ def parse_er(text: str, path: str = "<er>") -> tuple[ERModel | None, list[Diagno
             model, problems = _resolve(constructs)
             if not problems:
                 return model, []
-    lexed, diagnostics = _lex(text)
-    constructs, errors, _ = _parse([token.text for token in lexed])
-    for index, message in errors:
-        token = lexed[index]
-        diagnostics.append(
-            Diagnostic("SYNTAX", Severity.ERROR, message, token.line, token.column)
-        )
-    if diagnostics:
-        return None, diagnostics
+    tokens, offsets, errors = _lex(text)
+    constructs, syntax, _ = _parse(tokens)
+    errors += [(offsets[index], "SYNTAX", message) for index, message in syntax]
+    if errors:
+        return None, _located(text, errors)
     model, problems = _resolve(constructs)
-    for construct, rule, message in problems:
-        token = lexed[construct.at]
-        diagnostics.append(
-            Diagnostic(rule, Severity.ERROR, message, token.line, token.column,
-                       element=f"{construct.keyword} {construct.name}")
-        )
-    return model, diagnostics
+    return model, _located(text, [(offsets[construct.at], rule, message,
+                                   f"{construct.keyword} {construct.name}")
+                                  for construct, rule, message in problems])
 
 
 def _block(header: str, members: list[str]) -> list[str]:
