@@ -202,10 +202,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _read(path: str) -> str:
-    """The file's text, decoded as UTF-8, with a carriage return alone or
-    before a line feed read as a line feed, as text mode reads them."""
+    """The file's text, decoded as UTF-8 without one leading byte-order
+    mark, with a carriage return alone or before a line feed read as a line
+    feed, as text mode reads them."""
     with open(path, "rb", buffering=0) as handle:
-        text = handle.read().decode("utf-8")
+        text = handle.read().decode("utf-8").removeprefix("\ufeff")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

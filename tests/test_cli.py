@@ -474,6 +474,21 @@ class TestPipeline:
         assert main([command, str(bad)]) == 2
         assert capsys.readouterr() == ("", f"{bad}:{message}\n")
 
+    @pytest.mark.parametrize("command, name, text", [
+        ("validate", "company.er", None),
+        ("ddl", "company.rds", None),
+        ("validate", "bad.er", "entity Alpha { key AlpNo }"),
+    ])
+    def test_a_leading_byte_order_mark_is_dropped(self, command, name, text,
+                                                  tmp_path, capsys):
+        text = text or golden_path(name).read_text(encoding="utf-8")
+        source = tmp_path / name
+        outcomes = []
+        for mark in ("", "\ufeff"):
+            source.write_text(mark + text, encoding="utf-8")
+            outcomes.append((main([command, str(source)]), capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
     @pytest.mark.parametrize("command, source", [
         ("transform", COMPANY_ER), ("reverse", COMPANY_RDS), ("ddl", COMPANY_RDS),
     ])
