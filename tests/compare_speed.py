@@ -5,22 +5,25 @@
 OLD_SRC and NEW_SRC are directories that each hold an ``er2rds`` package,
 such as the ``src`` directory of two checkouts.  Both trees are loaded under
 distinct package names, so their calls can interleave in one interpreter
-and meet the same phases of a shared host.  Two workloads are run through
+and meet the same phases of a shared host.  Three workloads are run through
 each tree's ``cli.main``, in memory apart from the input files:
 
 - ``corpus``: ``roundtrip`` over 500 models from ``genmodels.generate_model``
   (model seeds ``500·S … 500·S+499``), with no options, with every
   combination of ``--sog-choice`` and with ``--prefer-regular``;
 - ``large``: ``roundtrip`` over ``genmodels.scaled_model(n)`` at n = 40, 80
-  and 160 (100, 200 and 400 relations).
+  and 160 (100, 200 and 400 relations);
+- ``errors``: ``validate`` over 1,000 ``colliding_text`` texts (generator
+  seed 91).  Most of them have a diagnostic, so ``parse_er`` reads them
+  again with the positioned reader; this workload times that error path.
 
 Before any timing, every op of both workloads must give the same exit code,
 stdout and stderr in both trees, and so must a wider set of calls that is
 checked but not timed:
 
 - ``validate``, ``transform --trace -o FILE`` (the written file is compared
-  too) and ``roundtrip`` over the 500 corpus models and 1,000
-  ``colliding_text`` texts (generator seed 91), each with no option,
+  too) and ``roundtrip`` over the 500 corpus models and the 1,000
+  ``colliding_text`` texts of the ``errors`` workload, each with no option,
   ``--prefer-regular``, ``--extensions``, a malformed and an unknown
   ``--sog-choice``;
 - ``reverse`` and ``ddl`` on every schema those transforms wrote and on the
@@ -67,9 +70,9 @@ OPTIONS = ([], ["--prefer-regular"], ["--extensions"],
            ["--sog-choice", "Malformed"], ["--sog-choice", "Ghost=Nobody"])
 GOLDEN = Path(__file__).parent / "golden"
 LARGE_SIZES = (40, 80, 160)
-# Passes over each workload's ops in one round, so that a round of the large
+# Passes over each workload's ops in one round, so that a round of each
 # workload lasts about as long as one of the corpus.
-REPEATS = {"corpus": 1, "large": 10}
+REPEATS = {"corpus": 1, "large": 10, "errors": 6}
 
 
 def load(src: Path, name: str):
@@ -90,6 +93,7 @@ def write_inputs(work: Path, seed: int, new_src: Path) -> dict[str, list[list[st
     sys.path.insert(0, str(new_src))  # genmodels imports er2rds by name
     from er2rds import emit_er
     from genmodels import generate_model, scaled_model, sog_configs
+    from test_er_text import colliding_text
 
     corpus = []
     for index in range(CORPUS_MODELS):
@@ -109,7 +113,13 @@ def write_inputs(work: Path, seed: int, new_src: Path) -> dict[str, list[list[st
         path = work / f"scaled{n}.er"
         path.write_text(emit_er(scaled_model(n)), encoding="utf-8")
         large.append(["roundtrip", str(path)])
-    return {"corpus": corpus, "large": large}
+    errors = []
+    rng = random.Random(COLLIDING_SEED)
+    for index in range(COLLIDING_TEXTS):
+        path = work / f"colliding{index}.er"
+        path.write_text(colliding_text(rng), encoding="utf-8")
+        errors.append(["validate", str(path)])
+    return {"corpus": corpus, "large": large, "errors": errors}
 
 
 def call(main, argv: list[str], output: Path | None = None
@@ -149,13 +159,8 @@ def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) 
         print(f"{workload}: {len(argvs)} ops give identical exit codes, "
               f"stdout and stderr")
 
-    from test_er_text import colliding_text  # imports er2rds by name
-    rng = random.Random(COLLIDING_SEED)
     models = sorted(work.glob("model*.er"))
-    for index in range(COLLIDING_TEXTS):
-        path = work / f"colliding{index}.er"
-        path.write_text(colliding_text(rng), encoding="utf-8")
-        models.append(path)
+    models += [Path(argv[1]) for argv in workloads["errors"]]
     output = work / "out.rds"
     schemas = {path.read_text(encoding="utf-8")
                for path in (GOLDEN / "company.rds", GOLDEN / "company_consult_project.rds")}
