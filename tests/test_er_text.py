@@ -299,7 +299,8 @@ _POSITIONED_EDGE_TEXTS = [
     "entity Alpha { key AlpNo; key AlpNo; }",
     "entity Alpha { key AlpNo; }\nentity Alpha { key AlpNo; }",
     "weak Dep of Ghost via DepOf { partial Name; attr Sex; }",
-    # Where str.isalpha and str.isdigit part from re's \w and \d.
+    # Where str.isalpha and str.isdigit part from re's \w and \d, blanks
+    # that the grammar does not skip, and a digit run before '//'.
     "entity Abc { key AbcNo; } \u00bd",
     "entity Abc { key Abc\u00bdNo; }",
     "entity Alpha { key AlpNo; }\nrel Grove (Alpha 1\u00bd..n, Alpha 0..1) { }",
