@@ -7,6 +7,11 @@ only, 2 model or schema errors, 3 I/O errors.  A usage error also exits 2,
 from argparse, after a usage line on standard error.  A reverse run's NORM
 notes describe inherent normalizations rather than problems, so they alone
 do not raise the exit code.
+
+A plain command line (the command, its input, then only options that command
+takes, spelled in full) is read directly, without argparse; every other
+line, help and usage errors included, is read by argparse.  Both readings
+give the same namespace, and one option table, ``_OPTIONS``, drives both.
 """
 
 from __future__ import annotations
@@ -128,16 +133,46 @@ def cmd_ddl(args: argparse.Namespace, schema: RelationalSchema) -> int:
     return _exit_code(diagnostics)
 
 
-# Each command's reader and handler: ``main`` parses the input with the
-# reader, which returns its value with no diagnostic or None with its
+# Each command's reader, handler and help line: ``main`` parses the input
+# with the reader, which returns its value with no diagnostic or None with its
 # errors, and hands the value to the handler.
 _COMMANDS = {
-    "validate": (parse_er, cmd_check),
-    "transform": (parse_er, cmd_check),
-    "reverse": (parse_rds, cmd_reverse),
-    "roundtrip": (parse_er, cmd_roundtrip),
-    "ddl": (parse_rds, cmd_ddl),
+    "validate": (parse_er, cmd_check,
+                 "check a .er model against the notation rules"),
+    "transform": (parse_er, cmd_check,
+                  "compile a .er model to an annotated .rds schema"),
+    "reverse": (parse_rds, cmd_reverse,
+                "rebuild the .er model a .rds schema came from"),
+    "roundtrip": (parse_er, cmd_roundtrip,
+                  "verify transform-reverse-transform reproduces the input"),
+    "ddl": (parse_rds, cmd_ddl,
+            "project a .rds schema onto CREATE TABLE statements"),
 }
+
+# The commands that take a transform configuration.
+_CONFIGURED = ("validate", "transform", "roundtrip")
+
+# Every option: its flags, the commands that take it and its add_argument
+# keywords.  build_parser adds them in this order, and _plain_args reads a
+# plain command line by the same table.
+_OPTIONS = (
+    (("-o", "--output"), ("transform", "reverse", "ddl"),
+     {"default": None, "help": "output file (default: standard output)"}),
+    (("--extensions",), _CONFIGURED,
+     {"action": "store_true",
+      "help": "accept subtype endpoints in 1:N relationships"}),
+    (("--sog-choice",), _CONFIGURED,
+     {"action": "append", "default": [], "metavar": "RELATIONSHIP=PARTICIPANT",
+      "help": "host this 1:1 relationship's foreign key in the named "
+              "participant's relation (repeatable)"}),
+    (("--prefer-regular",), _CONFIGURED,
+     {"action": "store_true",
+      "help": "default 1:1 foreign keys into the regular entity's relation "
+              "instead of the subtype's"}),
+    (("--trace",), ("transform",),
+     {"action": "store_true",
+      "help": "write the step-by-step schema trace to standard error"}),
+)
 
 
 # Built once and reused: parse_args leaves the parser unchanged, and the
@@ -150,41 +185,70 @@ def build_parser() -> argparse.ArgumentParser:
                     "and back.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, output: bool = False,
-            extensions: bool = False, config: bool = False,
-            trace: bool = False) -> argparse.ArgumentParser:
-        sub = subparsers.add_parser(name, help=help_text)
+    for command, (_, _, help_text) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
         sub.add_argument("input", help="input file")
-        if output:
-            sub.add_argument("-o", "--output", default=None,
-                             help="output file (default: standard output)")
-        if extensions:
-            sub.add_argument("--extensions", action="store_true",
-                             help="accept subtype endpoints in 1:N relationships")
-        if config:
-            sub.add_argument("--sog-choice", action="append", default=[],
-                             metavar="RELATIONSHIP=PARTICIPANT",
-                             help="host this 1:1 relationship's foreign key in "
-                                  "the named participant's relation (repeatable)")
-            sub.add_argument("--prefer-regular", action="store_true",
-                             help="default 1:1 foreign keys into the regular "
-                                  "entity's relation instead of the subtype's")
-        if trace:
-            sub.add_argument("--trace", action="store_true",
-                             help="write the step-by-step schema trace to "
-                                  "standard error")
-        return sub
-
-    add("validate", "check a .er model against the notation rules",
-        extensions=True, config=True)
-    add("transform", "compile a .er model to an annotated .rds schema",
-        output=True, extensions=True, config=True, trace=True)
-    add("reverse", "rebuild the .er model a .rds schema came from", output=True)
-    add("roundtrip", "verify transform-reverse-transform reproduces the input",
-        extensions=True, config=True)
-    add("ddl", "project a .rds schema onto CREATE TABLE statements", output=True)
+        for flags, commands, keywords in _OPTIONS:
+            if command in commands:
+                sub.add_argument(*flags, **keywords)
     return parser
+
+
+def _plain_options() -> dict[str, tuple[dict, list]]:
+    """For each command, the ``(dest, action)`` of each of its flags and the
+    ``(dest, action, default)`` of each of its options, derived from
+    ``_OPTIONS`` as argparse derives them."""
+    index = {command: ({}, []) for command in _COMMANDS}
+    for flags, commands, keywords in _OPTIONS:
+        dest = next(f for f in flags if f.startswith("--"))[2:].replace("-", "_")
+        action = keywords.get("action", "store")
+        default = keywords.get("default", False if action == "store_true" else None)
+        for command in commands:
+            by_flag, defaults = index[command]
+            by_flag.update(dict.fromkeys(flags, (dest, action)))
+            defaults.append((dest, action, default))
+    return index
+
+
+_PLAIN = _plain_options()
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives for a plain
+    command line, or None for any other.  A plain command line is a command,
+    its input, then only options that command takes, each flag spelled in
+    full as its own token or as ``--sog-choice=VALUE``, with no value that
+    starts with "-".  Any other line, help, abbreviations and usage errors
+    included, is argparse's to read, so its messages and exit codes stay
+    argparse's."""
+    if len(argv) < 2 or argv[0] not in _PLAIN or argv[1][:1] == "-":
+        return None
+    by_flag, defaults = _PLAIN[argv[0]]
+    values = {"command": argv[0], "input": argv[1]}
+    for dest, action, default in defaults:
+        values[dest] = list(default) if action == "append" else default
+    tokens = iter(argv[2:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if flag not in by_flag:
+            return None
+        dest, action = by_flag[flag]
+        if action == "store_true":
+            if equals:
+                return None
+            values[dest] = True
+            continue
+        if not equals:
+            value = next(tokens, "-")  # "-": the value is missing
+        elif action != "append":  # of the joined spellings, only --sog-choice=
+            return None
+        if value[:1] == "-":
+            return None
+        if action == "append":
+            values[dest].append(value)
+        else:
+            values[dest] = value
+    return argparse.Namespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -213,8 +277,12 @@ def _read(path: str) -> str:
 
 
 def _run(argv: list[str] | None) -> int:
-    args = build_parser().parse_args(argv)
-    reader, handler = _COMMANDS[args.command]
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+    reader, handler, _ = _COMMANDS[args.command]
     try:
         text = _read(args.input)
         value, errors = reader(text, args.input)

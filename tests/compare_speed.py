@@ -30,7 +30,14 @@ checked but not timed:
   golden schemas;
 - every command on a missing file and on a file that is not UTF-8, ``-o``
   into a missing directory, and usage errors, whose argparse exit code is
-  compared.
+  compared;
+- command lines that ``cli.main`` leaves to argparse, on the golden model:
+  an abbreviated flag (``--pref``), ``--output=FILE`` and ``-oFILE`` (the
+  written file is compared too), ``--`` before the input, ``-h`` after the
+  command, and ``--sog-choice`` with a value that starts with ``-``, both
+  as one token and as two; beside them ``--sog-choice`` as two tokens and a
+  repeated flag, which are read without argparse.  A ``SystemExit`` from
+  help or a usage error gives the exit code.
 
 The script stops at the first call that differs.  Then it collects and
 freezes the heap (``gc.collect()``, ``gc.freeze()``), as the benchmark's
@@ -189,6 +196,18 @@ def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) 
     for argv in ([], ["bogus"], ["validate"], ["ddl", str(produced), "--trace"],
                  ["transform", str(models[0]), "--sog-choice"]):
         same(argv)
+    company, written = str(GOLDEN / "company.er"), work / "written.rds"
+    for argv in (["roundtrip", company, "--pref"],
+                 ["transform", company, f"--output={written}"],
+                 ["transform", company, f"-o{written}"],
+                 ["roundtrip", "--", company],
+                 ["roundtrip", "-h"],
+                 ["roundtrip", company, "-h"],
+                 ["roundtrip", company, "--sog-choice", "-Consult=Project"],
+                 ["roundtrip", company, "--sog-choice=-Consult=Project"],
+                 ["roundtrip", company, "--sog-choice", "Consult=Project"],
+                 ["roundtrip", company, "--prefer-regular", "--prefer-regular"]):
+        same(argv, written)
     print(f"identity: {count} calls give identical exit codes, stdout, stderr "
           f"and -o files ({len(models)} models, {len(schemas)} schemas)")
 

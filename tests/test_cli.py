@@ -1,8 +1,10 @@
 import ast
 import gc
 import io
+import itertools
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -384,6 +386,96 @@ class TestEntryPoints:
         assert result.returncode == 0
 
 
+class TestPlainCommandLines:
+    """``main`` reads a plain command line without argparse: a command, its
+    input, then only options the command takes.  It must give the namespace
+    argparse gives, and leave every other line to argparse."""
+
+    # Commands, options spelled in full, values, and spellings that only
+    # argparse reads: abbreviations, joined values, "--", help, values that
+    # start with "-".
+    ALPHABET = (
+        "validate", "transform", "reverse", "roundtrip", "ddl",
+        "--prefer-regular", "--extensions", "--trace", "--sog-choice", "-o",
+        "--output", "--sog-choice=R=P", "--sog-choice=", "--sog-choice=-x",
+        "in.er", "R=P", "-x", "", "--", "-h", "--pref", "-oout",
+        "--output=out", "-o=out", "--trace=1",
+    )
+
+    def test_the_plain_reader_gives_argparses_namespace_or_none(self):
+        parser = cli.build_parser()
+        accepted = 0
+        for length in range(1, 5):
+            for argv in map(list, itertools.product(self.ALPHABET, repeat=length)):
+                args = cli._plain_args(argv)
+                if args is None:
+                    continue
+                accepted += 1
+                with redirect_stderr(io.StringIO()):
+                    try:
+                        expected = parser.parse_args(argv)
+                    except SystemExit:
+                        pytest.fail(f"argparse refuses {argv}")
+                assert vars(args) == vars(expected), argv
+        # 1,176 of the 406,900 lines are plain; the count pins that set.
+        assert accepted == 1176
+
+    @pytest.mark.parametrize("argv", [
+        ["roundtrip", COMPANY_ER, "--pref"],
+        ["transform", COMPANY_ER, "--output=out.rds"],
+        ["transform", COMPANY_ER, "-oout.rds"],
+        ["roundtrip", "--", COMPANY_ER],
+        ["roundtrip", COMPANY_ER, "-h"],
+        ["roundtrip", "--prefer-regular", COMPANY_ER],
+        ["transform", COMPANY_ER, "-o"],
+        ["roundtrip", COMPANY_ER, "--sog-choice", "-x"],
+        ["validate", COMPANY_ER, "--trace"],
+        ["roundtrip"],
+        ["--help"],
+        [],
+    ])
+    def test_any_other_line_is_left_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+    def test_plain_lines_run_as_through_argparse_without_building_it(
+            self, tmp_path, monkeypatch, capsys):
+        readme = (CHECKOUT / "README.md").read_text(encoding="utf-8")
+        argvs = [line.split()[1:] for line in readme.splitlines()
+                 if line.startswith("er2rds ")]
+        assert len(argvs) == 7
+        # One line of each shape the benchmark runs.
+        argvs += [
+            ["roundtrip", "company.er", "--sog-choice=Consult=Project",
+             "--prefer-regular"],
+            ["transform", "company.er", "--sog-choice=Consult=Project",
+             "--trace", "-o", "company.rds"],
+            ["ddl", "company.rds"],
+        ]
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(COMPANY_ER, "model.er")
+        shutil.copy(COMPANY_ER, "company.er")
+
+        def run(argv):
+            code = main(argv)
+            files = {path.name: path.read_text(encoding="utf-8")
+                     for path in sorted(tmp_path.iterdir())}
+            return code, capsys.readouterr(), files
+
+        def refuse():
+            raise AssertionError("a plain command line built the parser")
+
+        codes = []
+        for argv in argvs:
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_plain_args", lambda _: None)
+                expected = run(argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "build_parser", refuse)
+                assert run(argv) == expected, argv
+            codes.append(expected[0])
+        assert codes == [0] * len(argvs)
+
+
 class TestRunRoundtrip:
     def test_report_carries_both_schema_texts(self, company_model,
                                               company_rds_text):
@@ -612,13 +704,6 @@ class TestCollectorPause:
     no reference cycle: a cycle made while the collector is paused outlives
     the call."""
 
-    @pytest.fixture(autouse=True)
-    def parser_built(self):
-        # argparse's help formatters hold cycles; the parser is built once
-        # per process, so build it before any run is measured.
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            main(["validate", COMPANY_ER])
-
     @pytest.mark.parametrize("argv", [
         ["validate", COMPANY_ER],
         ["transform", COMPANY_ER],
@@ -663,6 +748,21 @@ class TestCollectorPause:
         found = cyclic_garbage(*argvs)
         assert [(argv, garbage) for argv, garbage in zip(argvs, found)
                 if garbage] == []
+
+    def test_the_first_run_of_a_process_leaves_none(self):
+        # argparse's help formatters hold cycles, so a plain command line
+        # must not build the parser; a fresh interpreter shows whether it did.
+        script = (
+            "import gc, io\n"
+            "from contextlib import redirect_stdout\n"
+            "from er2rds import cli\n"
+            "gc.disable(); gc.collect(); gc.freeze()\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['roundtrip', {COMPANY_ER!r}])\n"
+            "print(code, gc.collect(), cli.build_parser.cache_info().currsize)\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=checkout_env())
+        assert (result.stdout, result.stderr) == ("0 0 0\n", "")
 
     def test_the_collector_is_off_while_a_command_runs(self, monkeypatch, capsys):
         seen = []
