@@ -14,10 +14,14 @@ def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
     """Project the schema onto CREATE TABLE statements.
 
     Every column is a TEXT placeholder; leading underlined attributes form
-    the primary key; each suffixed attribute becomes a foreign key against
-    the regular relation owning the referenced key (prefix stripped), with
-    its suffix preserved as a trailing comment.  Subtype, multivalued, and
-    weak relations also reference their owner through their first attribute.
+    the primary key.  A regular relation whose primary key is composite also
+    declares its first attribute, the designated key, UNIQUE: every
+    reference points at that key alone, and SQL requires a referenced
+    column set to be a primary key or unique.  Each suffixed attribute
+    becomes a foreign key against the regular relation owning the referenced
+    key (prefix stripped), with its suffix preserved as a trailing comment.
+    Subtype, multivalued, and weak relations also reference their owner
+    through their first attribute.
     An unresolvable reference becomes a comment plus a warning diagnostic.
     The diagnostics of classification come first.
     """
@@ -37,6 +41,8 @@ def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
               relation.attributes[:leading_underline_count(relation)]]
         if pk:
             items.append((f"PRIMARY KEY ({', '.join(pk)})", ""))
+        if len(pk) > 1 and kinds.get(relation.name) is RelationKind.REGULAR_ENTITY:
+            items.append((f"UNIQUE ({pk[0]})", ""))
 
         # (column, referenced key) pairs: a dependent relation's owner
         # reference first, then one per suffixed attribute.

@@ -17,6 +17,15 @@ each tree's ``cli.main``, in memory apart from the input files:
   seed 91).  Most of them have a diagnostic, so ``parse_er`` reads them
   again with the positioned reader; this workload times that error path.
 
+First, 20,000 models are built in code in both trees from one fixed seed
+(generator seed 19), with names drawn from a small alphabet of capitalized,
+lowercase, plural, non-alphabetic and dangling names.  ``validate_notation``
+must return the same ``(rule_id, severity, message, line, column,
+element)`` list in both trees for each of them, with ``allow_extensions``
+false and true.  Parsed text never reaches ``R2.5.2`` or ``REF``, since the
+parser refuses such names and references, so only these models can show a
+difference in those rules.
+
 Before any timing, every op of both workloads must give the same exit code,
 stdout and stderr in both trees, and so must a wider set of calls that is
 checked but not timed:
@@ -39,8 +48,8 @@ checked but not timed:
   repeated flag, which are read without argparse.  A ``SystemExit`` from
   help or a usage error gives the exit code.
 
-The script stops at the first call that differs.  Then it collects and
-freezes the heap (``gc.collect()``, ``gc.freeze()``), as the benchmark's
+The script stops at the first model or call that differs.  Then it collects
+and freezes the heap (``gc.collect()``, ``gc.freeze()``), as the benchmark's
 worker does after its set-up, so that the input lists and what the identity
 check left behind stay out of the collector's scans; otherwise they inflate
 the collections of a tree that runs with the collector on.  Each round times
@@ -80,10 +89,22 @@ LARGE_SIZES = (40, 80, 160)
 # Passes over each workload's ops in one round, so that a round of each
 # workload lasts about as long as one of the corpus.
 REPEATS = {"corpus": 1, "large": 10, "errors": 6}
+VALIDATOR_MODELS = 20000
+VALIDATOR_SEED = 19
+# Names of the models built in code: capitalized, lowercase, plural, with a
+# double s, non-alphabetic; references also draw names no element declares.
+DECLARED = ("Alpha", "Bravo", "Gamma", "alpha", "Bravos", "Class", "Gam_ma",
+            "Delta2")
+REFERENCED = DECLARED + ("Ghost", "ghosts")
+ATTRIBUTES = ("AlpNo", "AlpId", "BraNo", "GamNo", "ClaNo", "DelNo", "salary",
+              "Hours", "Start_Date", "Grade2", "Class")
+ATTRIBUTE_KINDS = ("key", "simple", "multi")
+PAIRS = (("0", "1"), ("1", "1"), ("0", "n"), ("1", "n"))
 
 
 def load(src: Path, name: str):
-    """Import ``src/er2rds`` as the package ``name``; returns its cli module."""
+    """Import ``src/er2rds`` as the package ``name``, with its cli module;
+    returns the package."""
     init = src / "er2rds" / "__init__.py"
     if not init.is_file():
         sys.exit(f"compare_speed: no er2rds package under {src}")
@@ -92,7 +113,85 @@ def load(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(f"{name}.cli")
+    importlib.import_module(f"{name}.cli")
+    return package
+
+
+def model_spec(rng: random.Random) -> tuple:
+    """One model as plain tuples, which each tree builds from its own classes:
+    0-3 entities, 0-2 subtypes, 0-2 weak entities and 0-3 relationships."""
+    def attributes(most: int, kinds=("simple",)) -> tuple:
+        return tuple((rng.choice(ATTRIBUTES), rng.choice(kinds))
+                     for _ in range(rng.randint(0, most)))
+
+    entities = tuple((rng.choice(DECLARED), attributes(3, ATTRIBUTE_KINDS))
+                     for _ in range(rng.randint(0, 3)))
+    subtypes = tuple((rng.choice(DECLARED), rng.choice(REFERENCED), attributes(2))
+                     for _ in range(rng.randint(0, 2)))
+    weak = tuple((rng.choice(DECLARED), rng.choice(REFERENCED), rng.choice(DECLARED),
+                  rng.choice(ATTRIBUTES), attributes(2))
+                 for _ in range(rng.randint(0, 2)))
+    relationships = tuple(
+        (rng.choice(DECLARED),
+         tuple((rng.choice(REFERENCED), *rng.choice(PAIRS)) for _ in range(2)),
+         attributes(2))
+        for _ in range(rng.randint(0, 3)))
+    return entities, subtypes, weak, relationships
+
+
+def build_model(package, spec: tuple):
+    """The ``ERModel`` of ``package`` that ``spec`` describes."""
+    entities, subtypes, weak, relationships = spec
+
+    def attributes(items: tuple) -> tuple:
+        return tuple(package.Attribute(name, package.AttributeKind(kind))
+                     for name, kind in items)
+
+    return package.ERModel(
+        entities=tuple(package.RegularEntityType(name, attributes(attrs))
+                       for name, attrs in entities),
+        subtypes=tuple(package.Subtype(name, supertype, attributes(attrs))
+                       for name, supertype, attrs in subtypes),
+        weak_entities=tuple(
+            package.WeakEntityType(
+                name, owner, identifying,
+                package.Attribute(partial, package.AttributeKind.PARTIAL_KEY),
+                attributes(attrs))
+            for name, owner, identifying, partial, attrs in weak),
+        relationships=tuple(
+            package.RelationshipType(
+                name,
+                tuple(package.RelationshipEndpoint(
+                    participant, package.CardinalityPair(minimum, maximum))
+                    for participant, minimum, maximum in endpoints),
+                attributes(attrs))
+            for name, endpoints, attrs in relationships),
+    )
+
+
+def check_validator(old, new, models: int = VALIDATOR_MODELS,
+                    seed: int = VALIDATOR_SEED) -> None:
+    """Exit at the first model built in code on which the two packages'
+    ``validate_notation`` differ under either ``allow_extensions`` value;
+    otherwise print how many runs were compared and how many had findings."""
+    rng = random.Random(seed)
+    with_findings = 0
+    for index in range(models):
+        spec = model_spec(rng)
+        built = build_model(old, spec), build_model(new, spec)
+        for extensions in (False, True):
+            old_found, new_found = (
+                [(d.rule_id, d.severity.value, d.message, d.line, d.column, d.element)
+                 for d in package.validate_notation(model, extensions)]
+                for package, model in zip((old, new), built))
+            if old_found != new_found:
+                sys.exit(f"compare_speed: validate_notation differs on model "
+                         f"{index} (seed {seed}, allow_extensions={extensions}): "
+                         f"{spec}")
+            with_findings += bool(old_found)
+    print(f"validator: {models} models built in code give identical "
+          f"validate_notation results under both allow_extensions values "
+          f"({with_findings} of {2 * models} runs with findings)")
 
 
 def write_inputs(work: Path, seed: int, new_src: Path) -> dict[str, list[list[str]]]:
@@ -240,8 +339,10 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=10,
                         help="timed rounds per workload (default 10)")
     args = parser.parse_args()
-    old = load(args.old_src.resolve(), "er2rds_old").main
-    new = load(args.new_src.resolve(), "er2rds_new").main
+    old_package = load(args.old_src.resolve(), "er2rds_old")
+    new_package = load(args.new_src.resolve(), "er2rds_new")
+    check_validator(old_package, new_package)
+    old, new = old_package.cli.main, new_package.cli.main
 
     with tempfile.TemporaryDirectory() as work:
         workloads = write_inputs(Path(work), args.seed, args.new_src.resolve())

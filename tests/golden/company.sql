@@ -32,6 +32,7 @@ CREATE TABLE Department (
     "Manager-EmpNo" TEXT, -- (Manages, 1, 1, 1)
     StartDate TEXT,
     PRIMARY KEY (DepNo, Name),
+    UNIQUE (DepNo),
     FOREIGN KEY ("Manager-EmpNo") REFERENCES Employee (EmpNo)
 );
 

@@ -5,6 +5,7 @@ import itertools
 import os
 import pathlib
 import shutil
+import sqlite3
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,7 +14,7 @@ import pytest
 
 from er2rds import (
     RoundtripReport, cli, emit_er, emit_rds, forward, model_diff, normalize_model,
-    parse_er, render_ddl, run_roundtrip, validate_notation,
+    parse_er, render_ddl, run_roundtrip, transform_model, validate_notation,
 )
 from er2rds.cli import main
 from conftest import golden_path
@@ -540,6 +541,29 @@ class TestTraceOnlyWhenRead:
         assert trace_built == {"TraceEntry": self.EVENTS, "_Replay": 1}
 
 
+def load_in_sqlite(sql: str) -> sqlite3.Connection:
+    """An in-memory SQLite database with foreign keys on, holding ``sql`` and
+    one row per table whose every column is ``'v'``, so that each row's
+    parent rows exist.  A write checks the parent key of each foreign key of
+    its table, and raises ``foreign key mismatch`` when that key is neither
+    a primary key nor unique."""
+    connection = sqlite3.connect(":memory:", isolation_level=None)
+    connection.execute("PRAGMA foreign_keys = ON")
+    connection.executescript(sql)
+    assert connection.execute("PRAGMA foreign_key_check").fetchall() == []
+    tables = [name for (name,) in connection.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table'")]
+    connection.execute("BEGIN")
+    connection.execute("PRAGMA defer_foreign_keys = ON")
+    for table in tables:
+        width = len(connection.execute(f'PRAGMA table_info("{table}")').fetchall())
+        connection.execute(f'INSERT INTO "{table}" VALUES ({", ".join("?" * width)})',
+                           ["v"] * width)
+    connection.execute("COMMIT")
+    assert connection.execute("PRAGMA foreign_key_check").fetchall() == []
+    return connection
+
+
 class TestRenderDdl:
     def test_quoting_only_where_needed(self, company_schema):
         sql, diagnostics = render_ddl(company_schema)
@@ -547,6 +571,21 @@ class TestRenderDdl:
         assert "CREATE TABLE Employee (" in sql
         assert '"Manager-EmpNo"' in sql
         assert '"EmpNo"' not in sql
+
+    def test_the_golden_ddl_loads_and_enforces_its_foreign_keys(self):
+        connection = load_in_sqlite(
+            golden_path("company.sql").read_text(encoding="utf-8"))
+        with pytest.raises(sqlite3.IntegrityError):
+            connection.execute("INSERT INTO Location VALUES ('absent', 'v')")
+        connection.close()
+
+    def test_every_corpus_ddl_loads(self):
+        # Most corpus models have a composite regular key, which a reference
+        # can name only through its UNIQUE designated key.
+        for seed in range(500):
+            sql, diagnostics = render_ddl(transform_model(generate_model(seed))[0])
+            assert not diagnostics, seed
+            load_in_sqlite(sql).close()
 
 
 class TestPipeline:

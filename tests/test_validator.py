@@ -239,9 +239,42 @@ class TestOrdering:
         assert [d.rule_id for d in validate_notation(model)] == \
             ["R2.5.1", "R2.4.2", "R2.5.1"]
 
+    def test_each_element_reports_its_own_findings_by_rule_then_its_attributes(self):
+        # Built in code: the parser refuses the dangling references and the
+        # non-alphabetic name.
+        error, warning = Severity.ERROR, Severity.WARNING
+        model = ERModel(
+            entities=(RegularEntityType("clerks", (
+                Attribute("SSN", AttributeKind.KEY), Attribute("salary"))),),
+            subtypes=(Subtype("engineer", "Ghost"),),
+            weak_entities=(WeakEntityType(
+                "Dep_endent", "clerks", "dependentOf",
+                Attribute("Name", AttributeKind.PARTIAL_KEY)),),
+            relationships=(RelationshipType(
+                "works",
+                (RelationshipEndpoint("Ghost", CardinalityPair("1", "n")),
+                 RelationshipEndpoint("clerks", CardinalityPair("0", "1"))),
+                (Attribute("hours"),)),),
+        )
+        assert [(d.rule_id, d.severity, d.element)
+                for d in validate_notation(model)] == [
+            ("R2.4.2", error, "entity clerks"),
+            ("R2.5.1", error, "entity clerks"),
+            ("R2.5.1", warning, "entity clerks"),
+            ("R2.5.1", error, "entity clerks, attribute salary"),
+            ("R2.2.1-I", error, "subtype engineer"),
+            ("R2.5.1", error, "subtype engineer"),
+            ("REF", error, "subtype engineer"),
+            ("R2.5.1", error, "weak entity Dep_endent, identifying relationship"),
+            ("R2.5.2", error, "weak entity Dep_endent"),
+            ("R2.5.1", error, "relationship works"),
+            ("REF", error, "rel works"),
+            ("SUBSET", error, "relationship works"),
+            ("R2.5.1", error, "relationship works, attribute hours"),
+        ]
 
-def test_unknown_participant_kind_is_reported_programmatically():
-    # unreachable through the parser, which checks references itself
+
+def test_an_unknown_participant_is_a_ref_and_a_subset_error():
     rel = RelationshipType("Grove", (
         RelationshipEndpoint("Ghost", CardinalityPair("1", "n")),
         RelationshipEndpoint("Alpha", CardinalityPair("1", "1")),
@@ -250,4 +283,14 @@ def test_unknown_participant_kind_is_reported_programmatically():
         entities=(RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),)),),
         relationships=(rel,),
     )
-    assert ("SUBSET", Severity.ERROR) in findings(model)
+    assert validate_notation(model) == [
+        Diagnostic("REF", Severity.ERROR,
+                   "participant 'Ghost' is not an entity type or subtype",
+                   element="rel Grove"),
+        Diagnostic("SUBSET", Severity.ERROR,
+                   "one-to-many relationship 'Grove' must relate two regular "
+                   "entity types (subtype endpoints need extensions)",
+                   element="relationship Grove"),
+    ]
+    assert validate_notation(model, allow_extensions=True) == \
+        validate_notation(model)[:1]
