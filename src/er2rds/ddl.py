@@ -6,8 +6,27 @@ from .model import Diagnostic, RelationalSchema, Severity, leading_underline_cou
 from .reverse import RelationKind, _classify
 
 
+# SQLite's keywords (https://www.sqlite.org/lang_keywords.html), in upper case.
+_SQL_KEYWORDS = frozenset("""
+    ABORT ACTION ADD AFTER ALL ALTER ALWAYS ANALYZE AND AS ASC ATTACH AUTOINCREMENT
+    BEFORE BEGIN BETWEEN BY CASCADE CASE CAST CHECK COLLATE COLUMN COMMIT CONFLICT
+    CONSTRAINT CREATE CROSS CURRENT CURRENT_DATE CURRENT_TIME CURRENT_TIMESTAMP
+    DATABASE DEFAULT DEFERRABLE DEFERRED DELETE DESC DETACH DISTINCT DO DROP EACH
+    ELSE END ESCAPE EXCEPT EXCLUDE EXCLUSIVE EXISTS EXPLAIN FAIL FILTER FIRST
+    FOLLOWING FOR FOREIGN FROM FULL GENERATED GLOB GROUP GROUPS HAVING IF IGNORE
+    IMMEDIATE IN INDEX INDEXED INITIALLY INNER INSERT INSTEAD INTERSECT INTO IS
+    ISNULL JOIN KEY LAST LEFT LIKE LIMIT MATCH MATERIALIZED NATURAL NO NOT NOTHING
+    NOTNULL NULL NULLS OF OFFSET ON OR ORDER OTHERS OUTER OVER PARTITION PLAN PRAGMA
+    PRECEDING PRIMARY QUERY RAISE RANGE RECURSIVE REFERENCES REGEXP REINDEX RELEASE
+    RENAME REPLACE RESTRICT RETURNING RIGHT ROLLBACK ROW ROWS SAVEPOINT SELECT SET
+    TABLE TEMP TEMPORARY THEN TIES TO TRANSACTION TRIGGER UNBOUNDED UNION UNIQUE
+    UPDATE USING VACUUM VALUES VIEW VIRTUAL WHEN WHERE WINDOW WITH WITHOUT
+""".split())
+
+
 def _sql_identifier(name: str) -> str:
-    return name if name.isalnum() else f'"{name}"'
+    quote = not name.isalnum() or name.upper() in _SQL_KEYWORDS
+    return f'"{name}"' if quote else name
 
 
 def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
@@ -37,7 +56,7 @@ def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
                 comment = f"-- ({s.relationship}, {s.v2}, {s.v3}, {s.v4})"
             items.append((f"{_sql_identifier(attr.display_name())} TEXT", comment))
 
-        pk = [a.name for a in
+        pk = [_sql_identifier(a.name) for a in
               relation.attributes[:leading_underline_count(relation)]]
         if pk:
             items.append((f"PRIMARY KEY ({', '.join(pk)})", ""))
@@ -47,7 +66,7 @@ def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
         # (column, referenced key) pairs: a dependent relation's owner
         # reference first, then one per suffixed attribute.
         references = [
-            (attr.name, attr.name) for attr in relation.attributes[:1]
+            (_sql_identifier(attr.name), attr.name) for attr in relation.attributes[:1]
             if kinds.get(relation.name) in (
                 RelationKind.SUBTYPE, RelationKind.MULTIVALUED, RelationKind.WEAK)
         ]
@@ -66,10 +85,10 @@ def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
                 items.append((f"-- unresolved reference: no relation owns "
                               f"primary key {key}", ""))
             else:
-                items.append((f"FOREIGN KEY ({column}) "
-                              f"REFERENCES {owner} ({key})", ""))
+                items.append((f"FOREIGN KEY ({column}) REFERENCES "
+                              f"{_sql_identifier(owner)} ({_sql_identifier(key)})", ""))
 
-        lines = [f"CREATE TABLE {relation.name} ("]
+        lines = [f"CREATE TABLE {_sql_identifier(relation.name)} ("]
         last_definition = max(
             (i for i, (d, _) in enumerate(items) if not d.startswith("--")),
             default=-1,

@@ -144,80 +144,24 @@ def transform_subtype(subtype: Subtype, relations: dict[str, Relation]) -> Relat
     return Relation(subtype.name, attributes)
 
 
-def _fk_identity(participant: str, model: ERModel,
-                 relations: dict[str, Relation]) -> tuple[str, str | None]:
-    """Foreign-key name and prefix for the side whose key is propagated.
-
-    For a regular entity the key of its own relation travels unprefixed.
-    For a subtype the supertype's key travels, prefixed with the subtype
-    name so the reader can tell which subtype the reference narrows to."""
-    subtype = model.subtype(participant)
+def _add_foreign_key(rel: RelationshipType, near: RelationshipEndpoint,
+                     far: RelationshipEndpoint, relations: dict[str, Relation],
+                     model: ERModel) -> tuple[Relation, bool]:
+    """Append the far side's key to the near side's relation, then the
+    relationship's own attributes; returns the relation and whether the key
+    is prefixed.  A subtype's key is its supertype's, prefixed with the
+    subtype's name.  The suffix records the near side's minimum (its maximum
+    is 1 by classification) and the far side's full pair."""
+    relation = relations[near.participant]
+    subtype = model.subtype(far.participant)
     if subtype is None:
-        return relations[participant].pk_name(), None
-    return relations[subtype.supertype].pk_name(), subtype.name
-
-
-def _relationship_payload(rel: RelationshipType) -> list[RdsAttribute]:
-    return [RdsAttribute(a.name) for a in rel.attributes]
-
-
-def transform_one_to_many(rel: RelationshipType, ratio: Ratio,
-                          relations: dict[str, Relation], model: ERModel) -> Relation:
-    """Put the 1-side's key into the N-side's relation; ``ratio`` is the
-    relationship's, which names the N-side.
-
-    The suffix records the minimum written nearest the N-side (its maximum
-    is 1 by classification and is dropped) and the far side's full pair.
-    Returns the modified relation."""
-    n_end = rel.endpoints[ratio.n_side]
-    far_end = rel.endpoints[1 - ratio.n_side]
-    host = relations[n_end.participant]
-    fk_name, fk_prefix = _fk_identity(far_end.participant, model, relations)
-    suffix = FkSuffix(rel.name, n_end.pair.min, far_end.pair.min, far_end.pair.max)
-    host.attributes.append(RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
-    host.attributes += _relationship_payload(rel)
-    return host
-
-
-def _resolve_side(rel: RelationshipType, model: ERModel
-                  ) -> tuple[RelationshipEndpoint, RelationshipEndpoint]:
-    """The subtype's endpoint, then the regular entity type's: validation
-    lets a one-to-one relationship through only if it joins the two."""
-    first, second = rel.endpoints
-    if model.entity(first.participant) is not None:
-        return second, first
-    return first, second
-
-
-def transform_one_to_one_sub(rel: RelationshipType, relations: dict[str, Relation],
-                             model: ERModel, cfg: TransformConfig
-                             ) -> tuple[Relation, bool]:
-    """Put the far side's key into the chosen relation; returns the relation
-    and whether it moves to the end of the schema.
-
-    When the far side is the subtype (the regular side was chosen), the key
-    is the supertype's and gets the subtype name as prefix; a relation that
-    absorbs such a prefixed key moves to the end of the schema.  The move
-    keeps re-derived schemas byte-identical to their source: the subtype
-    relations a reversal discovers first are always created before the
-    relationship steps run, so listing order can only be reconciled by
-    moving the absorbing relation.  The caller makes the move."""
-    subtype_end, regular_end = _resolve_side(rel, model)
-    explicit = cfg.sog_choice.get(rel.name)
-    if explicit is not None:
-        chosen_end = subtype_end if explicit == subtype_end.participant else regular_end
-    elif not cfg.prefer_regular and subtype_end.participant in relations:
-        chosen_end = subtype_end
+        name, prefix = relations[far.participant].pk_name(), None
     else:
-        chosen_end = regular_end
-    far_end = regular_end if chosen_end is subtype_end else subtype_end
-    chosen = relations[chosen_end.participant]
-    fk_name, fk_prefix = _fk_identity(far_end.participant, model, relations)
-    suffix = FkSuffix(rel.name, chosen_end.pair.min, far_end.pair.min,
-                      far_end.pair.max)
-    chosen.attributes.append(RdsAttribute(fk_name, prefix=fk_prefix, suffix=suffix))
-    chosen.attributes += _relationship_payload(rel)
-    return chosen, fk_prefix is not None
+        name, prefix = relations[subtype.supertype].pk_name(), subtype.name
+    suffix = FkSuffix(rel.name, near.pair.min, far.pair.min, far.pair.max)
+    relation.attributes.append(RdsAttribute(name, prefix=prefix, suffix=suffix))
+    relation.attributes += [RdsAttribute(a.name) for a in rel.attributes]
+    return relation, prefix is not None
 
 
 def transform_multivalued(owner: Relation, attr: Attribute) -> Relation:
@@ -238,14 +182,14 @@ def transform_weak(weak: WeakEntityType, relations: dict[str, Relation]) -> Rela
 def _check_side_choices(model: ERModel, cfg: TransformConfig) -> None:
     if not cfg.sog_choice:
         return
-    ratios: dict[str, Ratio] = {}  # of the first relationship of each name
+    by_name: dict[str, tuple[RelationshipType, Ratio]] = {}  # the first of each name
     for rel, ratio in zip(model.relationships, model.ratios):
-        ratios.setdefault(rel.name, ratio)
+        by_name.setdefault(rel.name, (rel, ratio))
     for rel_name, participant in cfg.sog_choice.items():
-        rel = model.relationship(rel_name)
-        if rel is None:
+        if rel_name not in by_name:
             raise BadSideChoice(f"unknown relationship {rel_name!r} in side choice")
-        if ratios[rel_name].kind is not RatioKind.ONE_TO_ONE:
+        rel, ratio = by_name[rel_name]
+        if ratio.kind is not RatioKind.ONE_TO_ONE:
             raise BadSideChoice(
                 f"relationship {rel_name!r} is not one-to-one; only one-to-one "
                 f"relationships take a side choice"
@@ -356,16 +300,33 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         add(STEP_SUBTYPE, subtype.name, transform_subtype(subtype, relations))
 
     for rel, ratio in one_to_many:
-        relation = transform_one_to_many(rel, ratio, relations, model)
+        near, far = rel.endpoints[ratio.n_side], rel.endpoints[1 - ratio.n_side]
+        relation, _ = _add_foreign_key(rel, near, far, relations, model)
         events.append((STEP_ONE_TO_MANY, rel.name, relation.name,
                        len(relation.attributes), schema.relations[-1] is relation))
 
-    # The relations to move, by identity, in order of last move; they move after
-    # the step, since a removal scans the list.  ``end`` will end the schema.
+    # When the regular side takes the key, the key is the subtype's, prefixed,
+    # and the relation that absorbs it moves to the end of the schema.  The
+    # move keeps re-derived schemas byte-identical to their source: the
+    # subtype relations a reversal discovers first are always created before
+    # the relationship steps run, so only the move reconciles listing order.
+    # The relations to move, by identity and in order of last move, move
+    # after the step, since a removal scans the list; ``end`` will end the schema.
     moved: dict[int, Relation] = {}
     end = schema.relations[-1] if schema.relations else None
     for rel in one_to_one:
-        relation, moves = transform_one_to_one_sub(rel, relations, model, cfg)
+        # The gate lets a one-to-one relationship through only if it joins a
+        # subtype to a regular entity type; ``sub`` is the subtype's side.
+        sub, regular = rel.endpoints
+        if model.entity(sub.participant) is not None:
+            sub, regular = regular, sub
+        choice = cfg.sog_choice.get(rel.name)
+        if choice is not None:
+            into_sub = choice == sub.participant
+        else:
+            into_sub = not cfg.prefer_regular and sub.participant in relations
+        near, far = (sub, regular) if into_sub else (regular, sub)
+        relation, moves = _add_foreign_key(rel, near, far, relations, model)
         if moves:
             moved.pop(id(relation), None)
             moved[id(relation)] = end = relation

@@ -15,9 +15,9 @@ NORM diagnostic: element declaration order is rebuilt from schema order,
 entity attributes come back as designated key, remaining keys, simple
 attributes, multivalued attributes, and a weak entity's identifying
 relationship is renamed ``<Name>Of``.  A model whose names collide with a
-regenerated ``<Name>Of`` name cannot round-trip; such inputs are rejected
-when the reversed model is re-emitted.  run_roundtrip checks the promise
-on one model: transform, reverse, and transform again.
+regenerated ``<Name>Of`` name cannot round-trip: the reversed model repeats
+the name, and its transformation stops on REF.  run_roundtrip checks the
+promise on one model: transform, reverse, and transform again.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 The catalog below is the stable diagnostic contract: rule ids appear in CLI
 output and tests match on them.  ``REF`` repeats the parser's reference
-checks, with its messages and element names (``weak Badge``, ``rel
-Works``), so a model built in code meets the bar that parsed text does; the
-other rules answer whether the model sticks to the notation conventions the
+checks and its check that a relationship takes no name declared before it,
+with its messages and element names (``weak Badge``, ``rel Works``), so a
+model built in code meets the bar that parsed text does; the other rules
+answer whether the model sticks to the notation conventions the
 transformation relies on, and whether every relationship falls inside the
 supported transformation subset.  ``CLASH`` alone is checked on the schema
 the steps build, by ``forward.gated_transform``.
@@ -23,7 +24,8 @@ from .model import Diagnostic, ERModel, RatioKind, Severity, matching_keys
 
 RULES: dict[str, str] = {
     "REF": "a subtype's supertype and a weak entity's owner are regular entity "
-           "types; a relationship's participants are entity types or subtypes",
+           "types; a relationship's participants are entity types or subtypes; "
+           "a relationship takes no name declared before it",
     "R2.4.2": "a regular entity type declares a key whose first three letters "
               "match the entity name's",
     "R2.5.1": "names are capitalized (singular form is advisory)",
@@ -72,8 +74,12 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
     """Check the rule catalog in one walk, in the order the module states.
     Checks run in rule-id order; only a weak entity's two names need a sort."""
     found: list[Diagnostic] = []
+    # Names declared so far, which a relationship may not take; two elements
+    # that share a name are left to CLASH.
+    declared: set[str] = set()
     for entity in model.entities:
         name = entity.name
+        declared.add(name)
         matches = matching_keys(entity)
         if not matches:
             found.append(Diagnostic(
@@ -88,6 +94,7 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
         _check_attributes(found, "entity", name, entity.attributes)
     for subtype in model.subtypes:
         name = subtype.name
+        declared.add(name)
         if not subtype.attributes and not model.relationships_involving(name):
             found.append(Diagnostic(
                 "R2.2.1-I", _ERROR, f"subtype {name!r} has no intrinsic attribute "
@@ -102,9 +109,14 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
         name = weak.name
         names: list[Diagnostic] = []
         _check_name(names, name, "weak entity", name, plural_check=True)
-        _check_name(names, weak.identifying_relationship, "weak entity", name,
-                    ", identifying relationship")
+        via = weak.identifying_relationship
+        _check_name(names, via, "weak entity", name, ", identifying relationship")
         found += sorted(names, key=attrgetter("rule_id"))
+        declared.add(name)
+        if via in declared:
+            found.append(Diagnostic("REF", _ERROR, f"name {via!r} is already declared",
+                                    element=f"weak {name}"))
+        declared.add(via)
         if model.entity(weak.owner) is None:
             found.append(Diagnostic(
                 "REF", _ERROR, f"owner {weak.owner!r} is not a regular entity type",
@@ -114,6 +126,10 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
     for rel, ratio in zip(model.relationships, model.ratios):
         name = rel.name
         _check_name(found, name, "relationship", name)
+        if name in declared:
+            found.append(Diagnostic("REF", _ERROR, f"name {name!r} is already declared",
+                                    element=f"rel {name}"))
+        declared.add(name)
         # One walk gives the REF findings and the kinds of the participants
         # that resolve, which SUBSET reads.
         kinds = []

@@ -269,7 +269,9 @@ class TestRoundtrip:
     # supertype key's prefix also comes back as an entity, so its one-to-one
     # relationship no longer fits the subset when transformed again.  Two entities sharing a key
     # name across a 1:n relationship collide in the holding relation, which
-    # validate and roundtrip both report as the same CLASH.
+    # validate and roundtrip both report as the same CLASH.  An entity named
+    # like the <Name>Of that reversal gives a weak entity's identifying
+    # relationship makes the second transformation stop on REF.
     @pytest.mark.parametrize("text, validated, out, err", [
         ("entity Brave { key BraNo; multi Bravo; }", 0,
          "round trip FAILED\nmodel.entities: 1 elements expected, 2 found\n", ""),
@@ -291,8 +293,14 @@ class TestRoundtrip:
          "second transformation failed:\n"
          "<schema>: error[SUBSET]: one-to-one relationship 'Owns' must relate a "
          "subtype to a regular entity type (relationship Owns)\n", ""),
+        ("entity Alpha { key AlpNo; attr Name; }\n"
+         "entity BetaOf { key BetNo; attr Size; }\n"
+         "weak Beta of Alpha via Owns { partial Code; attr Note; }", 0,
+         "round trip FAILED\nsecond transformation failed:\n"
+         "<schema>: error[REF]: name 'BetaOf' is already declared (weak Beta)\n",
+         ""),
     ], ids=["multi-named-like-an-entity", "weak-partial-key", "shared-key-name",
-            "subtype-named-like-its-supertype"])
+            "subtype-named-like-its-supertype", "entity-named-like-a-regenerated-of"])
     def test_clean_models_that_fail_the_round_trip(self, text, validated, out, err,
                                                    tmp_path, capsys):
         source = tmp_path / "model.er"
@@ -586,6 +594,19 @@ class TestRenderDdl:
             sql, diagnostics = render_ddl(transform_model(generate_model(seed))[0])
             assert not diagnostics, seed
             load_in_sqlite(sql).close()
+
+    def test_keyword_names_are_quoted_and_load(self):
+        # Tables, columns, keys and referenced names alike.
+        model, _ = parse_er(
+            "entity Group { key Group; attr Order; multi Index; }\n"
+            "entity Table { key Table; key Code; attr Select; }\n"
+            "rel Where (Group 0..n, Table 1..1) { attr Values; }\n")
+        sql, diagnostics = render_ddl(transform_model(model)[0])
+        assert not diagnostics
+        assert 'CREATE TABLE "Index" (' in sql
+        assert 'PRIMARY KEY ("Table", Code)' in sql
+        assert 'FOREIGN KEY ("Group") REFERENCES "Group" ("Group")' in sql
+        load_in_sqlite(sql).close()
 
 
 class TestPipeline:

@@ -214,6 +214,29 @@ class TestWholeSchema:
             "Dependent[_EmpNo_, _Name_, Sex, Relation]\n"
         )
 
+    @pytest.mark.parametrize("choice", [
+        {}, None, {"Consult": "Project"}, {"Manages": "Manager"},
+        {"Consult": "Engineer", "Manages": "Department"},
+    ], ids=["default", "prefer-regular", "consult-project", "manages-manager",
+            "default-sides-chosen"])
+    def test_the_order_of_one_to_one_endpoints_changes_nothing(
+            self, company_text, choice):
+        # The one-to-one step finds the subtype's side wherever it is listed.
+        swapped = (company_text
+                   .replace("(Manager 1..1, Department 1..1)",
+                            "(Department 1..1, Manager 1..1)")
+                   .replace("(Engineer 1..1, Project 1..1)",
+                            "(Project 1..1, Engineer 1..1)"))
+        assert swapped.count("(Department 1..1, Manager 1..1)") == 1
+        assert swapped.count("(Project 1..1, Engineer 1..1)") == 1
+        cfg = (TransformConfig(prefer_regular=True) if choice is None
+               else TransformConfig(sog_choice=choice))
+        schema, trace = transform_text(company_text, cfg)
+        swapped_schema, swapped_trace = transform_text(swapped, cfg)
+        assert emit_rds(swapped_schema) == emit_rds(schema)
+        assert ([entry.schema_after for entry in swapped_trace]
+                == [entry.schema_after for entry in trace])
+
 
 class TestSuffixVariables:
     @pytest.mark.parametrize("department_pair,project_pair,expected", [

@@ -294,3 +294,51 @@ def test_an_unknown_participant_is_a_ref_and_a_subset_error():
     ]
     assert validate_notation(model, allow_extensions=True) == \
         validate_notation(model)[:1]
+
+
+class TestDeclaredNames:
+    # In model order, so that the parser reads the elements in the order the
+    # validator walks them.
+    TEXT = (
+        "entity Alpha { key AlpNo; }\n"
+        "entity Bravo { key BraNo; }\n"
+        "weak Gamma of Alpha via Bravo { partial Code; attr Note; }\n"
+        "weak Delta of Alpha via Delta { partial Code; attr Note; }\n"
+        "rel Alpha (Alpha 1..1, Bravo 0..n) { }\n"
+        "rel Works (Alpha 1..1, Bravo 0..n) { }\n"
+        "rel Works (Alpha 1..1, Bravo 0..n) { }\n"
+    )
+
+    @staticmethod
+    def entity(name):
+        return RegularEntityType(name, (Attribute(name[:3] + "No", AttributeKind.KEY),))
+
+    def test_a_taken_relationship_name_is_a_ref_error_as_in_the_parser(self):
+        def weak(name, via):
+            return WeakEntityType(name, "Alpha", via,
+                                  Attribute("Code", AttributeKind.PARTIAL_KEY),
+                                  (Attribute("Note"),))
+
+        def rel(name):
+            return RelationshipType(name, (
+                RelationshipEndpoint("Alpha", CardinalityPair("1", "1")),
+                RelationshipEndpoint("Bravo", CardinalityPair("0", "n"))))
+
+        model = ERModel(
+            entities=(self.entity("Alpha"), self.entity("Bravo")),
+            weak_entities=(weak("Gamma", "Bravo"), weak("Delta", "Delta")),
+            relationships=(rel("Alpha"), rel("Works"), rel("Works")),
+        )
+        parsed_model, parsed = parse_er(self.TEXT)
+        assert parsed_model is None
+        assert validate_notation(model) == [
+            Diagnostic(d.rule_id, d.severity, d.message, element=d.element)
+            for d in parsed
+        ]
+        assert [d.element for d in parsed] == [
+            "weak Gamma", "weak Delta", "rel Alpha", "rel Works"]
+
+    def test_two_elements_that_share_a_name_are_left_to_clash(self):
+        model = ERModel(entities=(self.entity("Alpha"), self.entity("Alpha")),
+                        subtypes=(Subtype("Alpha", "Alpha", (Attribute("Grade"),)),))
+        assert validate_notation(model) == []
