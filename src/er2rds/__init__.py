@@ -11,7 +11,6 @@ from .ddl import render_ddl
 from .er_text import emit_er, parse_er
 from .errors import (
     BadSideChoice,
-    NoDesignatedKey,
     PrerequisiteFailed,
     TransformError,
 )
@@ -33,7 +32,6 @@ from .model import (
     Severity,
     Subtype,
     WeakEntityType,
-    designated_key,
     format_diagnostic,
     has_errors,
     ratio_class,
@@ -62,7 +60,6 @@ __all__ = [
     "Diagnostic",
     "ERModel",
     "FkSuffix",
-    "NoDesignatedKey",
     "PrerequisiteFailed",
     "RatioKind",
     "RdsAttribute",
@@ -81,7 +78,6 @@ __all__ = [
     "WeakEntityType",
     "canonical_model",
     "classify_relations",
-    "designated_key",
     "emit_er",
     "emit_rds",
     "format_diagnostic",

@@ -7,10 +7,6 @@ class TransformError(Exception):
     """Base class for transformation failures."""
 
 
-class NoDesignatedKey(TransformError):
-    """No key attribute shares its first three letters with the entity name."""
-
-
 class BadSideChoice(TransformError):
     """A side choice names an unknown relationship or a non-participant."""
 

@@ -42,8 +42,8 @@ from .model import (
     Severity,
     Subtype,
     WeakEntityType,
-    designated_key,
     has_errors,
+    matching_keys,
 )
 from .rds_text import render_relation
 from .validator import validate_notation
@@ -124,8 +124,9 @@ class _Replay:
 
 def transform_regular(entity: RegularEntityType) -> Relation:
     """Entity to relation: designated key first, remaining keys, then simple
-    attributes; multivalued attributes are left for their own step."""
-    designated = designated_key(entity)
+    attributes; multivalued attributes are left for their own step.  The
+    first key matching the entity's name is designated; ``R2.4.2`` ensures one."""
+    designated = matching_keys(entity)[0]
     attributes = [RdsAttribute(designated.name, underlined=True)]
     attributes += [
         RdsAttribute(key.name, underlined=True)

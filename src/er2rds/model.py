@@ -9,17 +9,15 @@ schema: relations whose attributes may be underlined (primary key part),
 carry a subtype prefix, or carry a bracketed foreign-key suffix recording
 the relationship name and three cardinality variables.
 
-Both sides are plain dataclasses with no I/O.  The two derived operations
-that the rest of the pipeline leans on live here as well: classifying a
-relationship's cardinality ratio and picking an entity's designated key.
+Both sides are plain dataclasses with no I/O.  The derived operation that
+the rest of the pipeline leans on lives here as well: classifying a
+relationship's cardinality ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-
-from .errors import NoDesignatedKey
 
 # Unbounded maximum in a cardinality pair; minima and maxima are kept as the
 # strings "0" / "1" / "n" so they serialize without conversion.
@@ -187,14 +185,6 @@ class ERModel:
         return _first_by_name(self.subtypes)
 
     @_lazy
-    def _weak_by_name(self) -> dict[str, WeakEntityType]:
-        return _first_by_name(self.weak_entities)
-
-    @_lazy
-    def _relationships_by_name(self) -> dict[str, RelationshipType]:
-        return _first_by_name(self.relationships)
-
-    @_lazy
     def _relationships_by_participant(self) -> dict[str, tuple[RelationshipType, ...]]:
         index: dict[str, list[RelationshipType]] = {}
         for rel in self.relationships:
@@ -215,12 +205,6 @@ class ERModel:
 
     def subtype(self, name: str) -> Subtype | None:
         return self._subtypes_by_name.get(name)
-
-    def weak(self, name: str) -> WeakEntityType | None:
-        return self._weak_by_name.get(name)
-
-    def relationship(self, name: str) -> RelationshipType | None:
-        return self._relationships_by_name.get(name)
 
     def relationships_involving(self, participant: str) -> tuple[RelationshipType, ...]:
         return self._relationships_by_participant.get(participant, ())
@@ -266,17 +250,6 @@ def matching_keys(entity: RegularEntityType) -> tuple[Attribute, ...]:
     return entity._partitions[3]
 
 
-def designated_key(entity: RegularEntityType) -> Attribute:
-    """The key propagated into other relations; ties resolve to declaration order."""
-    matches = matching_keys(entity)
-    if not matches:
-        raise NoDesignatedKey(
-            f"entity {entity.name!r} has no key attribute whose first "
-            f"{NAME_PREFIX_LEN} letters match the entity name"
-        )
-    return matches[0]
-
-
 # --------------------------------------------------------------------------
 # Relational side
 
@@ -316,12 +289,6 @@ class Relation:
 @dataclass
 class RelationalSchema:
     relations: list[Relation] = field(default_factory=list)
-
-    def find(self, name: str) -> Relation | None:
-        return next((r for r in self.relations if r.name == name), None)
-
-    def names(self) -> list[str]:
-        return [r.name for r in self.relations]
 
 
 def leading_underline_count(relation: Relation) -> int:

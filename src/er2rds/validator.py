@@ -2,13 +2,14 @@
 
 The catalog below is the stable diagnostic contract: rule ids appear in CLI
 output and tests match on them.  ``REF`` repeats the parser's reference
-checks and its check that a relationship takes no name declared before it,
-with its messages and element names (``weak Badge``, ``rel Works``), so a
-model built in code meets the bar that parsed text does; the other rules
-answer whether the model sticks to the notation conventions the
-transformation relies on, and whether every relationship falls inside the
-supported transformation subset.  ``CLASH`` alone is checked on the schema
-the steps build, by ``forward.gated_transform``.
+checks and its check that a weak entity, its identifying relationship and a
+relationship take no name declared before them, with its messages and
+element names (``weak Badge``, ``rel Works``), so a model built in code
+meets the bar that parsed text does; the other rules answer whether the
+model sticks to the notation conventions the transformation relies on, and
+whether every relationship falls inside the supported transformation
+subset.  ``CLASH`` alone is checked on the schema the steps build, by
+``forward.gated_transform``.
 
 ``validate_notation`` walks the model once and reports in a fixed order:
 elements in model order (entities, subtypes, weak entities, relationships);
@@ -25,7 +26,7 @@ from .model import Diagnostic, ERModel, RatioKind, Severity, matching_keys
 RULES: dict[str, str] = {
     "REF": "a subtype's supertype and a weak entity's owner are regular entity "
            "types; a relationship's participants are entity types or subtypes; "
-           "a relationship takes no name declared before it",
+           "a weak entity or relationship takes no name declared before it",
     "R2.4.2": "a regular entity type declares a key whose first three letters "
               "match the entity name's",
     "R2.5.1": "names are capitalized (singular form is advisory)",
@@ -74,8 +75,8 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
     """Check the rule catalog in one walk, in the order the module states.
     Checks run in rule-id order; only a weak entity's two names need a sort."""
     found: list[Diagnostic] = []
-    # Names declared so far, which a relationship may not take; two elements
-    # that share a name are left to CLASH.
+    # Names declared so far, which a weak entity or a relationship may not
+    # take; two entities or subtypes that share a name are left to CLASH.
     declared: set[str] = set()
     for entity in model.entities:
         name = entity.name
@@ -112,11 +113,11 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
         via = weak.identifying_relationship
         _check_name(names, via, "weak entity", name, ", identifying relationship")
         found += sorted(names, key=attrgetter("rule_id"))
-        declared.add(name)
-        if via in declared:
-            found.append(Diagnostic("REF", _ERROR, f"name {via!r} is already declared",
-                                    element=f"weak {name}"))
-        declared.add(via)
+        for taken in (name, via):
+            if taken in declared:
+                found.append(Diagnostic("REF", _ERROR, f"name {taken!r} is already "
+                                        f"declared", element=f"weak {name}"))
+            declared.add(taken)
         if model.entity(weak.owner) is None:
             found.append(Diagnostic(
                 "REF", _ERROR, f"owner {weak.owner!r} is not a regular entity type",

@@ -12,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import er2rds
 from er2rds import (
     RoundtripReport, cli, emit_er, emit_rds, forward, model_diff, normalize_model,
     parse_er, render_ddl, run_roundtrip, transform_model, validate_notation,
@@ -707,7 +708,7 @@ class TestErrorClasses:
             if isinstance(node, ast.Raise)
             and isinstance(getattr(node.exc, "func", node.exc), ast.Name)
         }
-        assert "BadSideChoice" in declared
+        assert declared == {"TransformError", "BadSideChoice", "PrerequisiteFailed"}
         assert declared - raised - {"TransformError"} == set()
 
     def test_the_forward_steps_raise_nothing(self):
@@ -722,6 +723,29 @@ class TestErrorClasses:
             if isinstance(node, ast.Raise)
         }
         assert raising == {"_check_side_choices", "transform_model"}
+
+    def test_the_model_raises_nothing(self):
+        # Its types and derived operations trust the gate, as the steps do.
+        tree = ast.parse((CHECKOUT / "src" / "er2rds" / "model.py")
+                         .read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Raise) for node in ast.walk(tree))
+
+
+def test_the_public_names_are_pinned():
+    assert sorted(er2rds.__all__) == [
+        "Attribute", "AttributeKind", "BadSideChoice", "CardinalityPair",
+        "Diagnostic", "ERModel", "FkSuffix", "PrerequisiteFailed", "RatioKind",
+        "RdsAttribute", "RegularEntityType", "Relation", "RelationKind",
+        "RelationalSchema", "RelationshipEndpoint", "RelationshipType",
+        "RoundtripReport", "Severity", "Subtype", "TraceEntry", "TransformConfig",
+        "TransformError", "WeakEntityType", "__version__", "canonical_model",
+        "classify_relations", "emit_er", "emit_rds", "format_diagnostic",
+        "has_errors", "model_diff", "normalize_model", "parse_er", "parse_rds",
+        "ratio_class", "reconstruct_sog_choices", "render_ddl",
+        "reverse_transform", "run_roundtrip", "transform_model",
+        "validate_notation",
+    ]
+    assert all(hasattr(er2rds, name) for name in er2rds.__all__)
 
 
 def cyclic_garbage(*argvs: list[str]) -> list[int]:

@@ -44,14 +44,16 @@ class TestParsing:
         ]
 
     def test_weak_entity_fields(self, company_model):
-        dependent = company_model.weak("Dependent")
+        (dependent,) = [weak for weak in company_model.weak_entities
+                        if weak.name == "Dependent"]
         assert dependent.owner == "Employee"
         assert dependent.identifying_relationship == "DependentOf"
         assert dependent.partial_key.name == "Name"
         assert [a.name for a in dependent.attributes] == ["Sex", "Relation"]
 
     def test_relationship_endpoints_keep_declaration_order(self, company_model):
-        controls = company_model.relationship("Controls")
+        (controls,) = [rel for rel in company_model.relationships
+                       if rel.name == "Controls"]
         assert [(ep.participant, ep.pair.min, ep.pair.max)
                 for ep in controls.endpoints] == \
             [("Department", "1", "n"), ("Project", "1", "1")]
@@ -67,7 +69,8 @@ class TestParsing:
             "entity Bravo { key BraNo; }\n"
             "rel Grove (Alpha 1..N, Bravo 1..1) { }"
         )
-        assert model.relationship("Grove").endpoints[0].pair.max == "n"
+        (grove,) = [rel for rel in model.relationships if rel.name == "Grove"]
+        assert grove.endpoints[0].pair.max == "n"
 
     def test_comments_and_blank_lines_are_ignored(self):
         model = parse_clean(

@@ -22,7 +22,6 @@ from er2rds import (
     Subtype,
     TransformConfig,
     WeakEntityType,
-    designated_key,
     emit_er,
     normalize_model,
     emit_rds,
@@ -735,7 +734,7 @@ class TestEntityPartitions:
 
         read, unread = department(), department()
         assert [a.name for a in read.keys()] == ["DepNo", "Name"]
-        assert designated_key(read).name == "DepNo"
+        assert model_module.matching_keys(read)[0].name == "DepNo"
         assert read == unread and unread == read
         assert hash(read) == hash(unread)
         assert dataclasses.asdict(read) == dataclasses.asdict(unread)

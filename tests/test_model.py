@@ -7,7 +7,7 @@ from er2rds import (
     Diagnostic,
     ERModel,
     FkSuffix,
-    NoDesignatedKey,
+    PrerequisiteFailed,
     RatioKind,
     RdsAttribute,
     RegularEntityType,
@@ -18,9 +18,9 @@ from er2rds import (
     Severity,
     Subtype,
     WeakEntityType,
-    designated_key,
     format_diagnostic,
     ratio_class,
+    transform_model,
 )
 from er2rds.model import leading_underline_count, matching_keys, name_prefix
 from conftest import assert_well_formed
@@ -57,37 +57,48 @@ class TestRatioClass:
 
 
 class TestDesignatedKey:
+    # The first matching key is designated; the gate's R2.4.2 error stops an
+    # entity with none before any step reads it.
     def test_picks_the_key_sharing_the_name_prefix(self):
         entity = RegularEntityType("Employee", (
             Attribute("SSN", AttributeKind.KEY),
             Attribute("EmpNo", AttributeKind.KEY),
         ))
-        assert designated_key(entity).name == "EmpNo"
+        assert matching_keys(entity)[0].name == "EmpNo"
 
     def test_prefix_comparison_ignores_case(self):
         entity = RegularEntityType("Employee", (Attribute("EMPNO", AttributeKind.KEY),))
-        assert designated_key(entity).name == "EMPNO"
+        assert matching_keys(entity)[0].name == "EMPNO"
 
     def test_tie_resolves_to_declaration_order(self):
         entity = RegularEntityType("Employee", (
             Attribute("EmpNo", AttributeKind.KEY),
             Attribute("EmpId", AttributeKind.KEY),
         ))
-        assert designated_key(entity).name == "EmpNo"
+        assert matching_keys(entity)[0].name == "EmpNo"
         assert len(matching_keys(entity)) == 2
 
-    def test_no_matching_key_raises(self):
+    @staticmethod
+    def assert_the_gate_refuses(entity):
+        with pytest.raises(PrerequisiteFailed) as raised:
+            transform_model(ERModel((entity,)))
+        assert [(d.rule_id, d.severity, d.message, d.element)
+                for d in raised.value.diagnostics] == [(
+            "R2.4.2", Severity.ERROR, "entity 'Employee' has no key attribute "
+            "whose first three letters match the entity name", "entity Employee")]
+
+    def test_no_matching_key_is_refused_by_the_gate(self):
         entity = RegularEntityType("Employee", (Attribute("SSN", AttributeKind.KEY),))
-        with pytest.raises(NoDesignatedKey):
-            designated_key(entity)
+        assert matching_keys(entity) == ()
+        self.assert_the_gate_refuses(entity)
 
     def test_simple_attributes_never_qualify(self):
         entity = RegularEntityType("Employee", (
             Attribute("EmpNo"),
             Attribute("SSN", AttributeKind.KEY),
         ))
-        with pytest.raises(NoDesignatedKey):
-            designated_key(entity)
+        assert matching_keys(entity) == ()
+        self.assert_the_gate_refuses(entity)
 
 
 def test_name_prefix_is_three_casefolded_letters():
@@ -132,17 +143,13 @@ class TestModelLookups:
     model = ERModel(*zip(firsts, seconds))
 
     def test_a_repeated_name_resolves_to_its_first_declaration(self):
-        entity, subtype, weak, relationship = self.firsts
+        entity, subtype = self.firsts[:2]
         assert self.model.entity("Alpha") is entity
         assert self.model.subtype("Bravo") is subtype
-        assert self.model.weak("Cedar") is weak
-        assert self.model.relationship("Delta") is relationship
 
     def test_unknown_names_resolve_to_nothing(self):
         assert self.model.entity("Bravo") is None
         assert self.model.subtype("Alpha") is None
-        assert self.model.weak("Delta") is None
-        assert self.model.relationship("Cedar") is None
         assert self.model.relationships_involving("Alpha") == ()
 
     def test_relationships_involving_keeps_declaration_order(self):

@@ -77,7 +77,8 @@ class TestParsing:
         assert again == company_schema
 
     def test_flags_survive_the_round_trip(self, company_schema):
-        department = company_schema.find("Department")
+        (department,) = [relation for relation in company_schema.relations
+                         if relation.name == "Department"]
         names = [(a.display_name(), a.underlined) for a in department.attributes]
         assert names == [("DepNo", True), ("Name", True), ("Field", False),
                          ("Manager-EmpNo", False), ("StartDate", False)]
@@ -98,7 +99,7 @@ class TestParsing:
         schema = parse_clean(
             "// header\n\nEmployee[_EmpNo_] // trailing\n"
         )
-        assert schema.names() == ["Employee"]
+        assert [relation.name for relation in schema.relations] == ["Employee"]
 
     def test_empty_input_is_an_empty_schema(self):
         assert parse_clean("").relations == []

@@ -141,7 +141,7 @@ class TestReverseGolden:
     def test_weak_entities_are_rebuilt_with_a_generated_identifying_name(
             self, company_schema):
         model, diagnostics = reverse_transform(company_schema)
-        dependent = model.weak("Dependent")
+        (dependent,) = [weak for weak in model.weak_entities if weak.name == "Dependent"]
         assert dependent.owner == "Employee"
         assert dependent.identifying_relationship == "DependentOf"
         assert dependent.partial_key.name == "Name"
@@ -150,12 +150,12 @@ class TestReverseGolden:
 
     def test_relationships_carry_their_pairs_and_attributes(self, company_schema):
         model, _ = reverse_transform(company_schema)
-        consult = model.relationship("Consult")
+        (consult,) = [rel for rel in model.relationships if rel.name == "Consult"]
         assert [(ep.participant, ep.pair.min, ep.pair.max)
                 for ep in consult.endpoints] == \
             [("Engineer", "1", "1"), ("Project", "1", "1")]
         assert [a.name for a in consult.attributes] == ["Hours"]
-        controls = model.relationship("Controls")
+        (controls,) = [rel for rel in model.relationships if rel.name == "Controls"]
         assert [(ep.participant, ep.pair.min, ep.pair.max)
                 for ep in controls.endpoints] == \
             [("Project", "1", "1"), ("Department", "1", "n")]
@@ -315,7 +315,8 @@ class TestModelComparison:
             "entity Employee { key EmpNo; }\n"
             "weak Dependent of Employee via Supports { partial Name; attr Sex; }"
         )
-        weak = normalize_model(model).weak("Dependent")
+        (weak,) = [weak for weak in normalize_model(model).weak_entities
+                   if weak.name == "Dependent"]
         assert weak.identifying_relationship == "DependentOf"
 
     def test_canonical_form_ignores_declaration_order(self):

@@ -9,13 +9,16 @@ from er2rds import (
     CardinalityPair,
     Diagnostic,
     ERModel,
+    PrerequisiteFailed,
     RegularEntityType,
     RelationshipEndpoint,
     RelationshipType,
     Severity,
     Subtype,
     WeakEntityType,
+    emit_er,
     parse_er,
+    transform_model,
     validate_notation,
 )
 from er2rds.validator import RULES
@@ -337,6 +340,32 @@ class TestDeclaredNames:
         ]
         assert [d.element for d in parsed] == [
             "weak Gamma", "weak Delta", "rel Alpha", "rel Works"]
+
+    @pytest.mark.parametrize("weaks,taken", [
+        ((("Gamma", "Delta"), ("Delta", "DeltaOf")), "Delta"),
+        ((("Bravo", "BravoOf"),), "Bravo"),
+        ((("Gamma", "GammaOf"), ("Gamma", "Owns")), "Gamma"),
+    ], ids=["named-like-an-identifying-relationship", "named-like-an-entity",
+            "named-like-a-weak-entity"])
+    def test_a_taken_weak_entity_name_is_a_ref_error_as_in_the_parser(
+            self, weaks, taken):
+        model = ERModel(
+            entities=(self.entity("Alpha"), self.entity("Bravo")),
+            weak_entities=tuple(
+                WeakEntityType(name, "Alpha", via,
+                               Attribute("Code", AttributeKind.PARTIAL_KEY),
+                               (Attribute("Note"),))
+                for name, via in weaks))
+        expected = [("REF", f"name {taken!r} is already declared", f"weak {taken}")]
+        parsed_model, parsed = parse_er(emit_er(model))
+        assert parsed_model is None
+        assert [(d.rule_id, d.message, d.element) for d in parsed] == expected
+        assert [(d.rule_id, d.message, d.element)
+                for d in validate_notation(model)] == expected
+        with pytest.raises(PrerequisiteFailed) as raised:
+            transform_model(model)
+        assert [(d.rule_id, d.message, d.element)
+                for d in raised.value.diagnostics] == expected
 
     def test_two_elements_that_share_a_name_are_left_to_clash(self):
         model = ERModel(entities=(self.entity("Alpha"), self.entity("Alpha")),
