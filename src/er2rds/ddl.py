@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .model import Diagnostic, RelationalSchema, Severity, leading_underline_count
+from .rds_text import render_suffix
 from .reverse import RelationKind, _classify
 
 
@@ -50,10 +51,7 @@ def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
     for relation in schema.relations:
         items: list[tuple[str, str]] = []
         for attr in relation.attributes:
-            comment = ""
-            if attr.suffix is not None:
-                s = attr.suffix
-                comment = f"-- ({s.relationship}, {s.v2}, {s.v3}, {s.v4})"
+            comment = "" if attr.suffix is None else f"-- {render_suffix(attr.suffix)}"
             items.append((f"{_sql_identifier(attr.display_name())} TEXT", comment))
 
         pk = [_sql_identifier(a.name) for a in

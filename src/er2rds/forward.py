@@ -147,18 +147,18 @@ def transform_subtype(subtype: Subtype, relations: dict[str, Relation]) -> Relat
 
 def _add_foreign_key(rel: RelationshipType, near: RelationshipEndpoint,
                      far: RelationshipEndpoint, relations: dict[str, Relation],
-                     model: ERModel) -> tuple[Relation, bool]:
+                     supertypes: dict[str, str]) -> tuple[Relation, bool]:
     """Append the far side's key to the near side's relation, then the
     relationship's own attributes; returns the relation and whether the key
-    is prefixed.  A subtype's key is its supertype's, prefixed with the
-    subtype's name.  The suffix records the near side's minimum (its maximum
-    is 1 by classification) and the far side's full pair."""
+    is prefixed.  A subtype's key is its supertype's (from ``supertypes``),
+    prefixed with its name.  The suffix records the near side's minimum (its
+    maximum is 1 by classification) and the far side's full pair."""
     relation = relations[near.participant]
-    subtype = model.subtype(far.participant)
-    if subtype is None:
+    supertype = supertypes.get(far.participant)
+    if supertype is None:
         name, prefix = relations[far.participant].pk_name(), None
     else:
-        name, prefix = relations[subtype.supertype].pk_name(), subtype.name
+        name, prefix = relations[supertype].pk_name(), far.participant
     suffix = FkSuffix(rel.name, near.pair.min, far.pair.min, far.pair.max)
     relation.attributes.append(RdsAttribute(name, prefix=prefix, suffix=suffix))
     relation.attributes += [RdsAttribute(a.name) for a in rel.attributes]
@@ -260,9 +260,9 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
                      ) -> tuple[RelationalSchema, list[_Event]]:
     """The six steps on a model that passed notation validation; returns the
     schema and one event per step.  The steps check nothing themselves: they
-    index ``relations``, which maps each name to the first relation added
-    under it, and the notation gate has made sure every name they look up
-    is there."""
+    index name maps that keep the first relation, entity or supertype of each
+    name, and the notation gate has made sure every name they look up is
+    there."""
     _check_side_choices(model, cfg)
 
     schema = RelationalSchema()
@@ -274,7 +274,9 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         relations.setdefault(relation.name, relation)
         events.append((step, subject, relation.name, len(relation.attributes), True))
 
+    entities: dict[str, RegularEntityType] = {}
     for entity in model.entities:
+        entities.setdefault(entity.name, entity)
         add(STEP_REGULAR, entity.name, transform_regular(entity))
 
     # The relationships of each step, in declaration order, from the ratios
@@ -295,14 +297,16 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
     # one-to-one step never needs a relation that was not created.
     hosts = {rel.endpoints[ratio.n_side].participant for rel, ratio in one_to_many}
     hosts.update(cfg.sog_choice.values())
+    supertypes: dict[str, str] = {}
     for subtype in model.subtypes:
+        supertypes.setdefault(subtype.name, subtype.supertype)
         if not subtype.attributes and subtype.name not in hosts:
             continue
         add(STEP_SUBTYPE, subtype.name, transform_subtype(subtype, relations))
 
     for rel, ratio in one_to_many:
         near, far = rel.endpoints[ratio.n_side], rel.endpoints[1 - ratio.n_side]
-        relation, _ = _add_foreign_key(rel, near, far, relations, model)
+        relation, _ = _add_foreign_key(rel, near, far, relations, supertypes)
         events.append((STEP_ONE_TO_MANY, rel.name, relation.name,
                        len(relation.attributes), schema.relations[-1] is relation))
 
@@ -319,7 +323,7 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         # The gate lets a one-to-one relationship through only if it joins a
         # subtype to a regular entity type; ``sub`` is the subtype's side.
         sub, regular = rel.endpoints
-        if model.entity(sub.participant) is not None:
+        if sub.participant in entities:
             sub, regular = regular, sub
         choice = cfg.sog_choice.get(rel.name)
         if choice is not None:
@@ -327,7 +331,7 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         else:
             into_sub = not cfg.prefer_regular and sub.participant in relations
         near, far = (sub, regular) if into_sub else (regular, sub)
-        relation, moves = _add_foreign_key(rel, near, far, relations, model)
+        relation, moves = _add_foreign_key(rel, near, far, relations, supertypes)
         if moves:
             moved.pop(id(relation), None)
             moved[id(relation)] = end = relation
@@ -341,7 +345,7 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
     # one-to-one step may have reordered the schema, and reversal derives
     # declaration order from schema order.
     for relation in list(schema.relations):
-        entity = model.entity(relation.name)
+        entity = entities.get(relation.name)
         if entity is None:
             continue
         for attr in entity.multivalued_attributes():

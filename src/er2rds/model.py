@@ -157,19 +157,9 @@ class RelationshipType:
         return (self.endpoints[0].participant, self.endpoints[1].participant)
 
 
-def _first_by_name(elements) -> dict:
-    index: dict = {}
-    for element in elements:
-        index.setdefault(element.name, element)
-    return index
-
-
 @dataclass(frozen=True)
 class ERModel:
-    """A complete source model; the four element lists keep declaration order.
-
-    Lookups answer from name maps built on first use, so each costs constant
-    time; a repeated name resolves to its first declaration."""
+    """A complete source model; the four element lists keep declaration order."""
 
     entities: tuple[RegularEntityType, ...] = ()
     subtypes: tuple[Subtype, ...] = ()
@@ -177,37 +167,11 @@ class ERModel:
     relationships: tuple[RelationshipType, ...] = ()
 
     @_lazy
-    def _entities_by_name(self) -> dict[str, RegularEntityType]:
-        return _first_by_name(self.entities)
-
-    @_lazy
-    def _subtypes_by_name(self) -> dict[str, Subtype]:
-        return _first_by_name(self.subtypes)
-
-    @_lazy
-    def _relationships_by_participant(self) -> dict[str, tuple[RelationshipType, ...]]:
-        index: dict[str, list[RelationshipType]] = {}
-        for rel in self.relationships:
-            # dict.fromkeys lists a self-relationship once
-            for participant in dict.fromkeys(rel.participants()):
-                index.setdefault(participant, []).append(rel)
-        return {participant: tuple(rels) for participant, rels in index.items()}
-
-    @_lazy
     def ratios(self) -> tuple[Ratio, ...]:
         """Each relationship's ratio, in declaration order, classified on
         first read; the validator, the steps and the model comparison share
         them."""
         return tuple([ratio_class(rel) for rel in self.relationships])
-
-    def entity(self, name: str) -> RegularEntityType | None:
-        return self._entities_by_name.get(name)
-
-    def subtype(self, name: str) -> Subtype | None:
-        return self._subtypes_by_name.get(name)
-
-    def relationships_involving(self, participant: str) -> tuple[RelationshipType, ...]:
-        return self._relationships_by_participant.get(participant, ())
 
 
 class RatioKind(Enum):

@@ -4,7 +4,8 @@ One relation per line: ``Name[a1, a2, ...]``.  An attribute is rendered as
 ``_Attr_`` when underlined (primary key part), ``Prefix-Attr`` when it
 carries a subtype prefix, and gains a bracketed foreign-key suffix
 ``(RelName, v2, v3, v4)`` appended with no space before the parenthesis.
-``//`` starts a comment; blank lines are ignored.  Emission is deterministic,
+``//`` starts a comment; blank lines are ignored.  Every name starts with an
+upper-case letter, as in the ``.er`` notation.  Emission is deterministic,
 so equal schemas produce byte-identical text.
 """
 
@@ -23,14 +24,16 @@ from .model import (
 )
 
 
+def render_suffix(suffix: FkSuffix) -> str:
+    return f"({suffix.relationship}, {suffix.v2}, {suffix.v3}, {suffix.v4})"
+
+
 def render_attribute(attr: RdsAttribute) -> str:
     if attr.underlined:
         return f"_{attr.name}_"
-    text = attr.display_name()
     if attr.suffix is not None:
-        s = attr.suffix
-        text += f"({s.relationship}, {s.v2}, {s.v3}, {s.v4})"
-    return text
+        return attr.display_name() + render_suffix(attr.suffix)
+    return attr.display_name()
 
 
 def render_relation(relation: Relation) -> str:
@@ -64,10 +67,19 @@ def _split_attributes(body: str) -> list[str]:
     return [part.strip() for part in parts]
 
 
+def _not_capitalized(name: str, line_no: int) -> Diagnostic:
+    """The validator's ``R2.5.1`` error: ``.er`` text refuses the name, so
+    a reversal must not write it."""
+    return Diagnostic("R2.5.1", Severity.ERROR,
+                      f"name {name!r} must start with an uppercase letter", line_no)
+
+
 def _parse_attribute(text: str, line_no: int,
                      diagnostics: list[Diagnostic]) -> RdsAttribute | None:
     match = _UNDERLINED_RE.match(text)
     if match is not None:
+        if not match.group(1)[0].isupper():
+            diagnostics.append(_not_capitalized(match.group(1), line_no))
         if match.group(2) is not None:
             diagnostics.append(
                 Diagnostic("INVARIANT", Severity.ERROR,
@@ -84,6 +96,9 @@ def _parse_attribute(text: str, line_no: int,
         )
         return None
     prefix, name, rel, v2, v3, v4 = match.groups()
+    for part in (prefix, name, rel):
+        if part is not None and not part[0].isupper():
+            diagnostics.append(_not_capitalized(part, line_no))
     suffix = FkSuffix(rel, v2, v3, v4) if rel is not None else None
     if prefix is not None and suffix is None:
         diagnostics.append(
@@ -101,10 +116,11 @@ def parse_rds(text: str, path: str = "<rds>") -> tuple[RelationalSchema | None,
     schema never comes with a diagnostic, and every diagnostic is an error.
 
     Enforces the attribute laws (prefix implies suffix, underlined excludes
-    suffix) and relation-name uniqueness.  Whether underlined attributes lead
-    the relation is left to classification: only transformer output promises
-    that, and hand-written files are still parseable.  ``path`` is unused,
-    as in ``parse_er``.
+    suffix), relation-name uniqueness, and names that start with an
+    upper-case letter (``R2.5.1``, in the validator's words).  Whether
+    underlined attributes lead the relation is left to classification: only
+    transformer output promises that, and hand-written files are still
+    parseable.  ``path`` is unused, as in ``parse_er``.
     """
     schema = RelationalSchema()
     diagnostics: list[Diagnostic] = []
@@ -123,6 +139,8 @@ def parse_rds(text: str, path: str = "<rds>") -> tuple[RelationalSchema | None,
             )
             continue
         name, body = match.groups()
+        if not name[0].isupper():
+            diagnostics.append(_not_capitalized(name, line_no))
         if name in seen:
             diagnostics.append(
                 Diagnostic("REF", Severity.ERROR,

@@ -340,7 +340,7 @@ def normalize_model(model: ERModel) -> ERModel:
         for w in model.weak_entities
     )
     # Elements already in normal form are kept, and so is a model made only
-    # of them, with the lookups and ratios it has computed.
+    # of them, with the ratios it has computed.
     entities = tuple(entities)
     if entities == model.entities and weaks == model.weak_entities:
         return model

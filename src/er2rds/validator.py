@@ -77,10 +77,15 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
     found: list[Diagnostic] = []
     # Names declared so far, which a weak entity or a relationship may not
     # take; two entities or subtypes that share a name are left to CLASH.
+    # References resolve against the names of the entities and subtypes.
     declared: set[str] = set()
+    entities: set[str] = set()
+    subtypes: set[str] = set()
+    participants = None  # of all relationships, once an attribute-free subtype asks
     for entity in model.entities:
         name = entity.name
         declared.add(name)
+        entities.add(name)
         matches = matching_keys(entity)
         if not matches:
             found.append(Diagnostic(
@@ -96,12 +101,15 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
     for subtype in model.subtypes:
         name = subtype.name
         declared.add(name)
-        if not subtype.attributes and not model.relationships_involving(name):
+        subtypes.add(name)
+        if not subtype.attributes and participants is None:
+            participants = {p for rel in model.relationships for p in rel.participants()}
+        if not subtype.attributes and name not in participants:
             found.append(Diagnostic(
                 "R2.2.1-I", _ERROR, f"subtype {name!r} has no intrinsic attribute "
                 f"and participates in no relationship", element=f"subtype {name}"))
         _check_name(found, name, "subtype", name, plural_check=True)
-        if model.entity(subtype.supertype) is None:
+        if subtype.supertype not in entities:
             found.append(Diagnostic(
                 "REF", _ERROR, f"supertype {subtype.supertype!r} is not a regular "
                 f"entity type", element=f"subtype {name}"))
@@ -118,7 +126,7 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
                 found.append(Diagnostic("REF", _ERROR, f"name {taken!r} is already "
                                         f"declared", element=f"weak {name}"))
             declared.add(taken)
-        if model.entity(weak.owner) is None:
+        if weak.owner not in entities:
             found.append(Diagnostic(
                 "REF", _ERROR, f"owner {weak.owner!r} is not a regular entity type",
                 element=f"weak {name}"))
@@ -136,9 +144,9 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
         kinds = []
         for endpoint in rel.endpoints:
             participant = endpoint.participant
-            if model.entity(participant) is not None:
+            if participant in entities:
                 kinds.append("entity")
-            elif model.subtype(participant) is not None:
+            elif participant in subtypes:
                 kinds.append("subtype")
             else:
                 found.append(Diagnostic(

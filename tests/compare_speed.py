@@ -19,12 +19,18 @@ each tree's ``cli.main``, in memory apart from the input files:
 
 First, 20,000 models are built in code in both trees from one fixed seed
 (generator seed 19), with names drawn from a small alphabet of capitalized,
-lowercase, plural, non-alphabetic and dangling names.  ``validate_notation``
-must return the same ``(rule_id, severity, message, line, column,
-element)`` list in both trees for each of them, with ``allow_extensions``
-false and true.  Parsed text never reaches ``R2.5.2`` or ``REF``, since the
-parser refuses such names and references, so only these models can show a
-difference in those rules.
+lowercase, plural, non-alphabetic and dangling names.  With ``extensions``
+false and true, ``validate_notation`` must return the same ``(rule_id,
+severity, message, line, column, element)`` list in both trees for each of
+them, and ``forward.gated_transform`` the same emitted schema text (or
+None), events and diagnostics.  Parsed text never reaches ``R2.5.2`` or
+``REF``, since the parser refuses such names and references, and never
+repeats an entity or subtype name, so only models built in code can show a
+difference in those rules or in the steps' choice among elements of one
+name.  Few of these 20,000 pass the gate, so a second batch of 20,000
+(generator seed 23) draws only clean names: entities, subtypes and
+multivalued attributes of a few names each, so that the steps often meet
+two entities or two subtypes of one name.
 
 Before any timing, every op of both workloads must give the same exit code,
 stdout and stderr in both trees, and so must a wider set of calls that is
@@ -100,6 +106,12 @@ ATTRIBUTES = ("AlpNo", "AlpId", "BraNo", "GamNo", "ClaNo", "DelNo", "salary",
               "Hours", "Start_Date", "Grade2", "Class")
 ATTRIBUTE_KINDS = ("key", "simple", "multi")
 PAIRS = (("0", "1"), ("1", "1"), ("0", "n"), ("1", "n"))
+# A second batch draws only clean names, so that most of its models pass the
+# gate and the steps meet entities and subtypes that share a name.
+STEP_MODELS = 20000
+STEP_SEED = 23
+STEP_ENTITIES = (("Alpha", "AlpNo"), ("Bravo", "BraNo"), ("Gamma", "GamNo"))
+STEP_SUBTYPES = ("Xray", "Yank")
 
 
 def load(src: Path, name: str):
@@ -139,6 +151,24 @@ def model_spec(rng: random.Random) -> tuple:
     return entities, subtypes, weak, relationships
 
 
+def step_spec(rng: random.Random) -> tuple:
+    """One model in the form of ``model_spec`` with clean names only: 1-3
+    entities over three names, each with its key and at most one more
+    attribute, 0-2 subtypes over two names and 0-2 relationships."""
+    entities = tuple(
+        (name, ((key, "key"), *[(rng.choice(("Mx", "My")), rng.choice(("simple", "multi")))
+                                 for _ in range(rng.randint(0, 1))]))
+        for name, key in (rng.choice(STEP_ENTITIES) for _ in range(rng.randint(1, 3))))
+    subtypes = tuple((rng.choice(STEP_SUBTYPES), rng.choice(STEP_ENTITIES)[0],
+                      (("Grade", "simple"),) * rng.randint(0, 1))
+                     for _ in range(rng.randint(0, 2)))
+    participants = [name for name, _ in STEP_ENTITIES] + list(STEP_SUBTYPES)
+    relationships = tuple(
+        (name, tuple((rng.choice(participants), *rng.choice(PAIRS)) for _ in range(2)), ())
+        for name in ("Rel", "Tie")[:rng.randint(0, 2)])
+    return entities, subtypes, (), relationships
+
+
 def build_model(package, spec: tuple):
     """The ``ERModel`` of ``package`` that ``spec`` describes."""
     entities, subtypes, weak, relationships = spec
@@ -169,29 +199,51 @@ def build_model(package, spec: tuple):
     )
 
 
-def check_validator(old, new, models: int = VALIDATOR_MODELS,
+def check_validator(old, new, draw=model_spec, models: int = VALIDATOR_MODELS,
                     seed: int = VALIDATOR_SEED) -> None:
     """Exit at the first model built in code on which the two packages'
-    ``validate_notation`` differ under either ``allow_extensions`` value;
-    otherwise print how many runs were compared and how many had findings."""
+    ``validate_notation`` or ``forward.gated_transform`` differ under either
+    ``extensions`` value; otherwise print how many runs were compared, how
+    many had findings and how many transformed."""
     rng = random.Random(seed)
-    with_findings = 0
+    with_findings = transformed = 0
     for index in range(models):
-        spec = model_spec(rng)
+        spec = draw(rng)
         built = build_model(old, spec), build_model(new, spec)
         for extensions in (False, True):
             old_found, new_found = (
-                [(d.rule_id, d.severity.value, d.message, d.line, d.column, d.element)
-                 for d in package.validate_notation(model, extensions)]
+                rows(package.validate_notation(model, extensions))
                 for package, model in zip((old, new), built))
             if old_found != new_found:
                 sys.exit(f"compare_speed: validate_notation differs on model "
                          f"{index} (seed {seed}, allow_extensions={extensions}): "
                          f"{spec}")
             with_findings += bool(old_found)
-    print(f"validator: {models} models built in code give identical "
-          f"validate_notation results under both allow_extensions values "
-          f"({with_findings} of {2 * models} runs with findings)")
+            old_gated, new_gated = (
+                gated(package, model, extensions)
+                for package, model in zip((old, new), built))
+            if old_gated != new_gated:
+                sys.exit(f"compare_speed: gated_transform differs on model "
+                         f"{index} (seed {seed}, extensions={extensions}): {spec}")
+            transformed += old_gated[0] is not None
+    print(f"{draw.__name__}: {models} models built in code give identical "
+          f"validate_notation and gated_transform results under both extensions "
+          f"values ({with_findings} of {2 * models} runs with findings, "
+          f"{transformed} transformed)")
+
+
+def rows(diagnostics) -> list[tuple]:
+    return [(d.rule_id, d.severity.value, d.message, d.line, d.column, d.element)
+            for d in diagnostics]
+
+
+def gated(package, model, extensions: bool) -> tuple:
+    """``forward.gated_transform`` as plain data: the emitted schema text or
+    None, the events, and the diagnostics as tuples."""
+    schema, events, diagnostics = package.forward.gated_transform(
+        model, package.TransformConfig(extensions=extensions))
+    return (None if schema is None else package.emit_rds(schema), events,
+            rows(diagnostics))
 
 
 def write_inputs(work: Path, seed: int, new_src: Path) -> dict[str, list[list[str]]]:
@@ -342,6 +394,7 @@ def main() -> None:
     old_package = load(args.old_src.resolve(), "er2rds_old")
     new_package = load(args.new_src.resolve(), "er2rds_new")
     check_validator(old_package, new_package)
+    check_validator(old_package, new_package, step_spec, STEP_MODELS, STEP_SEED)
     old, new = old_package.cli.main, new_package.cli.main
 
     with tempfile.TemporaryDirectory() as work:

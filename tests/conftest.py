@@ -11,6 +11,12 @@ def golden_path(name: str) -> pathlib.Path:
     return GOLDEN / name
 
 
+def named(elements, name: str):
+    """The first of ``elements`` (an element tuple of a model) called
+    ``name``, or None."""
+    return next((element for element in elements if element.name == name), None)
+
+
 def assert_well_formed(schema) -> None:
     """The schema reads back from its own text unchanged and without a
     diagnostic, and each relation leads with all of its underlined

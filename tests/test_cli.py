@@ -217,6 +217,24 @@ class TestReverse:
         assert main(["reverse", str(orphan)]) == 2
         assert "CLASSIFY" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reverse", "ddl"])
+    def test_a_lower_case_name_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                            command):
+        # The .er text a reversal would write is one that validate refuses.
+        lower = tmp_path / "lower.rds"
+        lower.write_text("dept[_DepNo_, Name]\n"
+                         "Project[_ProNo_, DepNo(controls, 1, 1, n)]\n")
+        assert main([command, str(lower), "-o", str(tmp_path / "out")]) == 2
+        assert list(tmp_path.iterdir()) == [lower]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"{lower}:1: error[R2.5.1]: name 'dept' must start with an uppercase "
+            f"letter",
+            f"{lower}:2: error[R2.5.1]: name 'controls' must start with an "
+            f"uppercase letter",
+        ]
+
     def test_classification_warnings_exit_one(self, tmp_path, capsys):
         shared = tmp_path / "shared.rds"
         shared.write_text("Abc[_AbcNo_, Name]\nAbcd[_AbcNo_, Size]\n")

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import golden_path
+from conftest import golden_path, named
 from er2rds import emit_er, er_text, format_diagnostic, parse_er
 from er2rds.model import AttributeKind, Severity
 from genmodels import generate_model
@@ -34,7 +34,7 @@ class TestParsing:
             ["Controls", "Manages", "Consult"]
 
     def test_attribute_kinds_follow_member_keywords(self, company_model):
-        department = company_model.entity("Department")
+        department = named(company_model.entities, "Department")
         kinds = [(a.name, a.kind) for a in department.attributes]
         assert kinds == [
             ("DepNo", AttributeKind.KEY),
@@ -60,7 +60,7 @@ class TestParsing:
 
     def test_members_may_appear_in_any_order(self):
         model = parse_clean("entity Employee { attr Name; key EmpNo; }")
-        assert [a.name for a in model.entity("Employee").attributes] == \
+        assert [a.name for a in named(model.entities, "Employee").attributes] == \
             ["Name", "EmpNo"]
 
     def test_uppercase_n_maximum_is_normalized(self):
@@ -76,7 +76,7 @@ class TestParsing:
         model = parse_clean(
             "// a comment\n\nentity Employee { // inline\n  key EmpNo;\n}\n"
         )
-        assert model.entity("Employee") is not None
+        assert named(model.entities, "Employee") is not None
 
     def test_empty_input_is_an_empty_model(self):
         assert parse_clean("") is not None

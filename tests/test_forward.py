@@ -619,6 +619,17 @@ def _element_list_walks(n):
     return {name: elements.iterations for name, elements in counted.items()}
 
 
+def _validator_relationship_walks(n):
+    # Attribute-free subtypes, each in a one-to-one relationship, so that
+    # R2.2.1-I needs the participants of the relationships.
+    base = scaled_model(n)
+    relationships = _CountingTuple(base.relationships)
+    subtypes = tuple(dataclasses.replace(s, attributes=()) for s in base.subtypes)
+    validate_notation(dataclasses.replace(base, subtypes=subtypes,
+                                          relationships=relationships))
+    return relationships.iterations
+
+
 def _relation_comparisons(n, monkeypatch):
     compared = []
     original = Relation.__eq__
@@ -635,7 +646,18 @@ def _relation_comparisons(n, monkeypatch):
 
 class TestLinearLookups:
     def test_element_lists_are_walked_as_often_at_every_size(self):
-        assert _element_list_walks(20) == _element_list_walks(80)
+        # validate_notation twice (alone, then in transform_model's gate) and
+        # the steps once, which resolve names from these walks; the ratios
+        # take one more walk of the relationships.  Every subtype of
+        # scaled_model has an attribute, so the validator never collects the
+        # participants.
+        assert _element_list_walks(20) == _element_list_walks(80) == {
+            "entities": 3, "subtypes": 3, "relationships": 4}
+
+    def test_the_validator_collects_the_participants_once(self):
+        # the ratios, the participants and the relationship loop
+        assert _validator_relationship_walks(20) == 3
+        assert _validator_relationship_walks(80) == 3
 
     def test_moving_relations_to_the_end_compares_as_often_at_every_size(
             self, monkeypatch):
@@ -649,7 +671,6 @@ class TestLinearLookups:
             RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),)),
             RegularEntityType("Alpha", (Attribute("AlpCode", AttributeKind.KEY),)),
         ))
-        assert model.entity("Alpha") is model.entities[0]
         assert clashes(model) == [("Alpha", "two relations are named 'Alpha'")]
 
     def test_an_entity_and_a_subtype_named_alike(self):
@@ -660,9 +681,37 @@ class TestLinearLookups:
             ),
             subtypes=(Subtype("Bravo", "Alpha", (Attribute("Grade"),)),),
         )
-        assert model.entity("Bravo") is model.entities[1]
-        assert model.subtype("Bravo") is model.subtypes[0]
         assert clashes(model) == [("Bravo", "two relations are named 'Bravo'")]
+
+
+class TestFirstDeclarationWins:
+    """Only a model built in code repeats an entity or subtype name; the
+    steps then resolve the name to its first declaration."""
+
+    def test_the_first_entity_of_a_name_owns_the_multivalued_attributes(self):
+        model = ERModel(entities=tuple(
+            RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),
+                                        Attribute(multi, AttributeKind.MULTIVALUED)))
+            for multi in ("Mx", "My")))
+        assert clashes(model) == [("Alpha", "two relations are named 'Alpha'"),
+                                  ("Mx", "two relations are named 'Mx'")]
+
+    def test_a_prefixed_key_is_the_first_subtypes_supertypes(self):
+        one = CardinalityPair("1", "1")
+        model = ERModel(
+            entities=tuple(RegularEntityType(name, (Attribute(key, AttributeKind.KEY),))
+                           for name, key in (("Alpha", "AlpNo"), ("Bravo", "BraNo"),
+                                             ("Gamma", "GamNo"))),
+            subtypes=(Subtype("Xray", "Alpha"), Subtype("Xray", "Bravo")),
+            relationships=(RelationshipType("Rel", (
+                RelationshipEndpoint("Xray", one), RelationshipEndpoint("Gamma", one))),),
+        )
+        schema, _ = transform_model(model)
+        assert emit_rds(schema) == (
+            "Alpha[_AlpNo_]\n"
+            "Bravo[_BraNo_]\n"
+            "Gamma[_GamNo_, Xray-AlpNo(Rel, 1, 1, 1)]\n"
+        )
 
 
 class TestRatiosOnce:

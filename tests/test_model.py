@@ -16,8 +16,6 @@ from er2rds import (
     RelationshipEndpoint,
     RelationshipType,
     Severity,
-    Subtype,
-    WeakEntityType,
     format_diagnostic,
     ratio_class,
     transform_model,
@@ -122,45 +120,6 @@ class TestEntityAccessors:
 
     def test_multivalued_attributes(self):
         assert [a.name for a in self.entity.multivalued_attributes()] == ["Location"]
-
-
-class TestModelLookups:
-    # Every name appears twice, once per tuple; only the first is reachable.
-    firsts = (
-        RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),)),
-        Subtype("Bravo", "Alpha", (Attribute("Grade"),)),
-        WeakEntityType("Cedar", "Alpha", "CedarOf",
-                       Attribute("Seq", AttributeKind.PARTIAL_KEY)),
-        rel("Delta", "1", "n"),
-    )
-    seconds = (
-        RegularEntityType("Alpha", (Attribute("AlpCode", AttributeKind.KEY),)),
-        Subtype("Bravo", "Alpha", (Attribute("Rank"),)),
-        WeakEntityType("Cedar", "Alpha", "CedarOf",
-                       Attribute("Pos", AttributeKind.PARTIAL_KEY)),
-        rel("Delta", "n", "1"),
-    )
-    model = ERModel(*zip(firsts, seconds))
-
-    def test_a_repeated_name_resolves_to_its_first_declaration(self):
-        entity, subtype = self.firsts[:2]
-        assert self.model.entity("Alpha") is entity
-        assert self.model.subtype("Bravo") is subtype
-
-    def test_unknown_names_resolve_to_nothing(self):
-        assert self.model.entity("Bravo") is None
-        assert self.model.subtype("Alpha") is None
-        assert self.model.relationships_involving("Alpha") == ()
-
-    def test_relationships_involving_keeps_declaration_order(self):
-        loop = RelationshipType("Loop", (
-            RelationshipEndpoint("A", CardinalityPair("0", "1")),
-            RelationshipEndpoint("A", CardinalityPair("0", "n")),
-        ))
-        model = ERModel(relationships=(rel("Ra", "1", "n"), loop, rel("Rb", "n", "1")))
-        assert [r.name for r in model.relationships_involving("A")] == \
-            ["Ra", "Loop", "Rb"]
-        assert [r.name for r in model.relationships_involving("B")] == ["Ra", "Rb"]
 
 
 class TestRdsAttributeDisplay:

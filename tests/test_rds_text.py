@@ -3,9 +3,12 @@ import random
 import pytest
 
 from conftest import golden_path
-from er2rds import FkSuffix, RdsAttribute, Relation, RelationalSchema, emit_rds, parse_rds
+from er2rds import (
+    Attribute, AttributeKind, ERModel, FkSuffix, RdsAttribute, RegularEntityType,
+    Relation, RelationalSchema, emit_rds, parse_rds, validate_notation,
+)
 from er2rds.model import Severity
-from er2rds.rds_text import render_attribute, render_relation
+from er2rds.rds_text import render_attribute, render_relation, render_suffix
 
 MALFORMED_LINES = ["Employee", "Employee[_EmpNo_", "Emp loyee[_EmpNo_]"]
 MALFORMED_ATTRIBUTES = [
@@ -13,6 +16,14 @@ MALFORMED_ATTRIBUTES = [
     "DepNo(Controls, 1, 1, x)",
     "DepNo(Controls, 2, 1, n)",
     "_Emp_No_",
+]
+# Each with one name, the second item, that starts in lower case.
+LOWER_CASE_NAMES = [
+    ("dept[_DepNo_, Name]", "dept"),
+    ("Dept[_depNo_, Name]", "depNo"),
+    ("Dept[_DepNo_, name]", "name"),
+    ("Dept[_DepNo_, manager-EmpNo(Manages, 1, 1, 1)]", "manager"),
+    ("Dept[_DepNo_, EmpNo(manages, 1, 1, 1)]", "manages"),
 ]
 # Every other text the tests below read.
 TEXTS = [
@@ -45,6 +56,7 @@ class TestRendering:
 
     def test_suffixed(self):
         attr = RdsAttribute("DepNo", suffix=FkSuffix("Controls", "1", "1", "n"))
+        assert render_suffix(attr.suffix) == "(Controls, 1, 1, n)"
         assert render_attribute(attr) == "DepNo(Controls, 1, 1, n)"
 
     def test_prefixed_and_suffixed(self):
@@ -157,6 +169,21 @@ class TestParseErrors:
         assert schema is None
         assert rule_ids(diagnostics) == ["REF"]
 
+    @pytest.mark.parametrize("text, name", LOWER_CASE_NAMES)
+    def test_names_must_start_in_upper_case(self, text, name):
+        schema, diagnostics = parse_rds(f"Employee[_EmpNo_]\n{text}")
+        assert schema is None
+        assert [(d.rule_id, d.severity, d.message, d.line) for d in diagnostics] == [
+            ("R2.5.1", Severity.ERROR,
+             f"name {name!r} must start with an uppercase letter", 2)]
+
+    def test_a_lower_case_name_is_refused_in_the_validators_words(self):
+        _, diagnostics = parse_rds("dept[_DepNo_]")
+        model = ERModel(entities=(
+            RegularEntityType("dept", (Attribute("DepNo", AttributeKind.KEY),)),))
+        assert [d.message for d in diagnostics] == [
+            d.message for d in validate_notation(model) if d.rule_id == "R2.5.1"]
+
     def test_diagnostics_carry_line_numbers(self):
         _, diagnostics = parse_rds("Employee[_EmpNo_]\nbroken line\n")
         assert diagnostics[0].line == 2
@@ -177,7 +204,7 @@ def company_mutants(company_rds_text, count=1000):
 class TestValueOrErrors:
     def test_every_text_reads_to_a_schema_or_to_errors(self, company_rds_text):
         # the contract the command-line pipeline relies on
-        texts = [*TEXTS, *MALFORMED_LINES,
+        texts = [*TEXTS, *MALFORMED_LINES, *(text for text, _ in LOWER_CASE_NAMES),
                  *(f"Employee[{attr}]" for attr in MALFORMED_ATTRIBUTES),
                  company_rds_text,
                  golden_path("company_consult_project.rds").read_text(encoding="utf-8"),

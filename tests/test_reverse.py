@@ -1,3 +1,5 @@
+import pytest
+
 from er2rds import (
     Diagnostic,
     FkSuffix,
@@ -15,10 +17,12 @@ from er2rds import (
     reconstruct_sog_choices,
     render_ddl,
     reverse_transform,
+    transform_model,
 )
 from er2rds import ddl, reverse
 from er2rds.reverse import RelationKind
-from conftest import golden_path
+from conftest import golden_path, named
+from genmodels import scaled_model
 
 
 def schema_of(text):
@@ -120,7 +124,7 @@ class TestReverseGolden:
 
     def test_the_prefix_resurrects_a_subtype_without_a_relation(self, company_schema):
         model, _ = reverse_transform(company_schema)
-        manager = model.subtype("Manager")
+        manager = named(model.subtypes, "Manager")
         assert manager is not None
         assert manager.supertype == "Employee"
         assert manager.attributes == ()
@@ -135,7 +139,7 @@ class TestReverseGolden:
 
     def test_multivalued_attributes_return_to_their_owner(self, company_schema):
         model, _ = reverse_transform(company_schema)
-        department = model.entity("Department")
+        department = named(model.entities, "Department")
         assert [a.name for a in department.multivalued_attributes()] == ["Location"]
 
     def test_weak_entities_are_rebuilt_with_a_generated_identifying_name(
@@ -192,6 +196,38 @@ class TestOneKeyOwnerMap:
         sql = golden_path("company.sql").read_text(encoding="utf-8")
         assert render_ddl(company_schema) == (sql, [])
         assert calls == [company_schema]
+
+
+class _CountingList(list):
+    """A relation list that counts its walks: iterations, and the scans
+    that ``in`` and ``index`` make."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def __contains__(self, item):
+        self.walks += 1
+        return super().__contains__(item)
+
+    def index(self, *args):
+        self.walks += 1
+        return super().index(*args)
+
+
+def _relation_list_walks(stage, n):
+    schema, _ = transform_model(scaled_model(n))
+    schema.relations = _CountingList(schema.relations)
+    stage(schema)
+    return schema.relations.walks
+
+
+class TestLinearWalks:
+    @pytest.mark.parametrize("stage", [reverse_transform, render_ddl])
+    def test_the_relation_list_is_walked_as_often_at_every_size(self, stage):
+        assert _relation_list_walks(stage, 20) == _relation_list_walks(stage, 80)
 
 
 class TestOrderNotes:
@@ -307,7 +343,7 @@ class TestModelComparison:
             "entity Employee { attr Name; key SSN; key EmpNo; multi Skill; attr Age; }"
         )
         normalized = normalize_model(model)
-        assert [a.name for a in normalized.entity("Employee").attributes] == \
+        assert [a.name for a in named(normalized.entities, "Employee").attributes] == \
             ["EmpNo", "SSN", "Name", "Age", "Skill"]
 
     def test_normalization_renames_identifying_relationships(self):
