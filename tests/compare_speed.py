@@ -106,8 +106,9 @@ ATTRIBUTES = ("AlpNo", "AlpId", "BraNo", "GamNo", "ClaNo", "DelNo", "salary",
               "Hours", "Start_Date", "Grade2", "Class")
 ATTRIBUTE_KINDS = ("key", "simple", "multi")
 PAIRS = (("0", "1"), ("1", "1"), ("0", "n"), ("1", "n"))
-# A second batch draws only clean names, so that most of its models pass the
-# gate and the steps meet entities and subtypes that share a name.
+# A second batch draws only clean names, so that more of its models pass the
+# gate (about one run in ten) and the steps meet entities and subtypes that
+# share a name.
 STEP_MODELS = 20000
 STEP_SEED = 23
 STEP_ENTITIES = (("Alpha", "AlpNo"), ("Bravo", "BraNo"), ("Gamma", "GamNo"))
