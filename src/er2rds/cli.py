@@ -24,7 +24,7 @@ import sys
 from .ddl import render_ddl
 from .er_text import emit_er, parse_er
 from .errors import PrerequisiteFailed, TransformError
-from .forward import TraceEntry, TransformConfig, _Replay, gated_transform
+from .forward import TraceEntry, TransformConfig, gated_transform, trace_entries
 from .model import ERModel, RelationalSchema, format_diagnostic, has_errors
 from .rds_text import emit_rds, parse_rds
 from .reverse import reverse_transform, run_roundtrip
@@ -93,7 +93,7 @@ def cmd_check(args: argparse.Namespace, model: ERModel) -> int:
         return EXIT_ERRORS
     if args.command == "transform":
         if args.trace:
-            _print_trace(_Replay(events, schema).entries())
+            _print_trace(trace_entries(events, schema))
         _write_output(emit_rds(schema), args.output)
     return _exit_code(diagnostics)
 

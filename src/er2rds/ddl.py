@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .model import Diagnostic, RelationalSchema, Severity, leading_underline_count
 from .rds_text import render_suffix
-from .reverse import RelationKind, _classify
+from .reverse import RelationKind, classify_relations
 
 
 # SQLite's keywords (https://www.sqlite.org/lang_keywords.html), in upper case.
@@ -45,7 +45,7 @@ def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
     An unresolvable reference becomes a comment plus a warning diagnostic.
     The diagnostics of classification come first.
     """
-    kinds, owners, diagnostics = _classify(schema)
+    kinds, owners, diagnostics = classify_relations(schema)
 
     statements = []
     for relation in schema.relations:

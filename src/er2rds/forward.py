@@ -8,6 +8,9 @@ relations.  Foreign keys carry a bracketed suffix naming the relationship
 and three cardinality variables, so the whole transformation stays
 reversible.  ``gated_transform`` is the one gate every caller goes through:
 notation validation before the steps, a check for clashing names after.
+The steps record one event per relation created or extended;
+``trace_entries`` turns a run's events into its trace, whose entries share
+the events and replay them only when their ``schema_after`` is read.
 
 Ordering rules that the reverse direction depends on:
 
@@ -73,53 +76,47 @@ class TransformConfig:
     extensions: bool = False
 
 
+# (step, subject, relation, width, at_end), as in TraceEntry
+_Event = tuple[str, str, str, int, bool]
+
+
 @dataclass(frozen=True)
 class TraceEntry:
     """One step event: the step created or extended ``relation`` to
     ``width`` attributes, and the relation ends the schema when ``at_end``.
-    ``schema_after`` renders the schema as it stood after the event."""
+    ``schema_after`` renders the schema as it stood after the event, by
+    replaying the run's events up to this one over the final attributes."""
 
     step: str
     subject: str
     relation: str
     width: int
     at_end: bool
-    _replay: _Replay = field(repr=False, compare=False)
+    _events: tuple[_Event, ...] = field(repr=False, compare=False)
+    _final: dict[str, tuple[RdsAttribute, ...]] = field(repr=False, compare=False)
     _position: int = field(repr=False, compare=False)
 
     @property
     def schema_after(self) -> tuple[str, ...]:
-        return self._replay.schema_after(self._position)
-
-
-# (step, subject, relation, width, at_end), as in TraceEntry
-_Event = tuple[str, str, str, int, bool]
-
-
-class _Replay:
-    """Renders intermediate schemas from one transformation's events.
-
-    Steps only ever append attributes and move a relation to the end, so
-    each intermediate relation is a prefix of its final form.  The final
-    attributes are copied once, so later changes to the returned schema
-    leave the trace as it was."""
-
-    def __init__(self, events: list[_Event], schema: RelationalSchema):
-        self.events = tuple(events)
-        self.final = {r.name: tuple(r.attributes) for r in schema.relations}
-
-    def entries(self) -> list[TraceEntry]:
-        return [TraceEntry(*event, self, position)
-                for position, event in enumerate(self.events)]
-
-    def schema_after(self, position: int) -> tuple[str, ...]:
+        # Steps only ever append attributes and move a relation to the end,
+        # so each intermediate relation is a prefix of its final form.
         widths: dict[str, int] = {}
-        for _, _, relation, width, at_end in self.events[:position + 1]:
+        for _, _, relation, width, at_end in self._events[:self._position + 1]:
             if at_end:
                 widths.pop(relation, None)
             widths[relation] = width
-        return tuple(render_relation(Relation(name, list(self.final[name][:width])))
+        return tuple(render_relation(Relation(name, list(self._final[name][:width])))
                      for name, width in widths.items())
+
+
+def trace_entries(events: list[_Event], schema: RelationalSchema) -> list[TraceEntry]:
+    """One entry per event of a run that built ``schema``.  The final
+    attributes are copied once, so later changes to the schema leave the
+    trace as it was."""
+    shared = tuple(events)
+    final = {r.name: tuple(r.attributes) for r in schema.relations}
+    return [TraceEntry(*event, shared, final, position)
+            for position, event in enumerate(shared)]
 
 
 def transform_regular(entity: RegularEntityType) -> Relation:
@@ -183,9 +180,8 @@ def transform_weak(weak: WeakEntityType, relations: dict[str, Relation]) -> Rela
 def _check_side_choices(model: ERModel, cfg: TransformConfig) -> None:
     if not cfg.sog_choice:
         return
-    by_name: dict[str, tuple[RelationshipType, Ratio]] = {}  # the first of each name
-    for rel, ratio in zip(model.relationships, model.ratios):
-        by_name.setdefault(rel.name, (rel, ratio))
+    by_name = {rel.name: (rel, ratio)
+               for rel, ratio in zip(model.relationships, model.ratios)}
     for rel_name, participant in cfg.sog_choice.items():
         if rel_name not in by_name:
             raise BadSideChoice(f"unknown relationship {rel_name!r} in side choice")
@@ -211,12 +207,13 @@ def transform_model(model: ERModel,
     reference is a REF error), or a CLASH where the steps built two
     relations or two attributes of one name.  Raises BadSideChoice for a
     side choice that names no one-to-one relationship or no participant of
-    it.  Each trace entry records one event; nothing is rendered until some
-    entry's ``schema_after`` is read."""
+    it.  The trace is ``trace_entries`` of the run's events: each entry
+    records one event, and nothing is rendered until some entry's
+    ``schema_after`` is read."""
     schema, events, diagnostics = gated_transform(model, cfg or TransformConfig())
     if schema is None:
         raise PrerequisiteFailed(diagnostics)
-    return schema, _Replay(events, schema).entries()
+    return schema, trace_entries(events, schema)
 
 
 def gated_transform(model: ERModel, cfg: TransformConfig
@@ -259,10 +256,11 @@ def _clashes(schema: RelationalSchema) -> list[Diagnostic]:
 def _transform_steps(model: ERModel, cfg: TransformConfig
                      ) -> tuple[RelationalSchema, list[_Event]]:
     """The six steps on a model that passed notation validation; returns the
-    schema and one event per step.  The steps check nothing themselves: they
-    index name maps that keep the first relation, entity or supertype of each
-    name, and the notation gate has made sure every name they look up is
-    there."""
+    schema and one event per step.  The steps check nothing themselves: the
+    notation gate has made sure that every name they look up is there and
+    that no two elements share a name.  Only the relation map can still meet
+    a repeated name, which it resolves to the first relation and which the
+    gate then reports as a ``CLASH``."""
     _check_side_choices(model, cfg)
 
     schema = RelationalSchema()
@@ -276,7 +274,7 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
 
     entities: dict[str, RegularEntityType] = {}
     for entity in model.entities:
-        entities.setdefault(entity.name, entity)
+        entities[entity.name] = entity
         add(STEP_REGULAR, entity.name, transform_regular(entity))
 
     # The relationships of each step, in declaration order, from the ratios
@@ -299,7 +297,7 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
     hosts.update(cfg.sog_choice.values())
     supertypes: dict[str, str] = {}
     for subtype in model.subtypes:
-        supertypes.setdefault(subtype.name, subtype.supertype)
+        supertypes[subtype.name] = subtype.supertype
         if not subtype.attributes and subtype.name not in hosts:
             continue
         add(STEP_SUBTYPE, subtype.name, transform_subtype(subtype, relations))

@@ -63,19 +63,12 @@ class RelationKind(Enum):
 
 
 def classify_relations(schema: RelationalSchema
-                       ) -> tuple[dict[str, RelationKind], list[Diagnostic]]:
-    """Classify every relation; an unclassifiable relation, or one whose name
-    an earlier relation took, yields an error diagnostic and stays out of the
-    returned map."""
-    kinds, _, diagnostics = _classify(schema)
-    return kinds, diagnostics
-
-
-def _classify(schema: RelationalSchema
-              ) -> tuple[dict[str, RelationKind], dict[str, str], list[Diagnostic]]:
-    """``classify_relations``, plus the map it builds on the way from each
-    primary-key name to the first regular relation owning it, which reversal
-    and the DDL projection reuse."""
+                       ) -> tuple[dict[str, RelationKind], dict[str, str],
+                                  list[Diagnostic]]:
+    """Classify every relation; returns the kinds, the map from each
+    primary-key name to the first regular relation owning it, and the
+    diagnostics.  An unclassifiable relation, or one whose name an earlier
+    relation took, yields an error diagnostic and stays out of the kinds."""
     regular, subtype = RelationKind.REGULAR_ENTITY, RelationKind.SUBTYPE
     multivalued, weak = RelationKind.MULTIVALUED, RelationKind.WEAK
     kinds: dict[str, RelationKind] = {}
@@ -197,7 +190,7 @@ def reverse_transform(schema: RelationalSchema
     Elements are rebuilt in schema discovery order: every regular relation
     first gives an entity, then each relation in turn gives its subtype,
     relationships, multivalued attribute or weak entity."""
-    kinds, owners, diagnostics = _classify(schema)
+    kinds, owners, diagnostics = classify_relations(schema)
     if has_errors(diagnostics):
         return None, diagnostics
     regular, subtype = RelationKind.REGULAR_ENTITY, RelationKind.SUBTYPE

@@ -2,13 +2,14 @@
 
 The catalog below is the stable diagnostic contract: rule ids appear in CLI
 output and tests match on them.  ``REF`` repeats the parser's reference
-checks and its check that a weak entity, its identifying relationship and a
-relationship take no name declared before them, with its messages and
-element names (``weak Badge``, ``rel Works``), so a model built in code
-meets the bar that parsed text does; the other rules answer whether the
-model sticks to the notation conventions the transformation relies on, and
-whether every relationship falls inside the supported transformation
-subset.  ``CLASH`` alone is checked on the schema the steps build, by
+checks and its check that no element, identifying relationship or
+relationship takes a name declared before it, with its messages and element
+names (``entity Alpha``, ``weak Badge``, ``rel Works``), and ``SUBSET`` its
+check of the participation values, so a model built in code meets the bar
+that parsed text does; the other rules answer whether the model sticks to
+the notation conventions the transformation relies on, and whether every
+relationship falls inside the supported transformation subset.  ``CLASH``
+alone is checked on the schema the steps build, by
 ``forward.gated_transform``.
 
 ``validate_notation`` walks the model once and reports in a fixed order:
@@ -21,25 +22,29 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .model import Diagnostic, ERModel, RatioKind, Severity, matching_keys
+from .model import MAX_MANY, Diagnostic, ERModel, RatioKind, Severity, matching_keys
 
 RULES: dict[str, str] = {
     "REF": "a subtype's supertype and a weak entity's owner are regular entity "
            "types; a relationship's participants are entity types or subtypes; "
-           "a weak entity or relationship takes no name declared before it",
+           "an element or relationship takes no name declared before it",
     "R2.4.2": "a regular entity type declares a key whose first three letters "
               "match the entity name's",
     "R2.5.1": "names are capitalized (singular form is advisory)",
     "R2.5.2": "names contain only alphabetic characters",
     "R2.2.1-I": "a subtype has an intrinsic attribute or participates in a "
                 "relationship",
-    "SUBSET": "a relationship is 1:N between two regular entity types or 1:1 "
-              "between a subtype and a regular entity type",
+    "SUBSET": "a relationship's minima are 0 or 1 and its maxima 1 or n, and it "
+              "is 1:N between two regular entity types or 1:1 between a subtype "
+              "and a regular entity type",
     "CLASH": "the transformation builds no two relations, and no two attributes "
              "of one relation, with the same name",
 }
 
 _ERROR, _WARNING = Severity.ERROR, Severity.WARNING
+# The participation values of the notation.
+_MINIMA = ("0", "1")
+_MAXIMA = ("1", MAX_MANY)
 
 
 def _check_name(found: list[Diagnostic], name: str, kind: str, owner: str,
@@ -75,17 +80,13 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
     """Check the rule catalog in one walk, in the order the module states.
     Checks run in rule-id order; only a weak entity's two names need a sort."""
     found: list[Diagnostic] = []
-    # Names declared so far, which a weak entity or a relationship may not
-    # take; two entities or subtypes that share a name are left to CLASH.
-    # References resolve against the names of the entities and subtypes.
-    declared: set[str] = set()
-    entities: set[str] = set()
-    subtypes: set[str] = set()
+    # The kind of each name declared so far, which no later element or
+    # relationship may take; references resolve against it.  Entities come
+    # first in model order, so every entity name maps to "entity".
+    declared: dict[str, str] = {}
     participants = None  # of all relationships, once an attribute-free subtype asks
     for entity in model.entities:
         name = entity.name
-        declared.add(name)
-        entities.add(name)
         matches = matching_keys(entity)
         if not matches:
             found.append(Diagnostic(
@@ -97,11 +98,14 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
                 f"attributes matching its name; {matches[0].name!r} is designated "
                 f"by declaration order", element=f"entity {name}"))
         _check_name(found, name, "entity", name, plural_check=True)
+        if name in declared:
+            found.append(Diagnostic("REF", _ERROR, f"name {name!r} is already declared",
+                                    element=f"entity {name}"))
+        else:
+            declared[name] = "entity"
         _check_attributes(found, "entity", name, entity.attributes)
     for subtype in model.subtypes:
         name = subtype.name
-        declared.add(name)
-        subtypes.add(name)
         if not subtype.attributes and participants is None:
             participants = {p for rel in model.relationships for p in rel.participants()}
         if not subtype.attributes and name not in participants:
@@ -109,7 +113,12 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
                 "R2.2.1-I", _ERROR, f"subtype {name!r} has no intrinsic attribute "
                 f"and participates in no relationship", element=f"subtype {name}"))
         _check_name(found, name, "subtype", name, plural_check=True)
-        if subtype.supertype not in entities:
+        if name in declared:
+            found.append(Diagnostic("REF", _ERROR, f"name {name!r} is already declared",
+                                    element=f"subtype {name}"))
+        else:
+            declared[name] = "subtype"
+        if declared.get(subtype.supertype) != "entity":
             found.append(Diagnostic(
                 "REF", _ERROR, f"supertype {subtype.supertype!r} is not a regular "
                 f"entity type", element=f"subtype {name}"))
@@ -125,8 +134,9 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
             if taken in declared:
                 found.append(Diagnostic("REF", _ERROR, f"name {taken!r} is already "
                                         f"declared", element=f"weak {name}"))
-            declared.add(taken)
-        if weak.owner not in entities:
+            else:
+                declared[taken] = "weak"
+        if declared.get(weak.owner) != "entity":
             found.append(Diagnostic(
                 "REF", _ERROR, f"owner {weak.owner!r} is not a regular entity type",
                 element=f"weak {name}"))
@@ -138,22 +148,36 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
         if name in declared:
             found.append(Diagnostic("REF", _ERROR, f"name {name!r} is already declared",
                                     element=f"rel {name}"))
-        declared.add(name)
+        else:
+            declared[name] = "rel"
         # One walk gives the REF findings and the kinds of the participants
         # that resolve, which SUBSET reads.
         kinds = []
         for endpoint in rel.endpoints:
             participant = endpoint.participant
-            if participant in entities:
-                kinds.append("entity")
-            elif participant in subtypes:
-                kinds.append("subtype")
+            kind = declared.get(participant)
+            if kind == "entity" or kind == "subtype":
+                kinds.append(kind)
             else:
                 found.append(Diagnostic(
                     "REF", _ERROR, f"participant {participant!r} is not an entity "
                     f"type or subtype", element=f"rel {name}"))
         first, second = rel.participants()
-        if first == second:
+        near, far = rel.endpoints[0].pair, rel.endpoints[1].pair
+        if (near.min not in _MINIMA or near.max not in _MAXIMA
+                or far.min not in _MINIMA or far.max not in _MAXIMA):
+            # Values outside the notation replace the shape finding.
+            message = None
+            for pair in (near, far):
+                if pair.min not in _MINIMA:
+                    found.append(Diagnostic(
+                        "SUBSET", _ERROR, f"minimum participation must be 0 or 1, "
+                        f"found {pair.min!r}", element=f"relationship {name}"))
+                if pair.max not in _MAXIMA:
+                    found.append(Diagnostic(
+                        "SUBSET", _ERROR, f"maximum participation must be 1 or n, "
+                        f"found {pair.max!r}", element=f"relationship {name}"))
+        elif first == second:
             message = (f"relationship {name!r} relates {first!r} to itself; only binary"
                        f" relationships between distinct participants are supported")
         elif ratio.kind is RatioKind.MANY_TO_MANY:

@@ -19,18 +19,21 @@ each tree's ``cli.main``, in memory apart from the input files:
 
 First, 20,000 models are built in code in both trees from one fixed seed
 (generator seed 19), with names drawn from a small alphabet of capitalized,
-lowercase, plural, non-alphabetic and dangling names.  With ``extensions``
-false and true, ``validate_notation`` must return the same ``(rule_id,
-severity, message, line, column, element)`` list in both trees for each of
-them, and ``forward.gated_transform`` the same emitted schema text (or
-None), events and diagnostics.  Parsed text never reaches ``R2.5.2`` or
-``REF``, since the parser refuses such names and references, and never
-repeats an entity or subtype name, so only models built in code can show a
-difference in those rules or in the steps' choice among elements of one
-name.  Few of these 20,000 pass the gate, so a second batch of 20,000
-(generator seed 23) draws only clean names: entities, subtypes and
-multivalued attributes of a few names each, so that the steps often meet
-two entities or two subtypes of one name.
+lowercase, plural, non-alphabetic and dangling names, and participation
+pairs drawn from ``genmodels.PAIRS``: the four of the notation and three
+outside it (``2..n``, ``1..5``, ``0..N``).  With ``extensions`` false and
+true, ``validate_notation`` must return the same ``(rule_id, severity,
+message, line, column, element)`` list in both trees for each of them, and
+``forward.gated_transform`` the same emitted schema text (or None), events
+and diagnostics.  Parsed text never reaches ``R2.5.2``, a dangling or
+repeated name or a pair outside the notation, since the parser refuses
+them, so only models built in code can show a difference there.  Few of
+these 20,000 pass the gate, so a second batch of 20,000 (generator seed 23,
+``genmodels.step_spec``) draws only clean names: entities, subtypes and
+multivalued attributes of a few names each.  For every run that the gate
+passes, the script also counts how often the new tree's ``parse_er``
+refuses the model's ``emit_er`` text and its ``parse_rds`` the schema's
+``emit_rds`` text, and prints both counts; the gate promises 0.
 
 Before any timing, every op of both workloads must give the same exit code,
 stdout and stderr in both trees, and so must a wider set of calls that is
@@ -54,8 +57,9 @@ checked but not timed:
   repeated flag, which are read without argparse.  A ``SystemExit`` from
   help or a usage error gives the exit code.
 
-The script stops at the first model or call that differs.  Then it collects
-and freezes the heap (``gc.collect()``, ``gc.freeze()``), as the benchmark's
+The script stops at the first model or call that differs, and with
+``--rounds 0`` after the checks.  Before timing, it collects and freezes
+the heap (``gc.collect()``, ``gc.freeze()``), as the benchmark's
 worker does after its set-up, so that the input lists and what the identity
 check left behind stay out of the collector's scans; otherwise they inflate
 the collections of a tree that runs with the collector on.  Each round times
@@ -105,14 +109,10 @@ REFERENCED = DECLARED + ("Ghost", "ghosts")
 ATTRIBUTES = ("AlpNo", "AlpId", "BraNo", "GamNo", "ClaNo", "DelNo", "salary",
               "Hours", "Start_Date", "Grade2", "Class")
 ATTRIBUTE_KINDS = ("key", "simple", "multi")
-PAIRS = (("0", "1"), ("1", "1"), ("0", "n"), ("1", "n"))
-# A second batch draws only clean names, so that more of its models pass the
-# gate (about one run in ten) and the steps meet entities and subtypes that
-# share a name.
+# A second batch, from genmodels.step_spec, draws only clean names, so that
+# more of its models pass the gate (about one run in ten).
 STEP_MODELS = 20000
 STEP_SEED = 23
-STEP_ENTITIES = (("Alpha", "AlpNo"), ("Bravo", "BraNo"), ("Gamma", "GamNo"))
-STEP_SUBTYPES = ("Xray", "Yank")
 
 
 def load(src: Path, name: str):
@@ -131,8 +131,11 @@ def load(src: Path, name: str):
 
 
 def model_spec(rng: random.Random) -> tuple:
-    """One model as plain tuples, which each tree builds from its own classes:
-    0-3 entities, 0-2 subtypes, 0-2 weak entities and 0-3 relationships."""
+    """One model in the form of ``genmodels.step_spec``, which each tree
+    builds from its own classes: 0-3 entities, 0-2 subtypes, 0-2 weak
+    entities and 0-3 relationships."""
+    from genmodels import PAIRS
+
     def attributes(most: int, kinds=("simple",)) -> tuple:
         return tuple((rng.choice(ATTRIBUTES), rng.choice(kinds))
                      for _ in range(rng.randint(0, most)))
@@ -152,62 +155,18 @@ def model_spec(rng: random.Random) -> tuple:
     return entities, subtypes, weak, relationships
 
 
-def step_spec(rng: random.Random) -> tuple:
-    """One model in the form of ``model_spec`` with clean names only: 1-3
-    entities over three names, each with its key and at most one more
-    attribute, 0-2 subtypes over two names and 0-2 relationships."""
-    entities = tuple(
-        (name, ((key, "key"), *[(rng.choice(("Mx", "My")), rng.choice(("simple", "multi")))
-                                 for _ in range(rng.randint(0, 1))]))
-        for name, key in (rng.choice(STEP_ENTITIES) for _ in range(rng.randint(1, 3))))
-    subtypes = tuple((rng.choice(STEP_SUBTYPES), rng.choice(STEP_ENTITIES)[0],
-                      (("Grade", "simple"),) * rng.randint(0, 1))
-                     for _ in range(rng.randint(0, 2)))
-    participants = [name for name, _ in STEP_ENTITIES] + list(STEP_SUBTYPES)
-    relationships = tuple(
-        (name, tuple((rng.choice(participants), *rng.choice(PAIRS)) for _ in range(2)), ())
-        for name in ("Rel", "Tie")[:rng.randint(0, 2)])
-    return entities, subtypes, (), relationships
-
-
-def build_model(package, spec: tuple):
-    """The ``ERModel`` of ``package`` that ``spec`` describes."""
-    entities, subtypes, weak, relationships = spec
-
-    def attributes(items: tuple) -> tuple:
-        return tuple(package.Attribute(name, package.AttributeKind(kind))
-                     for name, kind in items)
-
-    return package.ERModel(
-        entities=tuple(package.RegularEntityType(name, attributes(attrs))
-                       for name, attrs in entities),
-        subtypes=tuple(package.Subtype(name, supertype, attributes(attrs))
-                       for name, supertype, attrs in subtypes),
-        weak_entities=tuple(
-            package.WeakEntityType(
-                name, owner, identifying,
-                package.Attribute(partial, package.AttributeKind.PARTIAL_KEY),
-                attributes(attrs))
-            for name, owner, identifying, partial, attrs in weak),
-        relationships=tuple(
-            package.RelationshipType(
-                name,
-                tuple(package.RelationshipEndpoint(
-                    participant, package.CardinalityPair(minimum, maximum))
-                    for participant, minimum, maximum in endpoints),
-                attributes(attrs))
-            for name, endpoints, attrs in relationships),
-    )
-
-
 def check_validator(old, new, draw=model_spec, models: int = VALIDATOR_MODELS,
                     seed: int = VALIDATOR_SEED) -> None:
     """Exit at the first model built in code on which the two packages'
     ``validate_notation`` or ``forward.gated_transform`` differ under either
     ``extensions`` value; otherwise print how many runs were compared, how
-    many had findings and how many transformed."""
+    many had findings and how many transformed.  Of the runs that the gate
+    passes, also print how many the new tree's readers refuse: ``parse_er``
+    on the model's ``emit_er`` text, and ``parse_rds`` on the schema text."""
+    from genmodels import build_model
+
     rng = random.Random(seed)
-    with_findings = transformed = 0
+    with_findings = transformed = er_refused = rds_refused = 0
     for index in range(models):
         spec = draw(rng)
         built = build_model(old, spec), build_model(new, spec)
@@ -226,11 +185,18 @@ def check_validator(old, new, draw=model_spec, models: int = VALIDATOR_MODELS,
             if old_gated != new_gated:
                 sys.exit(f"compare_speed: gated_transform differs on model "
                          f"{index} (seed {seed}, extensions={extensions}): {spec}")
-            transformed += old_gated[0] is not None
+            schema_text = new_gated[0]
+            if schema_text is not None:
+                transformed += 1
+                er_refused += new.parse_er(new.emit_er(built[1]))[0] is None
+                rds_refused += new.parse_rds(schema_text)[0] is None
     print(f"{draw.__name__}: {models} models built in code give identical "
           f"validate_notation and gated_transform results under both extensions "
           f"values ({with_findings} of {2 * models} runs with findings, "
           f"{transformed} transformed)")
+    print(f"{draw.__name__}: of the {transformed} runs the gate passes, parse_er "
+          f"refuses the emit_er text of {er_refused} and parse_rds the emit_rds "
+          f"text of {rds_refused}")
 
 
 def rows(diagnostics) -> list[tuple]:
@@ -247,9 +213,8 @@ def gated(package, model, extensions: bool) -> tuple:
             rows(diagnostics))
 
 
-def write_inputs(work: Path, seed: int, new_src: Path) -> dict[str, list[list[str]]]:
+def write_inputs(work: Path, seed: int) -> dict[str, list[list[str]]]:
     """Write the input models; returns the argv lists of each workload."""
-    sys.path.insert(0, str(new_src))  # genmodels imports er2rds by name
     from er2rds import emit_er
     from genmodels import generate_model, scaled_model, sog_configs
     from test_er_text import colliding_text
@@ -390,8 +355,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1,
                         help="corpus seed (default 1)")
     parser.add_argument("--rounds", type=int, default=10,
-                        help="timed rounds per workload (default 10)")
+                        help="timed rounds per workload (default 10; 0 runs "
+                             "the checks only)")
     args = parser.parse_args()
+    sys.path.insert(0, str(args.new_src.resolve()))  # genmodels imports er2rds by name
+    from genmodels import step_spec
+
     old_package = load(args.old_src.resolve(), "er2rds_old")
     new_package = load(args.new_src.resolve(), "er2rds_new")
     check_validator(old_package, new_package)
@@ -399,8 +368,10 @@ def main() -> None:
     old, new = old_package.cli.main, new_package.cli.main
 
     with tempfile.TemporaryDirectory() as work:
-        workloads = write_inputs(Path(work), args.seed, args.new_src.resolve())
+        workloads = write_inputs(Path(work), args.seed)
         check_identity(old, new, Path(work), workloads)
+        if args.rounds < 1:
+            return
         gc.collect()
         gc.freeze()
 

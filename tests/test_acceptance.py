@@ -103,7 +103,7 @@ def test_criterion_3_variant_side_choice(company_model, variant_rds_text):
 
 
 def test_criterion_4_reverse_classification(company_schema):
-    kinds, _ = classify_relations(company_schema)
+    kinds, _, _ = classify_relations(company_schema)
     expected_kinds = {
         "Employee": RelationKind.REGULAR_ENTITY,
         "Project": RelationKind.REGULAR_ENTITY,

@@ -525,16 +525,22 @@ class TestRunRoundtrip:
 
 @pytest.fixture
 def trace_built(monkeypatch):
-    """Counts TraceEntry and _Replay constructions while the test runs."""
-    counts = {"TraceEntry": 0, "_Replay": 0}
-    for name in counts:
-        cls = getattr(forward, name)
+    """Counts TraceEntry constructions and trace_entries calls while the test
+    runs; the CLI binds trace_entries at import, so it is counted there too."""
+    counts = {"TraceEntry": 0, "trace_entries": 0}
+    init = forward.TraceEntry.__init__
 
-        def counting(self, *args, _name=name, _init=cls.__init__, **kwargs):
-            counts[_name] += 1
-            _init(self, *args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        counts["TraceEntry"] += 1
+        init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+    def counting_entries(*args, _build=forward.trace_entries):
+        counts["trace_entries"] += 1
+        return _build(*args)
+
+    monkeypatch.setattr(forward.TraceEntry, "__init__", counting_init)
+    for module in (forward, cli):
+        monkeypatch.setattr(module, "trace_entries", counting_entries)
     return counts
 
 
@@ -543,29 +549,29 @@ class TestTraceOnlyWhenRead:
 
     def test_a_round_trip_builds_no_trace(self, company_model, trace_built):
         assert run_roundtrip(company_model).ok
-        assert trace_built == {"TraceEntry": 0, "_Replay": 0}
+        assert trace_built == {"TraceEntry": 0, "trace_entries": 0}
 
     def test_the_roundtrip_command_builds_no_trace(self, trace_built, capsys):
         assert main(["roundtrip", COMPANY_ER]) == 0
-        assert trace_built == {"TraceEntry": 0, "_Replay": 0}
+        assert trace_built == {"TraceEntry": 0, "trace_entries": 0}
 
     def test_transform_without_trace_builds_none(self, trace_built,
                                                  company_rds_text, capsys):
         assert main(["transform", COMPANY_ER]) == 0
         assert capsys.readouterr().out == company_rds_text
-        assert trace_built == {"TraceEntry": 0, "_Replay": 0}
+        assert trace_built == {"TraceEntry": 0, "trace_entries": 0}
 
     def test_transform_with_trace_builds_one_entry_per_event(self, trace_built,
                                                              capsys):
         assert main(["transform", COMPANY_ER, "--trace"]) == 0
         assert capsys.readouterr().err.count("step ") == self.EVENTS
-        assert trace_built == {"TraceEntry": self.EVENTS, "_Replay": 1}
+        assert trace_built == {"TraceEntry": self.EVENTS, "trace_entries": 1}
 
     def test_transform_model_still_returns_one_entry_per_event(
             self, company_model, trace_built):
         _, trace = forward.transform_model(company_model)
         assert len(trace) == self.EVENTS
-        assert trace_built == {"TraceEntry": self.EVENTS, "_Replay": 1}
+        assert trace_built == {"TraceEntry": self.EVENTS, "trace_entries": 1}
 
 
 def load_in_sqlite(sql: str) -> sqlite3.Connection:
@@ -711,6 +717,19 @@ class TestThinCli:
 
     def test_the_cli_reexports_the_library_ddl(self):
         assert cli.render_ddl is render_ddl
+
+
+class TestPublicNamesBetweenModules:
+    def test_no_module_imports_a_private_name_from_a_sibling(self):
+        private = sorted(
+            (name, f"{node.module}.{alias.name}")
+            for name, tree in _parsed_modules(CHECKOUT / "src" / "er2rds")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if alias.name.startswith("_")
+        )
+        assert private == []
 
 
 class TestErrorClasses:

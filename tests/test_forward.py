@@ -27,14 +27,16 @@ from er2rds import (
     emit_rds,
     has_errors,
     parse_er,
+    parse_rds,
     run_roundtrip,
     transform_model,
     validate_notation,
 )
+import er2rds
 from er2rds import forward
 from er2rds import model as model_module
 from conftest import assert_well_formed
-from genmodels import generate_model, scaled_model, sog_configs
+from genmodels import build_model, generate_model, scaled_model, sog_configs, step_spec
 from test_er_text import colliding_text
 
 
@@ -559,6 +561,27 @@ class TestReferenceMutations:
         assert dangling >= 400 and passed >= 80, (dangling, passed)
 
 
+class TestGatePromise:
+    """A model built in code that the gate passes has an ``.er`` text and a
+    schema text that the readers accept, as a parsed model does."""
+
+    def test_the_readers_accept_what_the_gate_passes(self):
+        rng = random.Random(23)
+        passed = 0
+        for _ in range(2000):
+            spec = step_spec(rng)
+            model = build_model(er2rds, spec)
+            for extensions in (False, True):
+                schema = forward.gated_transform(
+                    model, TransformConfig(extensions=extensions))[0]
+                if schema is None:
+                    continue
+                passed += 1
+                assert parse_er(emit_er(model))[1] == [], spec
+                assert parse_rds(emit_rds(schema))[1] == [], spec
+        assert passed >= 250, passed
+
+
 class TestClashes:
     """The clash pass over a built schema: one CLASH error per repeated
     relation name, and per repeated attribute name inside a relation."""
@@ -666,12 +689,30 @@ class TestLinearLookups:
         assert (_relation_comparisons(20, monkeypatch)
                 == _relation_comparisons(80, monkeypatch))
 
+
+def refusals(model):
+    """The (rule, message, element) of each finding that stops
+    transform_model; the parser must refuse the model's text with the same."""
+    with pytest.raises(PrerequisiteFailed) as info:
+        transform_model(model)
+    found = [(d.rule_id, d.message, d.element) for d in info.value.diagnostics]
+    parsed_model, parsed = parse_er(emit_er(model))
+    assert parsed_model is None
+    assert [(d.rule_id, d.message, d.element) for d in parsed] == found
+    return found
+
+
+class TestRepeatedElementName:
+    """Only a model built in code repeats an entity or subtype name; the gate
+    refuses it with the parser's REF finding, so the steps never meet one."""
+
     def test_two_entities_named_alike(self):
         model = ERModel(entities=(
             RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),)),
             RegularEntityType("Alpha", (Attribute("AlpCode", AttributeKind.KEY),)),
         ))
-        assert clashes(model) == [("Alpha", "two relations are named 'Alpha'")]
+        assert refusals(model) == [
+            ("REF", "name 'Alpha' is already declared", "entity Alpha")]
 
     def test_an_entity_and_a_subtype_named_alike(self):
         model = ERModel(
@@ -681,22 +722,18 @@ class TestLinearLookups:
             ),
             subtypes=(Subtype("Bravo", "Alpha", (Attribute("Grade"),)),),
         )
-        assert clashes(model) == [("Bravo", "two relations are named 'Bravo'")]
+        assert refusals(model) == [
+            ("REF", "name 'Bravo' is already declared", "subtype Bravo")]
 
-
-class TestFirstDeclarationWins:
-    """Only a model built in code repeats an entity or subtype name; the
-    steps then resolve the name to its first declaration."""
-
-    def test_the_first_entity_of_a_name_owns_the_multivalued_attributes(self):
+    def test_two_entities_with_multivalued_attributes(self):
         model = ERModel(entities=tuple(
             RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),
                                         Attribute(multi, AttributeKind.MULTIVALUED)))
             for multi in ("Mx", "My")))
-        assert clashes(model) == [("Alpha", "two relations are named 'Alpha'"),
-                                  ("Mx", "two relations are named 'Mx'")]
+        assert refusals(model) == [
+            ("REF", "name 'Alpha' is already declared", "entity Alpha")]
 
-    def test_a_prefixed_key_is_the_first_subtypes_supertypes(self):
+    def test_two_subtypes_of_different_supertypes(self):
         one = CardinalityPair("1", "1")
         model = ERModel(
             entities=tuple(RegularEntityType(name, (Attribute(key, AttributeKind.KEY),))
@@ -706,12 +743,8 @@ class TestFirstDeclarationWins:
             relationships=(RelationshipType("Rel", (
                 RelationshipEndpoint("Xray", one), RelationshipEndpoint("Gamma", one))),),
         )
-        schema, _ = transform_model(model)
-        assert emit_rds(schema) == (
-            "Alpha[_AlpNo_]\n"
-            "Bravo[_BraNo_]\n"
-            "Gamma[_GamNo_, Xray-AlpNo(Rel, 1, 1, 1)]\n"
-        )
+        assert refusals(model) == [
+            ("REF", "name 'Xray' is already declared", "subtype Xray")]
 
 
 class TestRatiosOnce:

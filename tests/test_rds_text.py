@@ -1,14 +1,17 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import golden_path
 from er2rds import (
     Attribute, AttributeKind, ERModel, FkSuffix, RdsAttribute, RegularEntityType,
-    Relation, RelationalSchema, emit_rds, parse_rds, validate_notation,
+    Relation, RelationalSchema, emit_rds, parse_rds, transform_model, validate_notation,
 )
+from er2rds import rds_text
 from er2rds.model import Severity
 from er2rds.rds_text import render_attribute, render_relation, render_suffix
+from genmodels import scaled_model
 
 MALFORMED_LINES = ["Employee", "Employee[_EmpNo_", "Emp loyee[_EmpNo_]"]
 MALFORMED_ATTRIBUTES = [
@@ -219,3 +222,43 @@ class TestValueOrErrors:
                 assert diagnostics == [], repr(text)
             verdicts.add(schema is None)
         assert verdicts == {True, False}
+
+
+def _parse_calls_per_element(n, monkeypatch):
+    """The calls that parse_rds makes on the schema of scaled_model(n): of
+    the relation-line pattern and the splitter per relation, of the attribute
+    reader and the underlined pattern per attribute, and of the plain pattern
+    per attribute that is not underlined."""
+    schema, _ = transform_model(scaled_model(n))
+    attributes = [a for relation in schema.relations for a in relation.attributes]
+    per = {"_LINE_RE": len(schema.relations), "_split_attributes": len(schema.relations),
+           "_parse_attribute": len(attributes), "_UNDERLINED_RE": len(attributes),
+           "_PLAIN_RE": sum(not a.underlined for a in attributes)}
+    calls = dict.fromkeys(per, 0)
+
+    def counting(name, call):
+        def counted(*args):
+            calls[name] += 1
+            return call(*args)
+        return counted
+
+    with monkeypatch.context() as patch:
+        for name in per:
+            original = getattr(rds_text, name)
+            if name.endswith("_RE"):
+                patch.setattr(rds_text, name,
+                              SimpleNamespace(match=counting(name, original.match)))
+            else:
+                patch.setattr(rds_text, name, counting(name, original))
+        assert parse_rds(emit_rds(schema)) == (schema, [])
+    return {name: calls[name] / count for name, count in per.items()}
+
+
+class TestLinearParse:
+    def test_parse_rds_calls_its_readers_once_per_element_at_every_size(
+            self, monkeypatch):
+        once = {name: 1.0 for name in ("_LINE_RE", "_split_attributes",
+                                       "_parse_attribute", "_UNDERLINED_RE",
+                                       "_PLAIN_RE")}
+        assert _parse_calls_per_element(20, monkeypatch) == once
+        assert _parse_calls_per_element(80, monkeypatch) == once

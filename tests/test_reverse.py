@@ -54,8 +54,9 @@ def errors_of(schema):
 
 class TestClassification:
     def test_golden_schema_kinds(self, company_schema):
-        kinds, diagnostics = classify_relations(company_schema)
+        kinds, owners, diagnostics = classify_relations(company_schema)
         assert not diagnostics
+        assert owners == {"EmpNo": "Employee", "ProNo": "Project", "DepNo": "Department"}
         assert kinds == {
             "Employee": RelationKind.REGULAR_ENTITY,
             "Project": RelationKind.REGULAR_ENTITY,
@@ -66,24 +67,24 @@ class TestClassification:
         }
 
     def test_a_lone_key_only_relation_is_a_regular_entity(self):
-        kinds, _ = classify_relations(schema_of("Employee[_EmpNo_]"))
+        kinds, _, _ = classify_relations(schema_of("Employee[_EmpNo_]"))
         assert kinds == {"Employee": RelationKind.REGULAR_ENTITY}
 
     def test_no_underlined_attribute_is_unclassifiable(self):
         schema = schema_of("Employee[EmpNo, Name]")
-        kinds, diagnostics = classify_relations(schema)
+        kinds, _, diagnostics = classify_relations(schema)
         assert kinds == {}
         assert [d.rule_id for d in diagnostics] == ["CLASSIFY"]
 
     def test_underline_after_a_gap_is_unclassifiable(self):
         schema = schema_of("Employee[_EmpNo_, Name, _Salary_]")
-        _, diagnostics = classify_relations(schema)
+        _, _, diagnostics = classify_relations(schema)
         assert [d.rule_id for d in diagnostics] == ["CLASSIFY"]
 
     def test_two_underlines_with_a_mismatched_second_name_are_not_guessed(self):
         # shaped like a multivalued relation except for the second name
         schema = schema_of("Department[_DepNo_, Field]\nLocation[_DepNo_, _Site_]")
-        kinds, diagnostics = classify_relations(schema)
+        kinds, _, diagnostics = classify_relations(schema)
         assert "Location" not in kinds
         assert [d.rule_id for d in diagnostics] == ["CLASSIFY"]
 
@@ -93,7 +94,7 @@ class TestClassification:
 
     def test_three_underlines_fit_no_shape(self):
         schema = schema_of("Abc[_AbcNo_]\nXyz[_AbcNo_, _Big_, _Cat_]")
-        kinds, diagnostics = classify_relations(schema)
+        kinds, _, diagnostics = classify_relations(schema)
         assert kinds == {"Abc": RelationKind.REGULAR_ENTITY}
         assert [format_diagnostic(d, "test.rds") for d in diagnostics] == [
             "test.rds: error[CLASSIFY]: relation 'Xyz' is unclassifiable: 3 "
@@ -101,15 +102,16 @@ class TestClassification:
 
     def test_duplicate_primary_keys_resolve_to_the_first_owner(self):
         schema = schema_of("Employee[_EmpNo_]\nEmp[_EmpNo_, Grade, Extra]")
-        kinds, diagnostics = classify_relations(schema)
+        kinds, owners, diagnostics = classify_relations(schema)
         assert kinds["Emp"] is RelationKind.REGULAR_ENTITY
+        assert owners == {"EmpNo": "Employee"}
         warnings = [d for d in diagnostics if d.severity is Severity.WARNING]
         assert len(warnings) == 2  # shared key, and Emp also fits a dependent shape
         assert all(d.rule_id == "CLASSIFY" for d in warnings)
 
     def test_the_regular_reading_wins_over_a_dependent_shape(self):
         schema = schema_of("Employee[_EmpNo_]\nEmpire[_EmpNo_, Grade]")
-        kinds, diagnostics = classify_relations(schema)
+        kinds, _, diagnostics = classify_relations(schema)
         assert kinds["Empire"] is RelationKind.REGULAR_ENTITY
         assert any(d.severity is Severity.WARNING and "subtype" in d.message
                    for d in diagnostics)
@@ -168,13 +170,13 @@ class TestReverseGolden:
 class TestClassifiesOnce:
     def test_reversal_classifies_the_schema_once(self, company_schema, monkeypatch):
         calls = []
-        original = reverse._classify
+        original = reverse.classify_relations
 
         def counting(schema):
             calls.append(schema)
             return original(schema)
 
-        monkeypatch.setattr(reverse, "_classify", counting)
+        monkeypatch.setattr(reverse, "classify_relations", counting)
         model, _ = reverse_transform(company_schema)
         assert model is not None and len(model.relationships) == 3
         assert len(calls) == 1
@@ -186,13 +188,13 @@ class TestOneKeyOwnerMap:
     def test_the_ddl_projection_builds_one_key_owner_map(self, company_schema,
                                                          monkeypatch):
         calls = []
-        original = reverse._classify
+        original = reverse.classify_relations
 
         def counting(schema):
             calls.append(schema)
             return original(schema)
 
-        monkeypatch.setattr(ddl, "_classify", counting)
+        monkeypatch.setattr(ddl, "classify_relations", counting)
         sql = golden_path("company.sql").read_text(encoding="utf-8")
         assert render_ddl(company_schema) == (sql, [])
         assert calls == [company_schema]
@@ -325,7 +327,7 @@ class TestRepeatedRelationName:
         assert errors_of(REPEATED_NAME) == [REPEATED_NAME_ERROR]
 
     def test_classification_keeps_the_first_relation(self):
-        kinds, diagnostics = classify_relations(REPEATED_NAME)
+        kinds, _, diagnostics = classify_relations(REPEATED_NAME)
         assert kinds == {"Alpha": RelationKind.REGULAR_ENTITY}
         assert [format_diagnostic(d, "test.rds") for d in diagnostics] == [
             REPEATED_NAME_ERROR]

@@ -232,6 +232,54 @@ class TestRelationshipSubset:
             [("SUBSET", Severity.ERROR)]
 
 
+def works(near, far):
+    """Alpha and Bravo in a relationship Works with the given pairs, built in
+    code, since the parser refuses a value outside the notation."""
+    return ERModel(
+        entities=(RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),)),
+                  RegularEntityType("Bravo", (Attribute("BraNo", AttributeKind.KEY),))),
+        relationships=(RelationshipType("Works", (
+            RelationshipEndpoint("Alpha", CardinalityPair(*near)),
+            RelationshipEndpoint("Bravo", CardinalityPair(*far)))),))
+
+
+class TestParticipationValues:
+    @pytest.mark.parametrize("far, message", [
+        (("2", "n"), "minimum participation must be 0 or 1, found '2'"),
+        (("1", "5"), "maximum participation must be 1 or n, found '5'"),
+        (("0", "N"), "maximum participation must be 1 or n, found 'N'"),
+    ])
+    def test_a_value_outside_the_notation_is_a_subset_error(self, far, message):
+        model = works(("1", "1"), far)
+        expected = [("SUBSET", message, "relationship Works")]
+        assert [(d.rule_id, d.message, d.element)
+                for d in validate_notation(model)] == expected
+        with pytest.raises(PrerequisiteFailed) as raised:
+            transform_model(model)
+        assert [(d.rule_id, d.message, d.element)
+                for d in raised.value.diagnostics] == expected
+
+    def test_the_messages_are_the_parsers(self):
+        for far in (("2", "n"), ("1", "5")):
+            _, parsed = parse_er(emit_er(works(("1", "1"), far)))
+            assert [d.message for d in parsed] == \
+                [d.message for d in validate_notation(works(("1", "1"), far))]
+
+    def test_every_bad_value_is_reported(self):
+        model = works(("2", "5"), ("1", "m"))
+        assert [(d.rule_id, d.message) for d in validate_notation(model)] == [
+            ("SUBSET", "minimum participation must be 0 or 1, found '2'"),
+            ("SUBSET", "maximum participation must be 1 or n, found '5'"),
+            ("SUBSET", "maximum participation must be 1 or n, found 'm'"),
+        ]
+
+    def test_a_bad_value_replaces_the_shape_finding(self):
+        # Both maxima are n, so the shape alone would be many-to-many.
+        model = works(("3", "n"), ("1", "n"))
+        assert [(d.rule_id, d.message) for d in validate_notation(model)] == [
+            ("SUBSET", "minimum participation must be 0 or 1, found '3'")]
+
+
 class TestOrdering:
     def test_diagnostics_follow_declaration_order(self):
         model = model_of(
@@ -367,7 +415,13 @@ class TestDeclaredNames:
         assert [(d.rule_id, d.message, d.element)
                 for d in raised.value.diagnostics] == expected
 
-    def test_two_elements_that_share_a_name_are_left_to_clash(self):
+    def test_a_taken_entity_or_subtype_name_is_a_ref_error_as_in_the_parser(self):
         model = ERModel(entities=(self.entity("Alpha"), self.entity("Alpha")),
                         subtypes=(Subtype("Alpha", "Alpha", (Attribute("Grade"),)),))
-        assert validate_notation(model) == []
+        expected = [("REF", "name 'Alpha' is already declared", "entity Alpha"),
+                    ("REF", "name 'Alpha' is already declared", "subtype Alpha")]
+        parsed_model, parsed = parse_er(emit_er(model))
+        assert parsed_model is None
+        assert [(d.rule_id, d.message, d.element) for d in parsed] == expected
+        assert [(d.rule_id, d.message, d.element)
+                for d in validate_notation(model)] == expected
