@@ -247,21 +247,8 @@ def _resolve(constructs: list[_RawConstruct]
     def err(construct: _RawConstruct, rule: str, message: str) -> None:
         problems.append((construct, rule, message))
 
-    # Global name uniqueness covers the four element kinds plus identifying
-    # relationship names, which reversal regenerates as first-class names.
-    taken: set[str] = set()
-    entity_names: set[str] = set()
-    subtype_names: set[str] = set()
-    for construct in constructs:
-        for name in (construct.name, construct.via):
-            if name in taken:
-                err(construct, "REF", f"name {name!r} is already declared")
-            elif name is not None:
-                taken.add(name)
-        if construct.keyword == "entity":
-            entity_names.add(construct.name)
-        elif construct.keyword == "subtype":
-            subtype_names.add(construct.name)
+    entity_names = {c.name for c in constructs if c.keyword == "entity"}
+    subtype_names = {c.name for c in constructs if c.keyword == "subtype"}
 
     def attributes_of(construct: _RawConstruct) -> tuple[Attribute, ...]:
         seen: set[str] = set()
@@ -279,7 +266,17 @@ def _resolve(constructs: list[_RawConstruct]
     weaks: list[WeakEntityType] = []
     relationships: list[RelationshipType] = []
 
+    # Global name uniqueness covers the four element kinds plus identifying
+    # relationship names, which reversal regenerates as first-class names.  A
+    # name taken before is reported at its construct, ahead of its other
+    # problems, so the problems stay in source order.
+    taken: set[str] = set()
     for construct in constructs:
+        for name in (construct.name, construct.via):
+            if name in taken:
+                err(construct, "REF", f"name {name!r} is already declared")
+            elif name is not None:
+                taken.add(name)
         attrs = attributes_of(construct)
         if construct.keyword == "entity":
             if not any(a.kind is _KEY for a in attrs):

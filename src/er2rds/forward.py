@@ -1,16 +1,17 @@
 """Forward transformation: ER model to annotated relational schema.
 
-Six steps run in a fixed order.  Regular entity types become relations
-first, then qualifying subtypes; afterwards one-to-many relationships,
-one-to-one relationships involving a subtype, multivalued attributes and
-weak entity types are handled, each step appending foreign keys or new
-relations.  Foreign keys carry a bracketed suffix naming the relationship
-and three cardinality variables, so the whole transformation stays
-reversible.  ``gated_transform`` is the one gate every caller goes through:
-notation validation before the steps, a check for clashing names after.
-The steps record one event per relation created or extended;
-``trace_entries`` turns a run's events into its trace, whose entries share
-the events and replay them only when their ``schema_after`` is read.
+Six steps run in a fixed order, as six loops of ``_transform_steps``:
+REG makes a relation of each regular entity type, SUB of each qualifying
+subtype; GNG (one-to-many relationships) and SOG (one-to-one relationships
+involving a subtype) append foreign keys; MVA (multivalued attributes) and
+WAK (weak entity types) make new relations.  Foreign keys carry a bracketed
+suffix naming the relationship and three cardinality variables, so the
+whole transformation stays reversible.  ``gated_transform`` is the one gate
+every caller goes through: notation validation before the steps, a check
+for clashing names after.  The steps record one event per relation created
+or extended; ``trace_entries`` turns a run's events into its trace, whose
+entries share the events and replay them only when their ``schema_after``
+is read.
 
 Ordering rules that the reverse direction depends on:
 
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 
 from .errors import BadSideChoice, PrerequisiteFailed
 from .model import (
-    Attribute,
     Diagnostic,
     ERModel,
     FkSuffix,
@@ -43,8 +43,6 @@ from .model import (
     RelationshipEndpoint,
     RelationshipType,
     Severity,
-    Subtype,
-    WeakEntityType,
     has_errors,
     matching_keys,
 )
@@ -119,29 +117,6 @@ def trace_entries(events: list[_Event], schema: RelationalSchema) -> list[TraceE
             for position, event in enumerate(shared)]
 
 
-def transform_regular(entity: RegularEntityType) -> Relation:
-    """Entity to relation: designated key first, remaining keys, then simple
-    attributes; multivalued attributes are left for their own step.  The
-    first key matching the entity's name is designated; ``R2.4.2`` ensures one."""
-    designated = matching_keys(entity)[0]
-    attributes = [RdsAttribute(designated.name, underlined=True)]
-    attributes += [
-        RdsAttribute(key.name, underlined=True)
-        for key in entity.keys() if key is not designated
-    ]
-    attributes += [RdsAttribute(a.name) for a in entity.simple_attributes()]
-    return Relation(entity.name, attributes)
-
-
-def transform_subtype(subtype: Subtype, relations: dict[str, Relation]) -> Relation:
-    """Subtype to relation keyed by its supertype's propagated key."""
-    # Every relation leads with its underlined designated key, which the
-    # dependent relations share rather than rebuild.
-    attributes = [relations[subtype.supertype].attributes[0]]
-    attributes += [RdsAttribute(a.name) for a in subtype.attributes]
-    return Relation(subtype.name, attributes)
-
-
 def _add_foreign_key(rel: RelationshipType, near: RelationshipEndpoint,
                      far: RelationshipEndpoint, relations: dict[str, Relation],
                      supertypes: dict[str, str]) -> tuple[Relation, bool]:
@@ -160,21 +135,6 @@ def _add_foreign_key(rel: RelationshipType, near: RelationshipEndpoint,
     relation.attributes.append(RdsAttribute(name, prefix=prefix, suffix=suffix))
     relation.attributes += [RdsAttribute(a.name) for a in rel.attributes]
     return relation, prefix is not None
-
-
-def transform_multivalued(owner: Relation, attr: Attribute) -> Relation:
-    """One relation per multivalued attribute of the entity whose relation is
-    ``owner``, named after the attribute and keyed by owner key plus value."""
-    return Relation(attr.name, [owner.attributes[0],
-                                RdsAttribute(attr.name, underlined=True)])
-
-
-def transform_weak(weak: WeakEntityType, relations: dict[str, Relation]) -> Relation:
-    """Weak entity to relation keyed by owner key plus partial key."""
-    attributes = [relations[weak.owner].attributes[0],
-                  RdsAttribute(weak.partial_key.name, underlined=True)]
-    attributes += [RdsAttribute(a.name) for a in weak.attributes]
-    return Relation(weak.name, attributes)
 
 
 def _check_side_choices(model: ERModel, cfg: TransformConfig) -> None:
@@ -255,27 +215,35 @@ def _clashes(schema: RelationalSchema) -> list[Diagnostic]:
 
 def _transform_steps(model: ERModel, cfg: TransformConfig
                      ) -> tuple[RelationalSchema, list[_Event]]:
-    """The six steps on a model that passed notation validation; returns the
-    schema and one event per step.  The steps check nothing themselves: the
-    notation gate has made sure that every name they look up is there and
-    that no two elements share a name.  Only the relation map can still meet
-    a repeated name, which it resolves to the first relation and which the
-    gate then reports as a ``CLASH``."""
+    """The six steps, as six loops in step order (REG, SUB, GNG, SOG, MVA,
+    WAK), on a model that passed notation validation; returns the schema and
+    one event per relation created or extended.  A loop that creates a
+    relation appends it to the schema and registers it in the relation map.
+    The steps check nothing themselves: the notation gate has made sure that
+    every name they look up is there and that no two elements share a name.
+    Only the relation map can still meet a repeated name, which it resolves
+    to the first relation and which the gate then reports as a ``CLASH``."""
     _check_side_choices(model, cfg)
 
     schema = RelationalSchema()
     relations: dict[str, Relation] = {}
     events: list[_Event] = []
 
-    def add(step: str, subject: str, relation: Relation) -> None:
-        schema.relations.append(relation)
-        relations.setdefault(relation.name, relation)
-        events.append((step, subject, relation.name, len(relation.attributes), True))
-
+    # REG: the designated key first (the first key matching the entity's
+    # name, which R2.4.2 ensures), the other keys, then simple attributes;
+    # multivalued attributes are left for their own step.
     entities: dict[str, RegularEntityType] = {}
     for entity in model.entities:
         entities[entity.name] = entity
-        add(STEP_REGULAR, entity.name, transform_regular(entity))
+        designated = matching_keys(entity)[0]
+        attributes = [RdsAttribute(designated.name, underlined=True)]
+        attributes += [RdsAttribute(key.name, underlined=True)
+                       for key in entity.keys() if key is not designated]
+        attributes += [RdsAttribute(a.name) for a in entity.simple_attributes()]
+        relation = Relation(entity.name, attributes)
+        schema.relations.append(relation)
+        relations.setdefault(entity.name, relation)
+        events.append((STEP_REGULAR, entity.name, entity.name, len(attributes), True))
 
     # The relationships of each step, in declaration order, from the ratios
     # the model classified once.
@@ -288,11 +256,13 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         elif ratio.kind is one:
             one_to_one.append(rel)
 
-    # A subtype gets its own relation iff it has an intrinsic attribute, sits
-    # at the N-side of a one-to-many relationship, or a side choice routes a
-    # one-to-one foreign key into it (each choice names a participant of a
-    # one-to-one relationship).  Decided before the subtype step runs, so the
-    # one-to-one step never needs a relation that was not created.
+    # SUB: a subtype gets a relation keyed by its supertype's key iff it has
+    # an intrinsic attribute, sits at the N-side of a one-to-many
+    # relationship, or a side choice routes a one-to-one foreign key into it
+    # (each choice names a participant of a one-to-one relationship), decided
+    # before the step so the one-to-one step never needs a relation that was
+    # not created.  Relations lead with their underlined designated key, which
+    # dependent relations share rather than rebuild.
     hosts = {rel.endpoints[ratio.n_side].participant for rel, ratio in one_to_many}
     hosts.update(cfg.sog_choice.values())
     supertypes: dict[str, str] = {}
@@ -300,21 +270,28 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         supertypes[subtype.name] = subtype.supertype
         if not subtype.attributes and subtype.name not in hosts:
             continue
-        add(STEP_SUBTYPE, subtype.name, transform_subtype(subtype, relations))
+        attributes = [relations[subtype.supertype].attributes[0]]
+        attributes += [RdsAttribute(a.name) for a in subtype.attributes]
+        relation = Relation(subtype.name, attributes)
+        schema.relations.append(relation)
+        relations.setdefault(subtype.name, relation)
+        events.append((STEP_SUBTYPE, subtype.name, subtype.name, len(attributes), True))
 
+    # GNG: the one side's key goes into the N-side's relation.
     for rel, ratio in one_to_many:
         near, far = rel.endpoints[ratio.n_side], rel.endpoints[1 - ratio.n_side]
         relation, _ = _add_foreign_key(rel, near, far, relations, supertypes)
         events.append((STEP_ONE_TO_MANY, rel.name, relation.name,
                        len(relation.attributes), schema.relations[-1] is relation))
 
-    # When the regular side takes the key, the key is the subtype's, prefixed,
-    # and the relation that absorbs it moves to the end of the schema.  The
-    # move keeps re-derived schemas byte-identical to their source: the
-    # subtype relations a reversal discovers first are always created before
-    # the relationship steps run, so only the move reconciles listing order.
-    # The relations to move, by identity and in order of last move, move
-    # after the step, since a removal scans the list; ``end`` will end the schema.
+    # SOG: when the regular side takes the key, the key is the subtype's,
+    # prefixed, and the relation that absorbs it moves to the end of the
+    # schema.  The move keeps re-derived schemas byte-identical to their
+    # source: the subtype relations a reversal discovers first are always
+    # created before the relationship steps run, so only the move reconciles
+    # listing order.  The relations to move, by identity and in order of last
+    # move, move after the step, since a removal scans the list; ``end`` will
+    # end the schema.
     moved: dict[int, Relation] = {}
     end = schema.relations[-1] if schema.relations else None
     for rel in one_to_one:
@@ -339,18 +316,30 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         schema.relations[:] = [r for r in schema.relations if id(r) not in moved]
         schema.relations += moved.values()
 
-    # Walk owner relations in schema order, not declaration order: the
-    # one-to-one step may have reordered the schema, and reversal derives
-    # declaration order from schema order.
-    for relation in list(schema.relations):
-        entity = entities.get(relation.name)
+    # MVA: one relation per multivalued attribute, named after it and keyed
+    # by the owner's key plus the value.  Walk owner relations in schema
+    # order, not declaration order: the one-to-one step may have reordered
+    # the schema, and reversal derives declaration order from schema order.
+    for owner in list(schema.relations):
+        entity = entities.get(owner.name)
         if entity is None:
             continue
         for attr in entity.multivalued_attributes():
-            add(STEP_MULTIVALUED, f"{entity.name}.{attr.name}",
-                transform_multivalued(relation, attr))
+            relation = Relation(attr.name, [owner.attributes[0],
+                                            RdsAttribute(attr.name, underlined=True)])
+            schema.relations.append(relation)
+            relations.setdefault(attr.name, relation)
+            events.append((STEP_MULTIVALUED, f"{entity.name}.{attr.name}", attr.name,
+                           2, True))
 
+    # WAK: a weak entity's relation is keyed by owner key plus partial key.
     for weak in model.weak_entities:
-        add(STEP_WEAK, weak.name, transform_weak(weak, relations))
+        attributes = [relations[weak.owner].attributes[0],
+                      RdsAttribute(weak.partial_key.name, underlined=True)]
+        attributes += [RdsAttribute(a.name) for a in weak.attributes]
+        relation = Relation(weak.name, attributes)
+        schema.relations.append(relation)
+        relations.setdefault(weak.name, relation)
+        events.append((STEP_WEAK, weak.name, weak.name, len(attributes), True))
 
     return schema, events

@@ -23,7 +23,6 @@ promise on one model: transform, reverse, and transform again.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 from enum import Enum
 from operator import attrgetter
 
@@ -441,6 +440,8 @@ def run_roundtrip(model: ERModel, cfg: TransformConfig | None = None
     second = emit_rds(second_schema)
     report.second_schema_text = second
     if second != first:
+        import difflib  # only a failed round trip needs it; start-up stays lean
+
         report.differences.append("schema texts differ:")
         report.differences.extend(
             line.rstrip("\n")

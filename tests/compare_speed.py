@@ -57,8 +57,11 @@ checked but not timed:
   repeated flag, which are read without argparse.  A ``SystemExit`` from
   help or a usage error gives the exit code.
 
-The script stops at the first model or call that differs, and with
-``--rounds 0`` after the checks.  Before timing, it collects and freezes
+Each check counts every model or call that differs, prints the first three
+and goes on, so a change that alters some outcomes on purpose still reaches
+the later checks and the timing.  The script stops after the checks with
+``--rounds 0``, and exits 1 at the end, after the checks or after the timing,
+when anything differed.  Before timing, it collects and freezes
 the heap (``gc.collect()``, ``gc.freeze()``), as the benchmark's
 worker does after its set-up, so that the input lists and what the identity
 check left behind stay out of the collector's scans; otherwise they inflate
@@ -113,6 +116,8 @@ ATTRIBUTE_KINDS = ("key", "simple", "multi")
 # more of its models pass the gate (about one run in ten).
 STEP_MODELS = 20000
 STEP_SEED = 23
+# Differences printed per check; every one is counted.
+SHOWN = 3
 
 
 def load(src: Path, name: str):
@@ -155,18 +160,30 @@ def model_spec(rng: random.Random) -> tuple:
     return entities, subtypes, weak, relationships
 
 
+def show(label: str, differences: list[str]) -> str:
+    """Print the first ``SHOWN`` differences a check found; returns
+    "identical" or "N differing" for its summary line."""
+    for difference in differences[:SHOWN]:
+        print(f"{label}: {difference}")
+    if len(differences) > SHOWN:
+        print(f"{label}: ... and {len(differences) - SHOWN} more")
+    return f"{len(differences)} differing" if differences else "identical"
+
+
 def check_validator(old, new, draw=model_spec, models: int = VALIDATOR_MODELS,
-                    seed: int = VALIDATOR_SEED) -> None:
-    """Exit at the first model built in code on which the two packages'
-    ``validate_notation`` or ``forward.gated_transform`` differ under either
-    ``extensions`` value; otherwise print how many runs were compared, how
-    many had findings and how many transformed.  Of the runs that the gate
-    passes, also print how many the new tree's readers refuse: ``parse_er``
-    on the model's ``emit_er`` text, and ``parse_rds`` on the schema text."""
+                    seed: int = VALIDATOR_SEED) -> int:
+    """Count the runs on models built in code, under either ``extensions``
+    value, on which the two packages' ``validate_notation`` or
+    ``forward.gated_transform`` differ, and print the first few; print how
+    many runs were compared, how many had findings and how many transformed.
+    Of the runs that the gate passes, also print how many the new tree's
+    readers refuse: ``parse_er`` on the model's ``emit_er`` text, and
+    ``parse_rds`` on the schema text.  Returns the number of differences."""
     from genmodels import build_model
 
     rng = random.Random(seed)
     with_findings = transformed = er_refused = rds_refused = 0
+    differences: list[str] = []
     for index in range(models):
         spec = draw(rng)
         built = build_model(old, spec), build_model(new, spec)
@@ -175,28 +192,30 @@ def check_validator(old, new, draw=model_spec, models: int = VALIDATOR_MODELS,
                 rows(package.validate_notation(model, extensions))
                 for package, model in zip((old, new), built))
             if old_found != new_found:
-                sys.exit(f"compare_speed: validate_notation differs on model "
-                         f"{index} (seed {seed}, allow_extensions={extensions}): "
-                         f"{spec}")
+                differences.append(f"validate_notation differs on model {index} "
+                                   f"(seed {seed}, allow_extensions={extensions}): "
+                                   f"{spec}")
             with_findings += bool(old_found)
             old_gated, new_gated = (
                 gated(package, model, extensions)
                 for package, model in zip((old, new), built))
             if old_gated != new_gated:
-                sys.exit(f"compare_speed: gated_transform differs on model "
-                         f"{index} (seed {seed}, extensions={extensions}): {spec}")
+                differences.append(f"gated_transform differs on model {index} "
+                                   f"(seed {seed}, extensions={extensions}): {spec}")
             schema_text = new_gated[0]
             if schema_text is not None:
                 transformed += 1
                 er_refused += new.parse_er(new.emit_er(built[1]))[0] is None
                 rds_refused += new.parse_rds(schema_text)[0] is None
-    print(f"{draw.__name__}: {models} models built in code give identical "
-          f"validate_notation and gated_transform results under both extensions "
-          f"values ({with_findings} of {2 * models} runs with findings, "
+    print(f"{draw.__name__}: {models} models built in code give "
+          f"{show(draw.__name__, differences)} validate_notation and "
+          f"gated_transform results under both extensions values "
+          f"({with_findings} of {2 * models} runs with findings, "
           f"{transformed} transformed)")
     print(f"{draw.__name__}: of the {transformed} runs the gate passes, parse_er "
           f"refuses the emit_er text of {er_refused} and parse_rds the emit_rds "
           f"text of {rds_refused}")
+    return len(differences)
 
 
 def rows(diagnostics) -> list[tuple]:
@@ -264,24 +283,27 @@ def call(main, argv: list[str], output: Path | None = None
     return code, out.getvalue(), err.getvalue(), written
 
 
-def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) -> None:
-    """Exit at the first call whose outcome differs between the two trees;
-    otherwise print how many calls were compared."""
+def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) -> int:
+    """Count the calls whose outcome differs between the two trees and print
+    the first few; print how many calls were compared.  Returns the number
+    of differences."""
     count = 0
+    differences: list[str] = []
 
     def same(argv: list[str], output: Path | None = None):
         nonlocal count
         count += 1
         outcome = call(old, argv, output)
         if outcome != call(new, argv, output):
-            sys.exit(f"compare_speed: {' '.join(argv)} differs between the two trees")
+            differences.append(f"{' '.join(argv)} differs between the two trees")
         return outcome
 
     for workload, argvs in workloads.items():
+        before = len(differences)
         for argv in argvs:
             same(argv)
-        print(f"{workload}: {len(argvs)} ops give identical exit codes, "
-              f"stdout and stderr")
+        print(f"{workload}: {len(argvs)} ops give "
+              f"{show(workload, differences[before:])} exit codes, stdout and stderr")
 
     models = sorted(work.glob("model*.er"))
     models += [Path(argv[1]) for argv in workloads["errors"]]
@@ -325,8 +347,10 @@ def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) 
                  ["roundtrip", company, "--sog-choice", "Consult=Project"],
                  ["roundtrip", company, "--prefer-regular", "--prefer-regular"]):
         same(argv, written)
-    print(f"identity: {count} calls give identical exit codes, stdout, stderr "
-          f"and -o files ({len(models)} models, {len(schemas)} schemas)")
+    print(f"identity: {count} calls give {show('identity', differences)} exit "
+          f"codes, stdout, stderr and -o files ({len(models)} models, "
+          f"{len(schemas)} schemas)")
+    return len(differences)
 
 
 def timed_round(old, new, argvs: list[list[str]], flip: bool) -> tuple[float, float]:
@@ -348,6 +372,28 @@ def timed_round(old, new, argvs: list[list[str]], flip: bool) -> tuple[float, fl
     return times[0], times[1]
 
 
+def time_workloads(old, new, workloads: dict[str, list[list[str]]],
+                   rounds: int) -> None:
+    """Time ``rounds`` rounds of each workload and print the rates."""
+    gc.collect()
+    gc.freeze()
+    for workload, argvs in workloads.items():
+        argvs = argvs * REPEATS[workload]
+        old_times, new_times = [], []
+        for round_ in range(rounds):
+            old_time, new_time = timed_round(old, new, argvs, round_ % 2 == 1)
+            old_times.append(old_time)
+            new_times.append(new_time)
+        ops = len(argvs)
+        old_rate = ops * rounds / sum(old_times)
+        new_rate = ops * rounds / sum(new_times)
+        ratios = [o / n for o, n in zip(old_times, new_times)]
+        print(f"{workload}: old {old_rate:.1f} ops/s, new {new_rate:.1f} ops/s, "
+              f"ratio {new_rate / old_rate:.3f} "
+              f"(median of {rounds} rounds {statistics.median(ratios):.3f}, "
+              f"range {min(ratios):.3f}-{max(ratios):.3f})")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
@@ -363,33 +409,18 @@ def main() -> None:
 
     old_package = load(args.old_src.resolve(), "er2rds_old")
     new_package = load(args.new_src.resolve(), "er2rds_new")
-    check_validator(old_package, new_package)
-    check_validator(old_package, new_package, step_spec, STEP_MODELS, STEP_SEED)
+    differing = check_validator(old_package, new_package)
+    differing += check_validator(old_package, new_package, step_spec, STEP_MODELS,
+                                 STEP_SEED)
     old, new = old_package.cli.main, new_package.cli.main
 
     with tempfile.TemporaryDirectory() as work:
         workloads = write_inputs(Path(work), args.seed)
-        check_identity(old, new, Path(work), workloads)
-        if args.rounds < 1:
-            return
-        gc.collect()
-        gc.freeze()
-
-        for workload, argvs in workloads.items():
-            argvs = argvs * REPEATS[workload]
-            old_times, new_times = [], []
-            for round_ in range(args.rounds):
-                old_time, new_time = timed_round(old, new, argvs, round_ % 2 == 1)
-                old_times.append(old_time)
-                new_times.append(new_time)
-            ops = len(argvs)
-            old_rate = ops * args.rounds / sum(old_times)
-            new_rate = ops * args.rounds / sum(new_times)
-            ratios = [o / n for o, n in zip(old_times, new_times)]
-            print(f"{workload}: old {old_rate:.1f} ops/s, new {new_rate:.1f} ops/s, "
-                  f"ratio {new_rate / old_rate:.3f} "
-                  f"(median of {args.rounds} rounds {statistics.median(ratios):.3f}, "
-                  f"range {min(ratios):.3f}-{max(ratios):.3f})")
+        differing += check_identity(old, new, Path(work), workloads)
+        if args.rounds > 0:
+            time_workloads(old, new, workloads, args.rounds)
+    if differing:
+        sys.exit(f"compare_speed: {differing} differences between the two trees")
 
 
 if __name__ == "__main__":

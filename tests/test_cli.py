@@ -330,6 +330,28 @@ class TestRoundtrip:
         assert main(["roundtrip", str(source)]) == 2
         assert capsys.readouterr() == (out, err)
 
+    def test_a_changed_schema_text_prints_a_unified_diff(self, tmp_path, capsys):
+        # Reversal reads the weak entity BraNo as a regular entity, so the
+        # second transformation lists its relation before Del's.
+        source = tmp_path / "model.er"
+        source.write_text(
+            "entity Bra { key Bravo; key Bra; key Cedar; attr Brave; }\n"
+            "weak Del of Bra via CedNo { partial Cedar; attr Del; }\n"
+            "weak BraNo of Bra via DeltaNo { partial BraNo; attr Ced; }\n")
+        assert main(["roundtrip", str(source)]) == 2
+        assert capsys.readouterr() == (
+            "round trip FAILED\n"
+            "model.entities: 1 elements expected, 2 found\n"
+            "model.weak_entities: 2 elements expected, 1 found\n"
+            "schema texts differ:\n"
+            "--- first\n"
+            "+++ second\n"
+            "@@ -1,3 +1,3 @@\n"
+            " Bra[_Bravo_, _Bra_, _Cedar_, Brave]\n"
+            "+BraNo[_Bravo_, _BraNo_, Ced]\n"
+            " Del[_Bravo_, _Cedar_, Del]\n"
+            "-BraNo[_Bravo_, _BraNo_, Ced]\n", "")
+
 
 class TestDdl:
     def test_golden_schema_matches_the_golden_ddl(self, capsys):
@@ -412,6 +434,16 @@ class TestEntryPoints:
                                 capture_output=True, text=True,
                                 env=checkout_env())
         assert result.returncode == 0
+
+    def test_importing_the_cli_loads_no_difflib(self):
+        # Only a failed round trip diffs its schema texts, so start-up
+        # leaves difflib (and the heapq it pulls in) unloaded.
+        result = subprocess.run([sys.executable, "-c",
+                                 "import sys, er2rds.cli; "
+                                 "print('difflib' in sys.modules)"],
+                                capture_output=True, text=True,
+                                env=checkout_env())
+        assert (result.stdout, result.stderr) == ("False\n", "")
 
 
 class TestPlainCommandLines:

@@ -5,8 +5,10 @@ from unittest import mock
 import pytest
 
 from conftest import golden_path, named
-from er2rds import emit_er, er_text, format_diagnostic, parse_er
-from er2rds.model import AttributeKind, Severity
+from er2rds import emit_er, er_text, format_diagnostic, parse_er, validate_notation
+from er2rds.model import (
+    Attribute, AttributeKind, ERModel, RegularEntityType, Severity, Subtype,
+)
 from genmodels import generate_model
 
 
@@ -151,6 +153,26 @@ class TestParseErrors:
             "weak Dependent of Employee via DependentOf { partial Name; }"
         )
         assert rule_ids(diagnostics) == ["REF"]
+
+    def test_a_repeated_name_is_reported_in_source_order(self):
+        # At its own construct, ahead of that construct's other problems, as
+        # validate_notation reports the same model built in code.
+        _, diagnostics = parse_er(
+            "entity Alpha { key AlpNo; }\n"
+            "subtype Beta of Ghost { attr Grade; }\n"
+            "subtype Beta of Ghost { attr Grade; }"
+        )
+        found = [(d.line, d.message) for d in diagnostics]
+        assert found == [
+            (2, "supertype 'Ghost' is not a regular entity type"),
+            (3, "name 'Beta' is already declared"),
+            (3, "supertype 'Ghost' is not a regular entity type"),
+        ]
+        alpha = RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),))
+        beta = Subtype("Beta", "Ghost", (Attribute("Grade"),))
+        model = ERModel((alpha,), (beta, beta), (), ())
+        assert [d.message for d in validate_notation(model)] == \
+            [message for _, message in found]
 
     def test_unknown_supertype(self):
         _, diagnostics = parse_er("subtype Engineer of Employee { attr Grade; }")
