@@ -44,6 +44,10 @@ checked but not timed:
   ``colliding_text`` texts of the ``errors`` workload, each with no option,
   ``--prefer-regular``, ``--extensions``, a malformed and an unknown
   ``--sog-choice``;
+- ``validate`` and ``roundtrip`` over 1,000 ``repeating_text`` texts
+  (generator seed 92), which repeat element, ``via``, member and
+  participant names, so they reach the parser's repeated-name and
+  partial-key findings that ``colliding_text`` texts seldom or never do;
 - ``reverse`` and ``ddl`` on every schema those transforms wrote and on the
   golden schemas;
 - every command on a missing file and on a file that is not UTF-8, ``-o``
@@ -93,6 +97,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 CORPUS_MODELS = 500
 COLLIDING_TEXTS = 1000
 COLLIDING_SEED = 91
+REPEATING_TEXTS = 1000
+REPEATING_SEED = 92
 COMMANDS = ("validate", "transform", "reverse", "roundtrip", "ddl")
 # The options of each checked call on a model.
 OPTIONS = ([], ["--prefer-regular"], ["--extensions"],
@@ -318,6 +324,13 @@ def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) 
             if written is not None:
                 schemas.add(written)
             same(["roundtrip", str(path), *options])
+    from test_er_text import repeating_text
+    rng = random.Random(REPEATING_SEED)
+    for index in range(REPEATING_TEXTS):
+        path = work / f"repeating{index}.er"
+        path.write_text(repeating_text(rng), encoding="utf-8")
+        same(["validate", str(path)])
+        same(["roundtrip", str(path)])
     produced = work / "produced.rds"
     for schema in sorted(schemas):
         produced.write_text(schema, encoding="utf-8")
@@ -349,7 +362,7 @@ def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) 
         same(argv, written)
     print(f"identity: {count} calls give {show('identity', differences)} exit "
           f"codes, stdout, stderr and -o files ({len(models)} models, "
-          f"{len(schemas)} schemas)")
+          f"{REPEATING_TEXTS} repeating texts, {len(schemas)} schemas)")
     return len(differences)
 
 

@@ -209,6 +209,26 @@ class TestParseErrors:
         )
         assert rule_ids(diagnostics) == ["MODEL"]
 
+    def test_a_repeated_partial_key_is_left_out_before_partial_keys_are_counted(self):
+        _, diagnostics = parse_er(
+            "entity Alpha { key AlpNo; }\n"
+            "weak Badge of Alpha via BadgeOf { partial Pin; partial Pin; attr Grade; }"
+        )
+        assert [(d.line, d.rule_id, d.message) for d in diagnostics] == \
+            [(2, "REF", "attribute 'Pin' declared more than once")]
+
+    def test_a_weak_entity_reports_its_problems_in_order(self):
+        _, diagnostics = parse_er(
+            "entity Alpha { key AlpNo; }\n"
+            "weak Alpha of Ghost via AlphaOf { attr Grade; attr Grade; }"
+        )
+        assert [(d.line, d.rule_id, d.message) for d in diagnostics] == [
+            (2, "REF", "name 'Alpha' is already declared"),
+            (2, "REF", "attribute 'Grade' declared more than once"),
+            (2, "REF", "owner 'Ghost' is not a regular entity type"),
+            (2, "MODEL", "weak entity 'Alpha' needs exactly one partial key, found 0"),
+        ]
+
     def test_errors_suppress_the_model(self):
         model, diagnostics = parse_er("entity { }")
         assert model is None
@@ -267,6 +287,41 @@ def colliding_text(rng: random.Random) -> str:
               f"{{ partial {name()}; {members(('attr',))} }}"
               for _ in range(rng.randint(0, 2))]
     lines += [f"rel {fresh.pop()} ({name()} {pair()}, {name()} {pair()}) "
+              f"{{ {members(('attr',))} }}"
+              for _ in range(rng.randint(0, 3))]
+    rng.shuffle(lines)
+    return "\n".join(lines)
+
+
+# A smaller pool that every element, via, member and participant name is
+# drawn from with replacement, so texts repeat names: a name already
+# declared, an attribute declared more than once, a weak entity with zero,
+# one or two partial keys, among them repeated ones.
+_REPEATING = ("Ivory", "IvoNo", "Del", "DelNo", "Bra", "BraNo")
+
+
+def repeating_text(rng: random.Random) -> str:
+    def name():
+        return rng.choice(_REPEATING)
+
+    def members(keywords, partials=0):
+        found = [f"partial {name()};" for _ in range(partials)]
+        found += [f"{rng.choice(keywords)} {name()};" for _ in range(rng.randint(0, 3))]
+        rng.shuffle(found)
+        return " ".join(found)
+
+    def pair():
+        return f"{rng.choice('01')}..{rng.choice(('1', 'n', 'N'))}"
+
+    entities = [name() for _ in range(rng.randint(1, 4))]
+    lines = [f"entity {entity} {{ key {name()}; {members(('key', 'attr', 'multi'))} }}"
+             for entity in entities]
+    lines += [f"subtype {name()} of {rng.choice(entities)} {{ {members(('attr',))} }}"
+              for _ in range(rng.randint(0, 2))]
+    lines += [f"weak {name()} of {rng.choice(entities)} via {name()} "
+              f"{{ {members(('attr',), rng.randint(0, 2))} }}"
+              for _ in range(rng.randint(0, 2))]
+    lines += [f"rel {name()} ({name()} {pair()}, {name()} {pair()}) "
               f"{{ {members(('attr',))} }}"
               for _ in range(rng.randint(0, 3))]
     rng.shuffle(lines)
@@ -353,6 +408,11 @@ def colliding_texts():
     return [colliding_text(rng) for _ in range(300)]
 
 
+def repeating_texts():
+    rng = random.Random(26)
+    return [repeating_text(rng) for _ in range(300)]
+
+
 def mutants(rng: random.Random, bases, count):
     alphabet = "abeiklnotyzANZ01289 \t\r\n{}(),;./_-#\f\v\u00e9\u00b2"
     for _ in range(count):
@@ -400,6 +460,7 @@ def golden_diagnostics(company_text):
     the generated texts as one sha256 per block of 100 records."""
     records = [parse_record(text) for text in _CLEAN_EDGE_TEXTS + _POSITIONED_EDGE_TEXTS]
     for label, texts in (("colliding", colliding_texts()),
+                         ("repeating", repeating_texts()),
                          ("mutants", mutant_texts(company_text))):
         for start in range(0, len(texts), 100):
             block = "\n\n".join(parse_record(text) for text in texts[start:start + 100])
@@ -418,7 +479,7 @@ class TestValueOrErrors:
     def test_every_text_reads_to_a_model_or_to_errors(self, company_text):
         # the contract the command-line pipeline relies on
         texts = [*_CLEAN_EDGE_TEXTS, *_POSITIONED_EDGE_TEXTS, *colliding_texts(),
-                 *mutant_texts(company_text)]
+                 *repeating_texts(), *mutant_texts(company_text)]
         verdicts = set()
         for text in texts:
             model, diagnostics = parse_er(text)
@@ -449,7 +510,8 @@ class TestPositionFreeReading:
             assert fast and model is not None and diagnostics == []
 
     def test_colliding_names_read_alike(self):
-        outcomes = {read_both_ways(text)[1] for text in colliding_texts()}
+        outcomes = {read_both_ways(text)[1]
+                    for text in colliding_texts() + repeating_texts()}
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("text", _CLEAN_EDGE_TEXTS)
