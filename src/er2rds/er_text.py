@@ -107,20 +107,26 @@ class _RawConstruct:
     keyword: str
     name: str
     at: int  # index of the keyword token
-    supertype: str | None = None
-    owner: str | None = None
-    via: str | None = None
-    endpoints: list[tuple[str, str, str]] = field(default_factory=list)
-    members: list[tuple[str, str]] = field(default_factory=list)  # (keyword, name)
+    supertype: str = ""
+    owner: str = ""
+    via: str = ""
+    endpoints: list[RelationshipEndpoint] = field(default_factory=list)
+    members: list[Attribute] = field(default_factory=list)
 
 
 # The top-level keywords, in the order that messages list them, and the
-# member keywords that each admits.
+# member keywords that each admits, with the kind of attribute each declares.
 _MEMBER_KEYWORDS = {
     "entity": ("key", "attr", "multi"),
     "subtype": ("attr",),
     "weak": ("partial", "attr"),
     "rel": ("attr",),
+}
+_MEMBER_KINDS = {
+    "key": AttributeKind.KEY,
+    "attr": AttributeKind.SIMPLE,
+    "multi": AttributeKind.MULTIVALUED,
+    "partial": AttributeKind.PARTIAL_KEY,
 }
 _MINIMA = ("0", "1")
 _MAXIMA = {"1": "1", "n": MAX_MANY, "N": MAX_MANY}
@@ -198,7 +204,8 @@ def _parse(tokens: list[str]
                     if maximum is None:
                         raise _Unexpected(i, "maximum participation must be "
                                              f"1 or n, found {tokens[i]!r}")
-                    construct.endpoints.append((participant, minimum, maximum))
+                    construct.endpoints.append(RelationshipEndpoint(
+                        participant, cardinality_pair(minimum, maximum)))
                     i = _expect(tokens, i + 1, close)
             i = _expect(tokens, i, "{")
             members = construct.members
@@ -216,7 +223,7 @@ def _parse(tokens: list[str]
                     raise _Unexpected(i + 2, "expected ';', "
                                              f"found {_found(tokens[i + 2])}")
                 names.append(name)
-                members.append((member, name))
+                members.append(Attribute(name, _MEMBER_KINDS[member]))
                 i += 3
             constructs.append(construct)
             i += 1
@@ -228,97 +235,75 @@ def _parse(tokens: list[str]
     return constructs, errors, names
 
 
-_MEMBER_KINDS = {
-    "key": AttributeKind.KEY,
-    "attr": AttributeKind.SIMPLE,
-    "multi": AttributeKind.MULTIVALUED,
-    "partial": AttributeKind.PARTIAL_KEY,
-}
-
 _KEY = AttributeKind.KEY
 _PARTIAL_KEY = AttributeKind.PARTIAL_KEY
 
 
 def _resolve(constructs: list[_RawConstruct]
              ) -> tuple[ERModel | None, list[tuple[_RawConstruct, str, str]]]:
-    """The model, or None with every problem as (construct, rule, message)."""
+    """Check each construct and assemble its element, in source order.  The
+    model, or None with every problem as (construct, rule, message)."""
     problems: list[tuple[_RawConstruct, str, str]] = []
-
-    def err(construct: _RawConstruct, rule: str, message: str) -> None:
-        problems.append((construct, rule, message))
-
+    report = problems.append
     entity_names = {c.name for c in constructs if c.keyword == "entity"}
-    subtype_names = {c.name for c in constructs if c.keyword == "subtype"}
-
-    def attributes_of(construct: _RawConstruct) -> tuple[Attribute, ...]:
-        seen: set[str] = set()
-        collected: list[Attribute] = []
-        for keyword, name in construct.members:
-            if name in seen:
-                err(construct, "REF", f"attribute {name!r} declared more than once")
-                continue
-            seen.add(name)
-            collected.append(Attribute(name, _MEMBER_KINDS[keyword]))
-        return tuple(collected)
-
-    entities: list[RegularEntityType] = []
-    subtypes: list[Subtype] = []
-    weaks: list[WeakEntityType] = []
-    relationships: list[RelationshipType] = []
+    participants = entity_names | {c.name for c in constructs if c.keyword == "subtype"}
+    entities, subtypes, weaks, relationships = [], [], [], []
 
     # Global name uniqueness covers the four element kinds plus identifying
     # relationship names, which reversal regenerates as first-class names.  A
     # name taken before is reported at its construct, ahead of its other
-    # problems, so the problems stay in source order.
+    # problems, so the problems stay in source order.  A repeated attribute
+    # is left out before a weak entity's partial keys are counted.
     taken: set[str] = set()
     for construct in constructs:
-        for name in (construct.name, construct.via):
-            if name in taken:
-                err(construct, "REF", f"name {name!r} is already declared")
-            elif name is not None:
-                taken.add(name)
-        attrs = attributes_of(construct)
+        name = construct.name
+        for declared in (name, construct.via):
+            if declared in taken:
+                report((construct, "REF", f"name {declared!r} is already declared"))
+            elif declared:
+                taken.add(declared)
+        unique: dict[str, Attribute] = {}
+        for attribute in construct.members:
+            if attribute.name in unique:
+                report((construct, "REF",
+                        f"attribute {attribute.name!r} declared more than once"))
+            else:
+                unique[attribute.name] = attribute
+        attributes = tuple(unique.values())
         if construct.keyword == "entity":
-            if not any(a.kind is _KEY for a in attrs):
-                err(construct, "MODEL",
-                    f"entity {construct.name!r} declares no key attribute")
-            entities.append(RegularEntityType(construct.name, attrs))
+            if not any(a.kind is _KEY for a in attributes):
+                report((construct, "MODEL", f"entity {name!r} declares no key attribute"))
+            entities.append(RegularEntityType(name, attributes))
         elif construct.keyword == "subtype":
             if construct.supertype not in entity_names:
-                err(construct, "REF",
-                    f"supertype {construct.supertype!r} is not a regular entity type")
-            subtypes.append(Subtype(construct.name, construct.supertype or "", attrs))
+                report((construct, "REF", f"supertype {construct.supertype!r} "
+                                          "is not a regular entity type"))
+            subtypes.append(Subtype(name, construct.supertype, attributes))
         elif construct.keyword == "weak":
             if construct.owner not in entity_names:
-                err(construct, "REF",
-                    f"owner {construct.owner!r} is not a regular entity type")
-            partials = [a for a in attrs if a.kind is _PARTIAL_KEY]
+                report((construct, "REF",
+                        f"owner {construct.owner!r} is not a regular entity type"))
+            partials = [a for a in attributes if a.kind is _PARTIAL_KEY]
             if len(partials) != 1:
-                err(construct, "MODEL",
-                    f"weak entity {construct.name!r} needs exactly one partial key, "
-                    f"found {len(partials)}")
-                partials = partials or [Attribute("", _PARTIAL_KEY)]
-            rest = tuple([a for a in attrs if a.kind is not _PARTIAL_KEY])
-            weaks.append(
-                WeakEntityType(construct.name, construct.owner or "",
-                               construct.via or "", partials[0], rest)
-            )
+                # The model is discarded, so the weak entity is not built.
+                report((construct, "MODEL", f"weak entity {name!r} needs exactly one "
+                                            f"partial key, found {len(partials)}"))
+            else:
+                rest = tuple([a for a in attributes if a.kind is not _PARTIAL_KEY])
+                weaks.append(WeakEntityType(name, construct.owner, construct.via,
+                                            partials[0], rest))
         else:  # rel
-            for participant, _, _ in construct.endpoints:
-                if participant not in entity_names and participant not in subtype_names:
-                    err(construct, "REF",
-                        f"participant {participant!r} is not an entity type or subtype")
-            first, second = [
-                RelationshipEndpoint(participant, cardinality_pair(minimum, maximum))
-                for participant, minimum, maximum in construct.endpoints]
-            relationships.append(RelationshipType(construct.name, (first, second), attrs))
+            for endpoint in construct.endpoints:
+                if endpoint.participant not in participants:
+                    report((construct, "REF", f"participant {endpoint.participant!r} "
+                                              "is not an entity type or subtype"))
+            relationships.append(RelationshipType(name, tuple(construct.endpoints),
+                                                  attributes))
 
     if problems:
         return None, problems
-    model = ERModel(
-        tuple(entities), tuple(subtypes), tuple(weaks), tuple(relationships)
-    )
-    return model, problems
+    return ERModel(tuple(entities), tuple(subtypes), tuple(weaks),
+                   tuple(relationships)), problems
 
 
 # The cheap tokenizer: bare token strings, without positions.  A comment is
