@@ -293,6 +293,8 @@ def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) 
     """Count the calls whose outcome differs between the two trees and print
     the first few; print how many calls were compared.  Returns the number
     of differences."""
+    from test_er_text import repeating_text
+
     count = 0
     differences: list[str] = []
 
@@ -324,7 +326,6 @@ def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) 
             if written is not None:
                 schemas.add(written)
             same(["roundtrip", str(path), *options])
-    from test_er_text import repeating_text
     rng = random.Random(REPEATING_SEED)
     for index in range(REPEATING_TEXTS):
         path = work / f"repeating{index}.er"
