@@ -50,6 +50,11 @@ checked but not timed:
   partial-key findings that ``colliding_text`` texts seldom or never do;
 - ``reverse`` and ``ddl`` on every schema those transforms wrote and on the
   golden schemas;
+- ``reverse -o FILE`` (the written file is compared too) and ``ddl`` over
+  1,000 ``schema_text`` texts (generator seed 93), whose relations share
+  three-letter prefixes and so reach the classifier's findings, and over
+  1,000 ``edited_schema_text`` texts (generator seed 94), corpus schemas
+  with one edit each;
 - every command on a missing file and on a file that is not UTF-8, ``-o``
   into a missing directory, and usage errors, whose argparse exit code is
   compared;
@@ -99,6 +104,10 @@ COLLIDING_TEXTS = 1000
 COLLIDING_SEED = 91
 REPEATING_TEXTS = 1000
 REPEATING_SEED = 92
+SCHEMA_TEXTS = 1000
+SCHEMA_SEED = 93
+EDITED_SCHEMAS = 1000
+EDITED_SEED = 94
 COMMANDS = ("validate", "transform", "reverse", "roundtrip", "ddl")
 # The options of each checked call on a model.
 OPTIONS = ([], ["--prefer-regular"], ["--extensions"],
@@ -294,6 +303,7 @@ def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) 
     the first few; print how many calls were compared.  Returns the number
     of differences."""
     from test_er_text import repeating_text
+    from test_reverse import edited_schema_text, schema_text
 
     count = 0
     differences: list[str] = []
@@ -337,6 +347,15 @@ def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) 
         produced.write_text(schema, encoding="utf-8")
         same(["reverse", str(produced)])
         same(["ddl", str(produced)])
+    rng, edited_rng = random.Random(SCHEMA_SEED), random.Random(EDITED_SEED)
+    drawn = [*(schema_text(rng) for _ in range(SCHEMA_TEXTS)),
+             *(edited_schema_text(edited_rng) for _ in range(EDITED_SCHEMAS))]
+    reversed_er = work / "reversed.er"
+    for index, text in enumerate(drawn):
+        path = work / f"schema{index}.rds"
+        path.write_text(text, encoding="utf-8")
+        same(["reverse", str(path), "-o", str(reversed_er)], reversed_er)
+        same(["ddl", str(path)])
 
     latin = work / "latin.er"
     latin.write_bytes(b"entity Dep\xff { key DepNo; }")
@@ -363,7 +382,8 @@ def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) 
         same(argv, written)
     print(f"identity: {count} calls give {show('identity', differences)} exit "
           f"codes, stdout, stderr and -o files ({len(models)} models, "
-          f"{REPEATING_TEXTS} repeating texts, {len(schemas)} schemas)")
+          f"{REPEATING_TEXTS} repeating texts, {len(schemas)} schemas, "
+          f"{SCHEMA_TEXTS} drawn and {EDITED_SCHEMAS} edited schema texts)")
     return len(differences)
 
 

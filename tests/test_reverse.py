@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import random
+
 import pytest
 
 from er2rds import (
@@ -9,6 +13,8 @@ from er2rds import (
     Severity,
     canonical_model,
     classify_relations,
+    emit_er,
+    emit_rds,
     format_diagnostic,
     model_diff,
     normalize_model,
@@ -22,7 +28,7 @@ from er2rds import (
 from er2rds import ddl, reverse
 from er2rds.reverse import RelationKind
 from conftest import golden_path, named
-from genmodels import scaled_model
+from genmodels import generate_model, scaled_model
 
 
 def schema_of(text):
@@ -115,6 +121,29 @@ class TestClassification:
         assert kinds["Empire"] is RelationKind.REGULAR_ENTITY
         assert any(d.severity is Severity.WARNING and "subtype" in d.message
                    for d in diagnostics)
+
+
+# A shape error comes after a key owned twice in schema order, and a
+# dependent reading after both.
+FINDING_ORDER_TEXT = ("Ivory[_IvoNo_, Name]\nIvo[_IvoNo_, Size]\nBad[Name]\n"
+                      "DelNo[_IvoNo_, _Del_]\n")
+
+
+class TestFindingOrder:
+    @pytest.mark.parametrize("stage", [reverse_transform, render_ddl])
+    def test_shape_errors_then_keys_owned_twice_then_dependent_readings(self, stage):
+        _, diagnostics = stage(schema_of(FINDING_ORDER_TEXT))
+        assert [format_diagnostic(d, "test.rds") for d in diagnostics] == [
+            "test.rds: error[CLASSIFY]: relation 'Bad' is unclassifiable: no "
+            "leading underlined attribute (Bad)",
+            "test.rds: warning[CLASSIFY]: relations 'Ivory' and 'Ivo' both own "
+            "primary key 'IvoNo'; references resolve to 'Ivory' (Ivo)",
+            "test.rds: warning[CLASSIFY]: relation 'Ivo' also matches the subtype "
+            "shape; treating it as a regular entity relation (Ivo)",
+            "test.rds: error[CLASSIFY]: relation 'DelNo' is unclassifiable: two "
+            "underlined attributes but the second is not named after the "
+            "relation (DelNo)",
+        ]
 
 
 class TestReverseGolden:
@@ -337,6 +366,142 @@ class TestRepeatedRelationName:
         assert [format_diagnostic(d, "test.rds") for d in diagnostics] == [
             REPEATED_NAME_ERROR]
         assert sql.count("CREATE TABLE Alpha (") == 2
+
+
+# --------------------------------------------------------------------------
+# Schema-side golden diagnostics
+
+# Names that share three-letter prefixes.  Relations, attributes and prefixes
+# all draw from them, so relations often share a key, fit a dependent shape
+# beside the regular one, or fit no shape at all.
+_SHARING = ("Ivory", "IvoNo", "Ivo", "Del", "DelNo", "Delta", "Bra", "BraNo",
+            "Bravo")
+_SUFFIX_RELATIONSHIPS = ("Grove", "Hazel", "Maple")
+
+
+def schema_text(rng: random.Random) -> str:
+    """One to five relations of distinct names from ``_SHARING``, each with
+    0-3 leading underlined attributes (the first often sharing the
+    relation's prefix), then attributes that are plain, underlined, suffixed
+    or prefixed, all of distinct names."""
+    def suffix():
+        return (f"({rng.choice(_SUFFIX_RELATIONSHIPS)}, {rng.choice('01')}, "
+                f"{rng.choice('01')}, {rng.choice('1n')})")
+
+    forms = (lambda name: name,
+             lambda name: f"_{name}_",
+             lambda name: name + suffix(),
+             lambda name: f"{rng.choice(_SHARING)}-{name}{suffix()}")
+    lines = []
+    for relation in rng.sample(_SHARING, rng.randint(1, 5)):
+        lead = rng.choices(range(4), (1, 4, 4, 1))[0]
+        count = lead + rng.randint(0 if lead else 1, 3)
+        names = rng.sample(_SHARING, count)
+        if lead and rng.random() < 0.5:
+            first = rng.choice([n for n in _SHARING if n[:3] == relation[:3]])
+            names = [first, *(n for n in names if n != first)][:count]
+        attributes = [f"_{name}_" for name in names[:lead]]
+        attributes += [rng.choices(forms, (3, 1, 3, 2))[0](name)
+                       for name in names[lead:]]
+        lines.append(f"{relation}[{', '.join(attributes)}]")
+    return "\n".join(lines)
+
+
+def edited_schema_text(rng: random.Random) -> str:
+    """The schema text of a corpus model after ``transform_model``, with one
+    edit: move a relation, drop a plain attribute, flip v2, v3 or v4 of a
+    suffix, drop a relation, copy a foreign key into another relation,
+    rename a prefix to another relation's name, or nothing."""
+    schema, _ = transform_model(generate_model(rng.randrange(1_000_000)))
+    relations = schema.relations
+    cells = [(relation, index, attr) for relation in relations
+             for index, attr in enumerate(relation.attributes)]
+    plain = [cell for cell in cells if not cell[2].underlined and cell[2].suffix is None]
+    suffixed = [cell for cell in cells if cell[2].suffix is not None]
+    prefixed = [cell for cell in suffixed if cell[2].prefix is not None]
+    edit = rng.choice(("move", "drop attribute", "flip", "drop relation",
+                       "copy foreign key", "rename prefix", "none"))
+    if edit == "move":
+        relations.insert(rng.randrange(len(relations)),
+                         relations.pop(rng.randrange(len(relations))))
+    elif edit == "drop attribute" and plain:
+        relation, index, _ = rng.choice(plain)
+        del relation.attributes[index]
+    elif edit == "flip" and suffixed:
+        relation, index, attr = rng.choice(suffixed)
+        field, values = rng.choice((("v2", "01"), ("v3", "01"), ("v4", "1n")))
+        other = values.replace(getattr(attr.suffix, field), "")
+        suffix = dataclasses.replace(attr.suffix, **{field: other})
+        relation.attributes[index] = dataclasses.replace(attr, suffix=suffix)
+    elif edit == "drop relation":
+        del relations[rng.randrange(len(relations))]
+    elif edit == "copy foreign key" and suffixed and len(relations) > 1:
+        holder, _, attr = rng.choice(suffixed)
+        rng.choice([r for r in relations if r is not holder]).attributes.append(attr)
+    elif edit == "rename prefix" and prefixed:
+        relation, index, attr = rng.choice(prefixed)
+        prefix = rng.choice(relations).name
+        relation.attributes[index] = dataclasses.replace(attr, prefix=prefix)
+    return emit_rds(schema)
+
+
+def schema_texts():
+    rng = random.Random(28)
+    return [schema_text(rng) for _ in range(1000)]
+
+
+def edited_schema_texts():
+    rng = random.Random(29)
+    return [edited_schema_text(rng) for _ in range(1000)]
+
+
+def _indented(text: str) -> list[str]:
+    return [f"  {line}".rstrip() for line in text.splitlines()]
+
+
+def schema_record(text):
+    """The text, then the verdict of parse_rds with its diagnostics; for a
+    schema, the .er text reverse_transform emits (or none) with its
+    diagnostics, then render_ddl's SQL with its diagnostics."""
+    schema, diagnostics = parse_rds(text, "in.rds")
+    lines = [repr(text)]
+    if schema is None:
+        lines.append("none")
+        lines += [format_diagnostic(d, "in.rds") for d in diagnostics]
+        return "\n".join(lines)
+    model, diagnostics = reverse_transform(schema)
+    lines.append("reverse" if model is not None else "reverse none")
+    if model is not None:
+        lines += _indented(emit_er(model))
+    lines += [format_diagnostic(d, "in.rds") for d in diagnostics]
+    sql, diagnostics = render_ddl(schema)
+    lines += ["ddl", *_indented(sql)]
+    lines += [format_diagnostic(d, "in.rds") for d in diagnostics]
+    return "\n".join(lines)
+
+
+# Texts that reach findings the generated blocks miss, and the four findings
+# whose order a merged first walk would change.
+_SCHEMA_EDGE_TEXTS = [FINDING_ORDER_TEXT]
+
+
+def golden_schema_diagnostics():
+    """The contents of golden/rds_diagnostics.txt: every edge text in full,
+    and the generated texts as one sha256 per block of 100 records."""
+    records = [schema_record(text) for text in _SCHEMA_EDGE_TEXTS]
+    for label, texts in (("schemas", schema_texts()),
+                         ("edited", edited_schema_texts())):
+        for start in range(0, len(texts), 100):
+            block = "\n\n".join(schema_record(text) for text in texts[start:start + 100])
+            digest = hashlib.sha256(block.encode("utf-8")).hexdigest()
+            records.append(f"{label} {start}-{start + 99} sha256 {digest}")
+    return "\n\n".join(records) + "\n"
+
+
+class TestGoldenSchemaDiagnostics:
+    def test_verdicts_and_diagnostics_match_the_golden_file(self):
+        expected = golden_path("rds_diagnostics.txt").read_text(encoding="utf-8")
+        assert golden_schema_diagnostics() == expected
 
 
 class TestModelComparison:
