@@ -41,62 +41,52 @@ def render_ddl(schema: RelationalSchema) -> tuple[str, list[Diagnostic]]:
     becomes a foreign key against the regular relation owning the referenced
     key (prefix stripped), with its suffix preserved as a trailing comment.
     Subtype, multivalued, and weak relations also reference their owner
-    through their first attribute.
-    An unresolvable reference becomes a comment plus a warning diagnostic.
-    The diagnostics of classification come first.
+    through their first attribute.  An unresolvable reference becomes a
+    comment line and an FK warning, which follows the findings of the two
+    walks of ``classify_relations``, in their order: repeated names and
+    shape errors, then keys owned twice, then dependent readings.
     """
     kinds, owners, diagnostics = classify_relations(schema)
-
+    dependent = (RelationKind.SUBTYPE, RelationKind.MULTIVALUED, RelationKind.WEAK)
     statements = []
     for relation in schema.relations:
-        items: list[tuple[str, str]] = []
-        for attr in relation.attributes:
-            comment = "" if attr.suffix is None else f"-- {render_suffix(attr.suffix)}"
-            items.append((f"{_sql_identifier(attr.display_name())} TEXT", comment))
-
-        pk = [_sql_identifier(a.name) for a in
-              relation.attributes[:leading_underline_count(relation)]]
+        attributes, kind = relation.attributes, kinds.get(relation.name)
+        # (definition, trailing comment) lines: a column, a key, a foreign
+        # key, or an unresolved reference, which has no definition.
+        lines = [(f"{_sql_identifier(a.display_name())} TEXT",
+                  "" if a.suffix is None else f"-- {render_suffix(a.suffix)}")
+                 for a in attributes]
+        pk = [_sql_identifier(a.name)
+              for a in attributes[:leading_underline_count(relation)]]
         if pk:
-            items.append((f"PRIMARY KEY ({', '.join(pk)})", ""))
-        if len(pk) > 1 and kinds.get(relation.name) is RelationKind.REGULAR_ENTITY:
-            items.append((f"UNIQUE ({pk[0]})", ""))
-
+            lines.append((f"PRIMARY KEY ({', '.join(pk)})", ""))
+        if len(pk) > 1 and kind is RelationKind.REGULAR_ENTITY:
+            lines.append((f"UNIQUE ({pk[0]})", ""))
         # (column, referenced key) pairs: a dependent relation's owner
         # reference first, then one per suffixed attribute.
-        references = [
-            (_sql_identifier(attr.name), attr.name) for attr in relation.attributes[:1]
-            if kinds.get(relation.name) in (
-                RelationKind.SUBTYPE, RelationKind.MULTIVALUED, RelationKind.WEAK)
-        ]
-        references += [
-            (_sql_identifier(attr.display_name()), attr.name)
-            for attr in relation.attributes if attr.suffix is not None
-        ]
+        references = [(a.display_name(), a.name) for a in attributes
+                      if a.suffix is not None]
+        if kind in dependent:
+            references.insert(0, (attributes[0].name, attributes[0].name))
         for column, key in references:
             owner = owners.get(key)
             if owner is None:
-                diagnostics.append(
-                    Diagnostic("FK", Severity.WARNING,
-                               f"no relation owns primary key {key!r}",
-                               element=relation.name)
-                )
-                items.append((f"-- unresolved reference: no relation owns "
-                              f"primary key {key}", ""))
+                diagnostics.append(Diagnostic("FK", Severity.WARNING,
+                                              f"no relation owns primary key {key!r}",
+                                              element=relation.name))
+                lines.append(("", f"-- unresolved reference: no relation owns "
+                                  f"primary key {key}"))
             else:
-                items.append((f"FOREIGN KEY ({column}) REFERENCES "
+                lines.append((f"FOREIGN KEY ({_sql_identifier(column)}) REFERENCES "
                               f"{_sql_identifier(owner)} ({_sql_identifier(key)})", ""))
-
-        lines = [f"CREATE TABLE {_sql_identifier(relation.name)} ("]
-        last_definition = max(
-            (i for i, (d, _) in enumerate(items) if not d.startswith("--")),
-            default=-1,
-        )
-        for index, (definition, comment) in enumerate(items):
-            needs_comma = index < last_definition and not definition.startswith("--")
-            suffix = f" {comment}" if comment else ""
-            lines.append(f"    {definition}{',' if needs_comma else ''}{suffix}")
-        lines.append(");")
-        statements.append("\n".join(lines))
+        last = max((i for i, (definition, _) in enumerate(lines) if definition),
+                   default=-1)
+        statement = [f"CREATE TABLE {_sql_identifier(relation.name)} ("]
+        for index, (definition, comment) in enumerate(lines):
+            if definition and index < last:
+                definition += ","
+            statement.append("    " + " ".join(filter(None, (definition, comment))))
+        statements.append("\n".join([*statement, ");"]))
     if not statements:
         return "", diagnostics
     return "\n\n".join(statements) + "\n", diagnostics

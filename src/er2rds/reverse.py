@@ -67,98 +67,87 @@ def classify_relations(schema: RelationalSchema
     """Classify every relation; returns the kinds, the map from each
     primary-key name to the first regular relation owning it, and the
     diagnostics.  An unclassifiable relation, or one whose name an earlier
-    relation took, yields an error diagnostic and stays out of the kinds."""
+    relation took, yields an error diagnostic and stays out of the kinds.
+
+    The first walk, over the schema, reports repeated names and shape
+    errors, marks the regular relations and fills the key-owner map; the
+    second, over the shaped relations, decides each dependent kind.  The
+    findings come in schema order within three groups: repeated names and
+    shape errors, then keys owned twice, then dependent readings."""
     regular, subtype = RelationKind.REGULAR_ENTITY, RelationKind.SUBTYPE
-    multivalued, weak = RelationKind.MULTIVALUED, RelationKind.WEAK
     kinds: dict[str, RelationKind] = {}
+    owners: dict[str, str] = {}
     diagnostics: list[Diagnostic] = []
-
-    def unclassifiable(relation: Relation, why: str) -> None:
-        diagnostics.append(
-            Diagnostic("CLASSIFY", Severity.ERROR,
-                       f"relation {relation.name!r} is unclassifiable: {why}",
-                       element=relation.name)
-        )
-
-    # A schema built in code may repeat a name, which parse_rds refuses;
-    # only the first relation of a name is classified.
+    owned_twice: list[Diagnostic] = []
     names: set[str] = set()
     shaped: list[tuple[Relation, int]] = []
     for relation in schema.relations:
-        if relation.name in names:
-            diagnostics.append(
-                Diagnostic("CLASSIFY", Severity.ERROR,
-                           f"relation {relation.name!r} is declared more than once",
-                           element=relation.name)
-            )
-            continue
-        names.add(relation.name)
-        lead = leading_underline_count(relation)
-        if lead == 0:
-            unclassifiable(relation, "no leading underlined attribute")
-            continue
-        if any(a.underlined for a in relation.attributes[lead:]):
-            unclassifiable(relation, "underlined attribute after a non-underlined one")
+        name, lead = relation.name, leading_underline_count(relation)
+        # A schema built in code may repeat a name, which parse_rds refuses;
+        # only the first relation of a name is classified.
+        if name in names:
+            problem = "is declared more than once"
+        elif lead == 0:
+            problem = "is unclassifiable: no leading underlined attribute"
+        elif any(a.underlined for a in relation.attributes[lead:]):
+            problem = ("is unclassifiable: underlined attribute after a "
+                       "non-underlined one")
+        else:
+            problem = None
+        names.add(name)
+        if problem is not None:
+            diagnostics.append(Diagnostic("CLASSIFY", Severity.ERROR,
+                                          f"relation {name!r} {problem}", element=name))
             continue
         shaped.append((relation, lead))
-        if name_prefix(relation.attributes[0].name) == name_prefix(relation.name):
-            kinds[relation.name] = regular
-
-    # kinds holds only the regular relations at this point.
-    owners: dict[str, str] = {}
-    for relation, _ in shaped:
-        if relation.name not in kinds:
-            continue
         pk = relation.pk_name()
-        owner = owners.setdefault(pk, relation.name)
-        if owner != relation.name:
-            diagnostics.append(
-                Diagnostic("CLASSIFY", Severity.WARNING,
-                           f"relations {owner!r} and {relation.name!r} both own "
-                           f"primary key {pk!r}; references resolve to {owner!r}",
-                           element=relation.name)
-            )
+        if name_prefix(pk) == name_prefix(name):
+            kinds[name] = regular
+            owner = owners.setdefault(pk, name)
+            if owner != name:
+                owned_twice.append(Diagnostic(
+                    "CLASSIFY", Severity.WARNING,
+                    f"relations {owner!r} and {name!r} both own primary key "
+                    f"{pk!r}; references resolve to {owner!r}", element=name))
+    diagnostics += owned_twice
 
-    def dependent_kind(relation: Relation,
-                       lead: int) -> tuple[RelationKind | None, str]:
-        # Every underlined attribute of a shaped relation is a leading one.
-        pk = relation.attributes[0].name
-        owner = owners.get(pk)
-        if owner is None or owner == relation.name:
-            return None, (f"leading attribute {pk!r} is not the primary key of "
-                          f"another regular relation")
-        if lead == 1:
-            return subtype, ""
-        if lead == 2 and len(relation.attributes) == 2:
-            if relation.attributes[1].name == relation.name:
-                return multivalued, ""
-            return None, ("two underlined attributes but the second is not "
-                          "named after the relation")
-        if lead == 2 and len(relation.attributes) > 2:
-            return weak, ""
-        return None, f"{lead} underlined attributes fit no known shape"
-
+    # kinds holds only the regular relations until this walk adds the
+    # dependent ones; a shaped relation's underlined attributes all lead it.
     for relation, lead in shaped:
-        if relation.name in kinds:
+        name, attributes = relation.name, relation.attributes
+        owner = owners.get(attributes[0].name)
+        if owner == name:  # a regular relation that owns its key
+            continue
+        kind = why = None
+        if owner is None:
+            why = (f"leading attribute {attributes[0].name!r} is not the "
+                   f"primary key of another regular relation")
+        elif lead == 1:
+            kind = subtype
+        elif lead == 2 and len(attributes) == 2:
+            if attributes[1].name == name:
+                kind = RelationKind.MULTIVALUED
+            else:
+                why = ("two underlined attributes but the second is not named "
+                       "after the relation")
+        elif lead == 2:
+            kind = RelationKind.WEAK
+        if name in kinds:
             # A relation can match the regular-entity shape and a dependent
             # shape at once, when another regular relation owns its key; the
             # regular reading wins, with a warning.
-            if owners[relation.pk_name()] == relation.name:
-                continue
-            other, _ = dependent_kind(relation, lead)
-            if other is not None:
-                diagnostics.append(
-                    Diagnostic("CLASSIFY", Severity.WARNING,
-                               f"relation {relation.name!r} also matches the "
-                               f"{other.value} shape; treating it as a regular "
-                               f"entity relation", element=relation.name)
-                )
-            continue
-        kind, why = dependent_kind(relation, lead)
-        if kind is None:
-            unclassifiable(relation, why)
+            if kind is not None:
+                diagnostics.append(Diagnostic(
+                    "CLASSIFY", Severity.WARNING,
+                    f"relation {name!r} also matches the {kind.value} shape; "
+                    f"treating it as a regular entity relation", element=name))
+        elif kind is not None:
+            kinds[name] = kind
         else:
-            kinds[relation.name] = kind
+            why = why or f"{lead} underlined attributes fit no known shape"
+            diagnostics.append(Diagnostic(
+                "CLASSIFY", Severity.ERROR,
+                f"relation {name!r} is unclassifiable: {why}", element=name))
     return kinds, owners, diagnostics
 
 
