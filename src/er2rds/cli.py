@@ -23,7 +23,7 @@ import sys
 
 from .ddl import render_ddl
 from .er_text import emit_er, parse_er
-from .errors import PrerequisiteFailed, TransformError
+from .errors import BadSideChoice, PrerequisiteFailed, TransformError
 from .forward import TraceEntry, TransformConfig, gated_transform, trace_entries
 from .model import ERModel, RelationalSchema, format_diagnostic, has_errors
 from .rds_text import emit_rds, parse_rds
@@ -61,7 +61,7 @@ def _parse_choices(pairs: list[str]) -> dict[str, str]:
     for pair in pairs:
         relationship, sep, participant = pair.partition("=")
         if not sep or not relationship or not participant:
-            raise ValueError(
+            raise BadSideChoice(
                 f"--sog-choice expects RELATIONSHIP=PARTICIPANT, got {pair!r}"
             )
         choices[relationship] = participant
@@ -296,7 +296,7 @@ def _run(argv: list[str] | None) -> int:
     except UnicodeDecodeError as exc:  # only the input is decoded
         print(f"er2rds: {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (TransformError, ValueError) as exc:  # a bad side choice
+    except TransformError as exc:  # a bad side choice
         print(f"er2rds: {exc}", file=sys.stderr)
         return EXIT_ERRORS
 

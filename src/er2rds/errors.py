@@ -8,7 +8,8 @@ class TransformError(Exception):
 
 
 class BadSideChoice(TransformError):
-    """A side choice names an unknown relationship or a non-participant."""
+    """A side choice is not written RELATIONSHIP=PARTICIPANT, or names an
+    unknown relationship or a non-participant."""
 
 
 class PrerequisiteFailed(TransformError):
