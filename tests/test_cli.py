@@ -94,21 +94,14 @@ class TestValidate:
             assert capsys.readouterr() == ("", f"er2rds: {message}\n")
 
     def test_a_value_error_from_a_handler_propagates(self, monkeypatch):
-        # Only a bad side choice is an er2rds: line; any other error is a bug.
+        # Only a bad side choice, malformed ones included (above), is an
+        # er2rds: line; any other error is a bug.
         def failing(args, value):
             raise ValueError("not a side choice")
 
         monkeypatch.setitem(cli._COMMANDS, "validate", (parse_er, failing, ""))
         with pytest.raises(ValueError, match="not a side choice"):
             main(["validate", COMPANY_ER])
-
-    def test_a_malformed_side_choice_is_a_bad_side_choice(self, capsys):
-        with pytest.raises(er2rds.BadSideChoice):
-            cli._parse_choices(["Consult"])
-        assert main(["validate", COMPANY_ER, "--sog-choice", "Consult"]) == 2
-        assert capsys.readouterr() == (
-            "", "er2rds: --sog-choice expects RELATIONSHIP=PARTICIPANT, got "
-                "'Consult'\n")
 
     def test_a_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
