@@ -35,7 +35,6 @@ from .model import (
     ERModel,
     Ratio,
     RatioKind,
-    RdsAttribute,
     RegularEntityType,
     Relation,
     RelationalSchema,
@@ -175,111 +174,100 @@ def reverse_transform(schema: RelationalSchema
     """Rebuild the source model; returns (model, diagnostics), model None when
     classification or interpretation fails.
 
-    Elements are rebuilt in schema discovery order: every regular relation
-    first gives an entity, then each relation in turn gives its subtype,
-    relationships, multivalued attribute or weak entity."""
+    After classification one walk over the schema rebuilds the elements in
+    schema discovery order; an entity's multivalued attributes follow its
+    keys and simple attributes.  A relation's ``FK`` findings follow its
+    attributes: a subtype relation's own subtype is merged before its
+    foreign keys are decoded, and a prefixed key's subtype at that key."""
     kinds, owners, diagnostics = classify_relations(schema)
     if has_errors(diagnostics):
         return None, diagnostics
     regular, subtype = RelationKind.REGULAR_ENTITY, RelationKind.SUBTYPE
     multivalued, key = RelationKind.MULTIVALUED, AttributeKind.KEY
-    entity_attrs: dict[str, list[Attribute]] = {}
+    entity_attrs: dict[str, tuple[Attribute, ...]] = {}
+    multivalued_attrs: dict[str, list[Attribute]] = {}
     subtypes: dict[str, Subtype] = {}
     weaks: list[WeakEntityType] = []
     relationships: dict[str, RelationshipType] = {}
-
-    def fk_error(message: str, relation: Relation) -> None:
-        diagnostics.append(
-            Diagnostic("FK", Severity.ERROR, message, element=relation.name)
-        )
-
-    def add_subtype(found: Subtype, via: Relation) -> None:
-        known = subtypes.get(found.name)
-        if known is None:
-            subtypes[found.name] = found
-        elif known.supertype != found.supertype:
-            fk_error(f"subtype {found.name!r} appears with supertypes "
-                     f"{known.supertype!r} and {found.supertype!r}", via)
-        elif found.attributes and not known.attributes:
-            subtypes[found.name] = found
-
-    def decode_fk(relation: Relation, index: int, attr: RdsAttribute) -> None:
-        """Decode the suffixed ``attr`` at ``index`` of an entity or subtype
-        relation.
-
-        The holding relation is the near side with pair (v2, 1); the key's
-        owner (prefix subtype, or the regular relation owning the key) is the
-        far side with pair (v3, v4).  Plain attributes following the foreign
-        key are the relationship's own attributes."""
-        suffix = attr.suffix
-        owner = owners.get(attr.name)
-        if owner is None:
-            fk_error(f"foreign key {attr.display_name()!r} in relation "
-                     f"{relation.name!r} matches no regular relation's "
-                     f"primary key", relation)
-            return
-        if suffix.relationship in relationships:
-            fk_error(f"relationship {suffix.relationship!r} is encoded by more "
-                     f"than one foreign key", relation)
-            return
-        far_participant = owner
-        if attr.prefix is not None:
-            prefix_kind = kinds.get(attr.prefix)
-            if prefix_kind not in (None, subtype):
-                fk_error(f"prefix {attr.prefix!r} names a {prefix_kind.value} "
-                         f"relation", relation)
-                return
-            add_subtype(Subtype(attr.prefix, supertype=owner), relation)
-            far_participant = attr.prefix
-        near = RelationshipEndpoint(relation.name, cardinality_pair(suffix.v2, "1"))
-        far = RelationshipEndpoint(far_participant,
-                                   cardinality_pair(suffix.v3, suffix.v4))
-        relationships[suffix.relationship] = RelationshipType(
-            suffix.relationship, (near, far), _payload_after(relation, index))
-
     for relation in schema.relations:
-        if kinds[relation.name] is regular:
-            lead = leading_underline_count(relation)
-            entity_attrs[relation.name] = [
-                *[Attribute(a.name, key) for a in relation.attributes[:lead]],
-                *_payload_after(relation, lead - 1),
-            ]
-    for relation in schema.relations:
-        kind = kinds[relation.name]
-        attributes = relation.attributes
+        name, attributes = relation.name, relation.attributes
+        kind, owner = kinds[name], owners.get(attributes[0].name)
         if kind is regular or kind is subtype:
-            if kind is subtype:
-                add_subtype(Subtype(relation.name, owners[attributes[0].name],
-                                    _payload_after(relation, 0)), relation)
-            for index, attr in enumerate(attributes):
-                if attr.suffix is not None:
-                    decode_fk(relation, index, attr)
+            if kind is regular:
+                lead = leading_underline_count(relation)
+                entity_attrs[name] = (
+                    *[Attribute(a.name, key) for a in attributes[:lead]],
+                    *_payload_after(relation, lead - 1))
+            # Index -1 stands for a subtype relation's own subtype, merged
+            # before the relation's foreign keys are decoded.
+            for index in range(-1 if kind is subtype else 0, len(attributes)):
+                found = problem = None
+                if index < 0:
+                    found = Subtype(name, owner, _payload_after(relation, 0))
+                else:
+                    attr = attributes[index]
+                    suffix = attr.suffix
+                    if suffix is None:
+                        continue
+                    if (far := owners.get(attr.name)) is None:
+                        problem = (f"foreign key {attr.display_name()!r} in "
+                                   f"relation {name!r} matches no regular "
+                                   f"relation's primary key")
+                    elif suffix.relationship in relationships:
+                        problem = (f"relationship {suffix.relationship!r} is "
+                                   f"encoded by more than one foreign key")
+                    # No prefix, or one naming no relation, reads as a subtype.
+                    elif kinds.get(attr.prefix, subtype) is not subtype:
+                        problem = (f"prefix {attr.prefix!r} names a "
+                                   f"{kinds[attr.prefix].value} relation")
+                    else:
+                        if attr.prefix is not None:
+                            found = Subtype(attr.prefix, far)
+                            far = attr.prefix
+                        # The holding relation is the near side, pair (v2, 1);
+                        # the key's owner or prefix subtype the far, (v3, v4).
+                        relationships[suffix.relationship] = RelationshipType(
+                            suffix.relationship,
+                            (RelationshipEndpoint(
+                                name, cardinality_pair(suffix.v2, "1")),
+                             RelationshipEndpoint(
+                                 far, cardinality_pair(suffix.v3, suffix.v4))),
+                            _payload_after(relation, index))
+                if found is not None:
+                    known = subtypes.setdefault(found.name, found)
+                    if known.supertype != found.supertype:
+                        problem = (f"subtype {found.name!r} appears with "
+                                   f"supertypes {known.supertype!r} and "
+                                   f"{found.supertype!r}")
+                    elif index < 0:  # the subtype's relation gives its attributes
+                        subtypes[name] = found
+                if problem is not None:
+                    diagnostics.append(Diagnostic("FK", Severity.ERROR, problem,
+                                                  element=name))
         elif any(a.suffix is not None for a in attributes):
             holder = "multivalued" if kind is multivalued else "weak entity"
-            fk_error(f"{holder} relation {relation.name!r} carries an "
-                     f"unexpected foreign key", relation)
+            diagnostics.append(Diagnostic(
+                "FK", Severity.ERROR, f"{holder} relation {name!r} carries an "
+                f"unexpected foreign key", element=name))
         elif kind is multivalued:
-            entity_attrs[owners[attributes[0].name]].append(
-                Attribute(relation.name, AttributeKind.MULTIVALUED))
+            multivalued_attrs.setdefault(owner, []).append(
+                Attribute(name, AttributeKind.MULTIVALUED))
         else:  # weak
-            identifying = relation.name + "Of"
-            diagnostics.append(
-                Diagnostic("NORM", Severity.WARNING,
-                           f"identifying relationship of weak entity "
-                           f"{relation.name!r} regenerated as {identifying!r}",
-                           element=relation.name)
-            )
+            identifying = name + "Of"
+            diagnostics.append(Diagnostic(
+                "NORM", Severity.WARNING, f"identifying relationship of weak "
+                f"entity {name!r} regenerated as {identifying!r}", element=name))
             weaks.append(WeakEntityType(
-                relation.name, owners[attributes[0].name], identifying,
+                name, owner, identifying,
                 Attribute(attributes[1].name, AttributeKind.PARTIAL_KEY),
-                tuple(Attribute(a.name) for a in attributes[2:]),
-            ))
+                tuple(Attribute(a.name) for a in attributes[2:])))
 
     diagnostics += _ORDER_NOTES
     if has_errors(diagnostics):
         return None, diagnostics
-    entities = tuple(RegularEntityType(name, tuple(attrs))
-                     for name, attrs in entity_attrs.items())
+    entities = tuple(
+        RegularEntityType(name, (*attrs, *multivalued_attrs.get(name, ())))
+        for name, attrs in entity_attrs.items())
     return ERModel(entities, tuple(subtypes.values()), tuple(weaks),
                    tuple(relationships.values())), diagnostics
 
