@@ -781,6 +781,20 @@ class TestPublicNamesBetweenModules:
         assert private == []
 
 
+class TestNoNestedFunctions:
+    def test_no_function_defines_a_function_or_lambda(self):
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        nested = sorted(
+            (name, outer.name, inner.lineno)
+            for name, tree in _parsed_modules(CHECKOUT / "src" / "er2rds")
+            for outer in ast.walk(tree)
+            if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(outer)
+            if inner is not outer and isinstance(inner, functions)
+        )
+        assert nested == []
+
+
 class TestErrorClasses:
     def test_every_error_class_is_raised_somewhere(self):
         # A class with no raise site is dead API; only the base may have none.

@@ -260,6 +260,10 @@ class TestLinearWalks:
     def test_the_relation_list_is_walked_as_often_at_every_size(self, stage):
         assert _relation_list_walks(stage, 20) == _relation_list_walks(stage, 80)
 
+    def test_reversal_walks_the_relation_list_twice(self):
+        # One walk classifies, one rebuilds the model.
+        assert _relation_list_walks(reverse_transform, 20) == 2
+
 
 class TestOrderNotes:
     def test_each_reversal_returns_its_own_list_with_equal_notes(self, company_schema):
