@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from er2rds import (
@@ -16,11 +18,14 @@ from er2rds import (
     RelationshipEndpoint,
     RelationshipType,
     Severity,
+    Subtype,
+    TransformConfig,
+    WeakEntityType,
     format_diagnostic,
     ratio_class,
     transform_model,
 )
-from er2rds.model import leading_underline_count, matching_keys, name_prefix
+from er2rds.model import Ratio, leading_underline_count, matching_keys, name_prefix
 from conftest import assert_well_formed
 
 
@@ -188,3 +193,46 @@ class TestFormatDiagnostic:
     def test_without_position_or_element(self):
         diag = Diagnostic("NORM", Severity.WARNING, "reordered")
         assert format_diagnostic(diag, "s.rds") == "s.rds: warning[NORM]: reordered"
+
+
+# One value of each frozen class, listed by hand so that a class that loses
+# frozen=True fails here: the cached ERModel.ratios and entity partitions,
+# the shared pairs and ratios, and the key attribute that dependent
+# relations reuse all rely on values that never change.
+_KEY = Attribute("AlpNo", AttributeKind.KEY)
+_PAIR = CardinalityPair("1", "n")
+_ENDPOINTS = (RelationshipEndpoint("Alpha", _PAIR), RelationshipEndpoint("Bravo", _PAIR))
+_ENTITY = RegularEntityType("Alpha", (_KEY,))
+_MODEL_VALUES = [
+    _KEY,
+    _ENTITY,
+    Subtype("Sub", "Alpha", (Attribute("Grade"),)),
+    WeakEntityType("Weak", "Alpha", "WeakOf", Attribute("Part", AttributeKind.PARTIAL_KEY)),
+    _PAIR,
+    _ENDPOINTS[0],
+    RelationshipType("Grove", _ENDPOINTS),
+    ERModel((_ENTITY,)),
+    Ratio(RatioKind.ONE_TO_MANY, n_side=0),
+    FkSuffix("Grove", "1", "1", "n"),
+    RdsAttribute("AlpNo", underlined=True),
+    Diagnostic("FK", Severity.ERROR, "message"),
+]
+
+
+def _frozen_values():
+    _, trace = transform_model(ERModel((_ENTITY,)))
+    return [*_MODEL_VALUES, TransformConfig(), trace[0]]
+
+
+class TestImmutableValues:
+    @pytest.mark.parametrize("value", _frozen_values(), ids=lambda v: type(v).__name__)
+    def test_fields_can_be_neither_assigned_nor_deleted(self, value):
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, field.name)
+
+    @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
+    def test_model_values_hash_as_their_equals(self, value):
+        assert hash(value) == hash(dataclasses.replace(value))
