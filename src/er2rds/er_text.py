@@ -106,6 +106,10 @@ def _located(text: str, errors: list[tuple]) -> list[Diagnostic]:
 
 @dataclass(slots=True)
 class _RawConstruct:
+    """One top-level construct as ``_parse`` reads it and ``_resolve`` checks
+    it: keyword, name and the keyword's token index, then what the keyword
+    admits (a supertype, an owner and ``via`` name, endpoints or members)."""
+
     keyword: str
     name: str
     at: int  # index of the keyword token

@@ -71,6 +71,9 @@ class Attribute:
 
 @dataclass(frozen=True)
 class RegularEntityType:
+    """An entity type identified by keys of its own; ``attributes`` holds its
+    keys, simple and multivalued attributes in declaration order."""
+
     name: str
     attributes: tuple[Attribute, ...] = ()
 
@@ -149,6 +152,9 @@ class RelationshipEndpoint:
 
 @dataclass(frozen=True)
 class RelationshipType:
+    """A binary relationship: two endpoints in declaration order and the
+    relationship's own attributes."""
+
     name: str
     endpoints: tuple[RelationshipEndpoint, RelationshipEndpoint]
     attributes: tuple[Attribute, ...] = ()
@@ -182,6 +188,8 @@ class RatioKind(Enum):
 
 @dataclass(frozen=True)
 class Ratio:
+    """A relationship's cardinality ratio, as ``ratio_class`` derives it."""
+
     kind: RatioKind
     n_side: int | None = None  # endpoint index, set only for ONE_TO_MANY
 
@@ -231,6 +239,9 @@ class FkSuffix:
 
 @dataclass(frozen=True)
 class RdsAttribute:
+    """An attribute of a relation: underlined when part of the primary key; a
+    foreign key carries a suffix, and a prefix when it points at a subtype."""
+
     name: str
     underlined: bool = False
     prefix: str | None = None
@@ -242,6 +253,9 @@ class RdsAttribute:
 
 @dataclass
 class Relation:
+    """A named relation with its attributes in order.  Unlike the model values
+    it is mutable: the transformation's steps extend its attributes."""
+
     name: str
     attributes: list[RdsAttribute] = field(default_factory=list)
 
@@ -252,6 +266,9 @@ class Relation:
 
 @dataclass
 class RelationalSchema:
+    """An annotated relational schema: its relations in order, mutable as
+    each relation is."""
+
     relations: list[Relation] = field(default_factory=list)
 
 
