@@ -5,7 +5,7 @@
 OLD_SRC and NEW_SRC are directories that each hold an ``er2rds`` package,
 such as the ``src`` directory of two checkouts.  Both trees are loaded under
 distinct package names, so their calls can interleave in one interpreter
-and meet the same phases of a shared host.  Three workloads are run through
+and meet the same phases of a shared host.  Four workloads are run through
 each tree's ``cli.main``, in memory apart from the input files:
 
 - ``corpus``: ``roundtrip`` over 500 models from ``genmodels.generate_model``
@@ -13,6 +13,9 @@ each tree's ``cli.main``, in memory apart from the input files:
   combination of ``--sog-choice`` and with ``--prefer-regular``;
 - ``large``: ``roundtrip`` over ``genmodels.scaled_model(n)`` at n = 40, 80
   and 160 (100, 200 and 400 relations);
+- ``schemas``: ``reverse`` and ``ddl`` on the ``.rds`` text of the same three
+  scaled models, which times ``parse_rds``, ``reverse_transform`` and
+  ``render_ddl`` at scale without the two transforms of a round trip;
 - ``errors``: ``validate`` over 1,000 ``colliding_text`` texts (generator
   seed 91).  Most of them have a diagnostic, so ``parse_er`` reads them
   again with the positioned reader; this workload times that error path.
@@ -35,7 +38,7 @@ passes, the script also counts how often the new tree's ``parse_er``
 refuses the model's ``emit_er`` text and its ``parse_rds`` the schema's
 ``emit_rds`` text, and prints both counts; the gate promises 0.
 
-Before any timing, every op of both workloads must give the same exit code,
+Before any timing, every op of the workloads must give the same exit code,
 stdout and stderr in both trees, and so must a wider set of calls that is
 checked but not timed:
 
@@ -116,7 +119,7 @@ GOLDEN = Path(__file__).parent / "golden"
 LARGE_SIZES = (40, 80, 160)
 # Passes over each workload's ops in one round, so that a round of each
 # workload lasts about as long as one of the corpus.
-REPEATS = {"corpus": 1, "large": 10, "errors": 6}
+REPEATS = {"corpus": 1, "large": 10, "errors": 6, "schemas": 40}
 VALIDATOR_MODELS = 20000
 VALIDATOR_SEED = 19
 # Names of the models built in code: capitalized, lowercase, plural, with a
@@ -249,7 +252,7 @@ def gated(package, model, extensions: bool) -> tuple:
 
 def write_inputs(work: Path, seed: int) -> dict[str, list[list[str]]]:
     """Write the input models; returns the argv lists of each workload."""
-    from er2rds import emit_er
+    from er2rds import emit_er, emit_rds, transform_model
     from genmodels import generate_model, scaled_model, sog_configs
     from test_er_text import colliding_text
 
@@ -266,18 +269,22 @@ def write_inputs(work: Path, seed: int) -> dict[str, list[list[str]]]:
                     argv += ["--sog-choice", f"{relationship}={participant}"]
                 corpus.append(argv)
         corpus.append(["roundtrip", str(path), "--prefer-regular"])
-    large = []
+    large, schemas = [], []
     for n in LARGE_SIZES:
+        model = scaled_model(n)
         path = work / f"scaled{n}.er"
-        path.write_text(emit_er(scaled_model(n)), encoding="utf-8")
+        path.write_text(emit_er(model), encoding="utf-8")
         large.append(["roundtrip", str(path)])
+        path = work / f"scaled{n}.rds"
+        path.write_text(emit_rds(transform_model(model)[0]), encoding="utf-8")
+        schemas += [["reverse", str(path)], ["ddl", str(path)]]
     errors = []
     rng = random.Random(COLLIDING_SEED)
     for index in range(COLLIDING_TEXTS):
         path = work / f"colliding{index}.er"
         path.write_text(colliding_text(rng), encoding="utf-8")
         errors.append(["validate", str(path)])
-    return {"corpus": corpus, "large": large, "errors": errors}
+    return {"corpus": corpus, "large": large, "errors": errors, "schemas": schemas}
 
 
 def call(main, argv: list[str], output: Path | None = None
