@@ -224,8 +224,9 @@ def reverse_transform(schema: RelationalSchema
                         if attr.prefix is not None:
                             found = Subtype(attr.prefix, far)
                             far = attr.prefix
-                        # The holding relation is the near side, pair (v2, 1);
-                        # the key's owner or prefix subtype the far, (v3, v4).
+                        # Near: the holding relation, pair (v2, 1); far: the
+                        # key's owner or prefix subtype, (v3, v4).  The plain
+                        # attributes after the key are the relationship's.
                         relationships[suffix.relationship] = RelationshipType(
                             suffix.relationship,
                             (RelationshipEndpoint(

@@ -13,12 +13,13 @@ each tree's ``cli.main``, in memory apart from the input files:
   combination of ``--sog-choice`` and with ``--prefer-regular``;
 - ``large``: ``roundtrip`` over ``genmodels.scaled_model(n)`` at n = 40, 80
   and 160 (100, 200 and 400 relations);
-- ``schemas``: ``reverse`` and ``ddl`` on the ``.rds`` text of the same three
-  scaled models, which times ``parse_rds``, ``reverse_transform`` and
-  ``render_ddl`` at scale without the two transforms of a round trip;
 - ``errors``: ``validate`` over 1,000 ``colliding_text`` texts (generator
   seed 91).  Most of them have a diagnostic, so ``parse_er`` reads them
-  again with the positioned reader; this workload times that error path.
+  again with the positioned reader; this workload times that error path;
+- ``schemas``: ``reverse`` and ``ddl`` on the ``.rds`` text of the three
+  scaled models of ``large``, which times ``parse_rds``,
+  ``reverse_transform`` and ``render_ddl`` at scale without the two
+  transforms of a round trip.
 
 First, 20,000 models are built in code in both trees from one fixed seed
 (generator seed 19), with names drawn from a small alphabet of capitalized,

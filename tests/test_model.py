@@ -203,6 +203,7 @@ _KEY = Attribute("AlpNo", AttributeKind.KEY)
 _PAIR = CardinalityPair("1", "n")
 _ENDPOINTS = (RelationshipEndpoint("Alpha", _PAIR), RelationshipEndpoint("Bravo", _PAIR))
 _ENTITY = RegularEntityType("Alpha", (_KEY,))
+_MODEL = ERModel((_ENTITY,))
 _MODEL_VALUES = [
     _KEY,
     _ENTITY,
@@ -211,21 +212,18 @@ _MODEL_VALUES = [
     _PAIR,
     _ENDPOINTS[0],
     RelationshipType("Grove", _ENDPOINTS),
-    ERModel((_ENTITY,)),
+    _MODEL,
     Ratio(RatioKind.ONE_TO_MANY, n_side=0),
     FkSuffix("Grove", "1", "1", "n"),
     RdsAttribute("AlpNo", underlined=True),
     Diagnostic("FK", Severity.ERROR, "message"),
 ]
 
-
-def _frozen_values():
-    _, trace = transform_model(ERModel((_ENTITY,)))
-    return [*_MODEL_VALUES, TransformConfig(), trace[0]]
+_FROZEN_VALUES = [*_MODEL_VALUES, TransformConfig(), transform_model(_MODEL)[1][0]]
 
 
 class TestImmutableValues:
-    @pytest.mark.parametrize("value", _frozen_values(), ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("value", _FROZEN_VALUES, ids=lambda v: type(v).__name__)
     def test_fields_can_be_neither_assigned_nor_deleted(self, value):
         for field in dataclasses.fields(value):
             with pytest.raises(dataclasses.FrozenInstanceError):
