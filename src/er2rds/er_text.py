@@ -167,8 +167,9 @@ def _parse(tokens: list[str]
     """Walk token strings that end in a "" sentinel, which reads as the end
     of input.  A name is any token whose first character is a letter.
     Returns the constructs, the syntax errors as (token index, message), and
-    every token read as a name.  After an error the walk resumes at the next
-    top-level keyword."""
+    every token read as a name.  After an error the walk resumes at the first
+    top-level keyword from the error's token on, but never at the failed
+    construct's own first token, so each error moves the walk forward."""
     # The checks on each construct name and member are written out, not
     # calls to _name and _expect: the calls made parse_er 6-8% slower.
     constructs: list[_RawConstruct] = []
@@ -179,7 +180,7 @@ def _parse(tokens: list[str]
     names: list[str] = []
     i = 0
     while tokens[i]:
-        keyword = tokens[i]
+        keyword, start = tokens[i], i
         try:
             allowed = _MEMBER_KEYWORDS.get(keyword)
             if allowed is None:
@@ -240,7 +241,7 @@ def _parse(tokens: list[str]
             i += 1
         except _Unexpected as error:
             errors.append(error.args)
-            i = error.args[0]
+            i = max(error.args[0], start + 1)
             while tokens[i] and tokens[i] not in _MEMBER_KEYWORDS:
                 i += 1
     return constructs, errors, names

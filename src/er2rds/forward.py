@@ -27,7 +27,9 @@ Ordering rules that the reverse direction depends on:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import BadSideChoice, PrerequisiteFailed
 from .model import (
@@ -62,16 +64,19 @@ class TransformConfig:
     """Knobs for the transformation.
 
     ``sog_choice`` maps a one-to-one relationship name to the participant
-    whose relation takes the foreign key.  Relationships not in the map fall
-    back to the default policy: the subtype's relation when it exists,
-    otherwise the regular entity's; ``prefer_regular`` flips that default.
-    ``extensions`` lets the gate admit subtype endpoints in one-to-many
-    relationships, which the steps then treat as any other endpoint.
+    whose relation takes the foreign key; the config keeps a read-only copy.
+    Other relationships get the default policy: the subtype's relation when
+    it exists, else the regular entity's; ``prefer_regular`` flips that
+    default.  ``extensions`` lets the gate admit subtype endpoints in
+    one-to-many relationships, which the steps treat as any other endpoint.
     """
 
-    sog_choice: dict[str, str] = field(default_factory=dict)
+    sog_choice: Mapping[str, str] = field(default_factory=dict)
     prefer_regular: bool = False
     extensions: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sog_choice", MappingProxyType(dict(self.sog_choice)))
 
 
 # (step, subject, relation, width, at_end), as in TraceEntry

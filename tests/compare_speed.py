@@ -13,18 +13,19 @@ each tree's ``cli.main``, in memory apart from the input files:
   combination of ``--sog-choice`` and with ``--prefer-regular``;
 - ``large``: ``roundtrip`` over ``genmodels.scaled_model(n)`` at n = 40, 80
   and 160 (100, 200 and 400 relations);
-- ``errors``: ``validate`` over 1,000 ``colliding_text`` texts (generator
-  seed 91).  Most of them have a diagnostic, so ``parse_er`` reads them
-  again with the positioned reader; this workload times that error path;
+- ``errors``: ``validate`` over 1,000 ``geninputs.colliding_text`` texts
+  (generator seed 91).  Most of them have a diagnostic, so ``parse_er``
+  reads them again with the positioned reader; this workload times that
+  error path;
 - ``schemas``: ``reverse`` and ``ddl`` on the ``.rds`` text of the three
   scaled models of ``large``, which times ``parse_rds``,
   ``reverse_transform`` and ``render_ddl`` at scale without the two
   transforms of a round trip.
 
-First, 20,000 models are built in code in both trees from one fixed seed
-(generator seed 19), with names drawn from a small alphabet of capitalized,
-lowercase, plural, non-alphabetic and dangling names, and participation
-pairs drawn from ``genmodels.PAIRS``: the four of the notation and three
+First, 20,000 models from ``geninputs.model_spec`` are built in code in
+both trees from one fixed seed (generator seed 19), with names drawn from a
+small alphabet of capitalized, lowercase, plural, non-alphabetic and
+dangling names, and participation pairs drawn from ``geninputs.PAIRS``: the four of the notation and three
 outside it (``2..n``, ``1..5``, ``0..N``).  With ``extensions`` false and
 true, ``validate_notation`` must return the same ``(rule_id, severity,
 message, line, column, element)`` list in both trees for each of them, and
@@ -33,7 +34,7 @@ and diagnostics.  Parsed text never reaches ``R2.5.2``, a dangling or
 repeated name or a pair outside the notation, since the parser refuses
 them, so only models built in code can show a difference there.  Few of
 these 20,000 pass the gate, so a second batch of 20,000 (generator seed 23,
-``genmodels.step_spec``) draws only clean names: entities, subtypes and
+``geninputs.step_spec``) draws only clean names: entities, subtypes and
 multivalued attributes of a few names each.  For every run that the gate
 passes, the script also counts how often the new tree's ``parse_er``
 refuses the model's ``emit_er`` text and its ``parse_rds`` the schema's
@@ -48,17 +49,17 @@ checked but not timed:
   ``colliding_text`` texts of the ``errors`` workload, each with no option,
   ``--prefer-regular``, ``--extensions``, a malformed and an unknown
   ``--sog-choice``;
-- ``validate`` and ``roundtrip`` over 1,000 ``repeating_text`` texts
-  (generator seed 92), which repeat element, ``via``, member and
+- ``validate`` and ``roundtrip`` over 1,000 ``geninputs.repeating_text``
+  texts (generator seed 92), which repeat element, ``via``, member and
   participant names, so they reach the parser's repeated-name and
   partial-key findings that ``colliding_text`` texts seldom or never do;
 - ``reverse`` and ``ddl`` on every schema those transforms wrote and on the
   golden schemas;
 - ``reverse -o FILE`` (the written file is compared too) and ``ddl`` over
-  1,000 ``schema_text`` texts (generator seed 93), whose relations share
-  three-letter prefixes and so reach the classifier's findings, and over
-  1,000 ``edited_schema_text`` texts (generator seed 94), corpus schemas
-  with one edit each;
+  1,000 ``geninputs.schema_text`` texts (generator seed 93), whose
+  relations share three-letter prefixes and so reach the classifier's
+  findings, and over 1,000 ``geninputs.edited_schema_text`` texts
+  (generator seed 94), corpus schemas with one edit each;
 - every command on a missing file and on a file that is not UTF-8, ``-o``
   into a missing directory, and usage errors, whose argparse exit code is
   compared;
@@ -120,18 +121,10 @@ GOLDEN = Path(__file__).parent / "golden"
 LARGE_SIZES = (40, 80, 160)
 # Passes over each workload's ops in one round, so that a round of each
 # workload lasts about as long as one of the corpus.
-REPEATS = {"corpus": 1, "large": 10, "errors": 6, "schemas": 40}
+REPEATS = {"corpus": 1, "large": 40, "errors": 6, "schemas": 40}
 VALIDATOR_MODELS = 20000
 VALIDATOR_SEED = 19
-# Names of the models built in code: capitalized, lowercase, plural, with a
-# double s, non-alphabetic; references also draw names no element declares.
-DECLARED = ("Alpha", "Bravo", "Gamma", "alpha", "Bravos", "Class", "Gam_ma",
-            "Delta2")
-REFERENCED = DECLARED + ("Ghost", "ghosts")
-ATTRIBUTES = ("AlpNo", "AlpId", "BraNo", "GamNo", "ClaNo", "DelNo", "salary",
-              "Hours", "Start_Date", "Grade2", "Class")
-ATTRIBUTE_KINDS = ("key", "simple", "multi")
-# A second batch, from genmodels.step_spec, draws only clean names, so that
+# A second batch, from geninputs.step_spec, draws only clean names, so that
 # more of its models pass the gate (about one run in ten).
 STEP_MODELS = 20000
 STEP_SEED = 23
@@ -154,31 +147,6 @@ def load(src: Path, name: str):
     return package
 
 
-def model_spec(rng: random.Random) -> tuple:
-    """One model in the form of ``genmodels.step_spec``, which each tree
-    builds from its own classes: 0-3 entities, 0-2 subtypes, 0-2 weak
-    entities and 0-3 relationships."""
-    from genmodels import PAIRS
-
-    def attributes(most: int, kinds=("simple",)) -> tuple:
-        return tuple((rng.choice(ATTRIBUTES), rng.choice(kinds))
-                     for _ in range(rng.randint(0, most)))
-
-    entities = tuple((rng.choice(DECLARED), attributes(3, ATTRIBUTE_KINDS))
-                     for _ in range(rng.randint(0, 3)))
-    subtypes = tuple((rng.choice(DECLARED), rng.choice(REFERENCED), attributes(2))
-                     for _ in range(rng.randint(0, 2)))
-    weak = tuple((rng.choice(DECLARED), rng.choice(REFERENCED), rng.choice(DECLARED),
-                  rng.choice(ATTRIBUTES), attributes(2))
-                 for _ in range(rng.randint(0, 2)))
-    relationships = tuple(
-        (rng.choice(DECLARED),
-         tuple((rng.choice(REFERENCED), *rng.choice(PAIRS)) for _ in range(2)),
-         attributes(2))
-        for _ in range(rng.randint(0, 3)))
-    return entities, subtypes, weak, relationships
-
-
 def show(label: str, differences: list[str]) -> str:
     """Print the first ``SHOWN`` differences a check found; returns
     "identical" or "N differing" for its summary line."""
@@ -189,8 +157,7 @@ def show(label: str, differences: list[str]) -> str:
     return f"{len(differences)} differing" if differences else "identical"
 
 
-def check_validator(old, new, draw=model_spec, models: int = VALIDATOR_MODELS,
-                    seed: int = VALIDATOR_SEED) -> int:
+def check_validator(old, new, draw, models: int, seed: int) -> int:
     """Count the runs on models built in code, under either ``extensions``
     value, on which the two packages' ``validate_notation`` or
     ``forward.gated_transform`` differ, and print the first few; print how
@@ -198,7 +165,7 @@ def check_validator(old, new, draw=model_spec, models: int = VALIDATOR_MODELS,
     Of the runs that the gate passes, also print how many the new tree's
     readers refuse: ``parse_er`` on the model's ``emit_er`` text, and
     ``parse_rds`` on the schema text.  Returns the number of differences."""
-    from genmodels import build_model
+    from geninputs import build_model
 
     rng = random.Random(seed)
     with_findings = transformed = er_refused = rds_refused = 0
@@ -254,8 +221,8 @@ def gated(package, model, extensions: bool) -> tuple:
 def write_inputs(work: Path, seed: int) -> dict[str, list[list[str]]]:
     """Write the input models; returns the argv lists of each workload."""
     from er2rds import emit_er, emit_rds, transform_model
+    from geninputs import colliding_text
     from genmodels import generate_model, scaled_model, sog_configs
-    from test_er_text import colliding_text
 
     corpus = []
     for index in range(CORPUS_MODELS):
@@ -310,8 +277,7 @@ def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) 
     """Count the calls whose outcome differs between the two trees and print
     the first few; print how many calls were compared.  Returns the number
     of differences."""
-    from test_er_text import repeating_text
-    from test_reverse import edited_schema_text, schema_text
+    from geninputs import edited_schema_text, repeating_text, schema_text
 
     count = 0
     differences: list[str] = []
@@ -446,12 +412,13 @@ def main() -> None:
                         help="timed rounds per workload (default 10; 0 runs "
                              "the checks only)")
     args = parser.parse_args()
-    sys.path.insert(0, str(args.new_src.resolve()))  # genmodels imports er2rds by name
-    from genmodels import step_spec
+    sys.path.insert(0, str(args.new_src.resolve()))  # geninputs imports er2rds by name
+    from geninputs import model_spec, step_spec
 
     old_package = load(args.old_src.resolve(), "er2rds_old")
     new_package = load(args.new_src.resolve(), "er2rds_new")
-    differing = check_validator(old_package, new_package)
+    differing = check_validator(old_package, new_package, model_spec,
+                                VALIDATOR_MODELS, VALIDATOR_SEED)
     differing += check_validator(old_package, new_package, step_spec, STEP_MODELS,
                                  STEP_SEED)
     old, new = old_package.cli.main, new_package.cli.main

@@ -16,10 +16,10 @@ keep every generated model losslessly reversible:
 Every generated model validates with zero diagnostics; generate_model
 asserts as much.
 
-``step_spec`` draws models that need not be valid, as plain tuples that
-``build_model`` turns into the model of any er2rds package: clean names that
-repeat, and participation pairs inside and outside the notation, so that
-the gate has something to refuse and the steps something to meet.
+The benchmark's set-up imports this module and is timed, so it keeps only
+the generators of valid models and imports nothing beyond er2rds and the
+standard library.  Inputs that need not be valid, and anything built on
+hypothesis or pytest, belong in ``geninputs``.
 """
 
 from __future__ import annotations
@@ -241,60 +241,3 @@ def scaled_model(n: int) -> ERModel:
     )
     return ERModel(entities, subtypes, (), chain + pairs)
 
-
-# The pairs of step_spec's relationships: the four of the notation, then
-# three that the parser refuses.
-PAIRS = (("0", "1"), ("1", "1"), ("0", "n"), ("1", "n"),
-         ("2", "n"), ("1", "5"), ("0", "N"))
-STEP_ENTITIES = (("Alpha", "AlpNo"), ("Bravo", "BraNo"), ("Gamma", "GamNo"))
-STEP_SUBTYPES = ("Xray", "Yank")
-
-
-def step_spec(rng: random.Random) -> tuple:
-    """One model as plain tuples (entities, subtypes, weak entities,
-    relationships), clean names only: 1-3 entities over three names, each
-    with its key and at most one more attribute, 0-2 subtypes over two names
-    and 0-2 relationships."""
-    entities = tuple(
-        (name, ((key, "key"), *[(rng.choice(("Mx", "My")), rng.choice(("simple", "multi")))
-                                 for _ in range(rng.randint(0, 1))]))
-        for name, key in (rng.choice(STEP_ENTITIES) for _ in range(rng.randint(1, 3))))
-    subtypes = tuple((rng.choice(STEP_SUBTYPES), rng.choice(STEP_ENTITIES)[0],
-                      (("Grade", "simple"),) * rng.randint(0, 1))
-                     for _ in range(rng.randint(0, 2)))
-    participants = [name for name, _ in STEP_ENTITIES] + list(STEP_SUBTYPES)
-    relationships = tuple(
-        (name, tuple((rng.choice(participants), *rng.choice(PAIRS)) for _ in range(2)), ())
-        for name in ("Rel", "Tie")[:rng.randint(0, 2)])
-    return entities, subtypes, (), relationships
-
-
-def build_model(package, spec: tuple):
-    """The ``ERModel`` of ``package``, an er2rds package, that ``spec``
-    describes."""
-    entities, subtypes, weak, relationships = spec
-
-    def attributes(items: tuple) -> tuple:
-        return tuple(package.Attribute(name, package.AttributeKind(kind))
-                     for name, kind in items)
-
-    return package.ERModel(
-        entities=tuple(package.RegularEntityType(name, attributes(attrs))
-                       for name, attrs in entities),
-        subtypes=tuple(package.Subtype(name, supertype, attributes(attrs))
-                       for name, supertype, attrs in subtypes),
-        weak_entities=tuple(
-            package.WeakEntityType(
-                name, owner, identifying,
-                package.Attribute(partial, package.AttributeKind.PARTIAL_KEY),
-                attributes(attrs))
-            for name, owner, identifying, partial, attrs in weak),
-        relationships=tuple(
-            package.RelationshipType(
-                name,
-                tuple(package.RelationshipEndpoint(
-                    participant, package.CardinalityPair(minimum, maximum))
-                    for participant, minimum, maximum in endpoints),
-                attributes(attrs))
-            for name, endpoints, attrs in relationships),
-    )

@@ -22,7 +22,7 @@ from collections import Counter
 
 from er2rds import (TransformConfig, forward, has_errors, parse_er, run_roundtrip,
                     transform_model, validate_notation)
-from test_er_text import colliding_text
+from geninputs import colliding_text
 
 MODES = {
     "default": TransformConfig(),

@@ -59,11 +59,20 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "R2.5.2" in capsys.readouterr().err
 
-    def test_warnings_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, elements", [
+        ("entity Employees { key EmpNo; }", ["entity Employees"]),
+        ("entity Cedar { key CedNo; }\n"
+         "subtype Managers of Cedar { attr Level; }\n"
+         "weak Badges of Cedar via BadgesOf { partial Code; attr Note; }",
+         ["subtype Managers", "weak entity Badges"]),
+    ], ids=["entity", "subtype-and-weak-entity"])
+    def test_warnings_exit_one(self, text, elements, tmp_path, capsys):
         advisory = tmp_path / "advisory.er"
-        advisory.write_text("entity Employees { key EmpNo; }")
+        advisory.write_text(text)
         assert main(["validate", str(advisory)]) == 1
-        assert "R2.5.1" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "".join(
+            f"{advisory}: warning[R2.5.1]: name {element.split()[-1]!r} looks "
+            f"plural; names should be singular ({element})\n" for element in elements))
 
     def test_side_choices_decide_the_clash_as_in_transform(self, tmp_path, capsys):
         # Under the default policy the unprefixed DelNo foreign key lands in
@@ -103,13 +112,18 @@ class TestValidate:
         with pytest.raises(ValueError, match="not a side choice"):
             main(["validate", COMPANY_ER])
 
-    def test_a_usage_error_exits_two(self, capsys):
+    @pytest.mark.parametrize("argv, usage", [
+        (["validate"], "usage: er2rds validate"),
+        ([], "usage: er2rds [-h] {validate,transform,reverse,roundtrip,ddl} ...\n"
+             "er2rds: error: the following arguments are required: command\n"),
+    ], ids=["no-input", "no-command"])
+    def test_a_usage_error_exits_two(self, argv, usage, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["validate"])
+            main(argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage: er2rds validate")
+        assert captured.err.startswith(usage)
 
     def test_missing_file_exits_three(self, capsys):
         assert main(["validate", str(golden_path("absent.er"))]) == 3
@@ -284,6 +298,16 @@ class TestRoundtrip:
 
     def test_prefer_regular_converges(self):
         assert main(["roundtrip", COMPANY_ER, "--prefer-regular"]) == 0
+
+    # Both keys match the entity's name; normalization puts the designated
+    # one, the first declared, first in either order.
+    @pytest.mark.parametrize("keys", ["key CedNo; key CedId;", "key CedId; key CedNo;"],
+                             ids=["CedNo-first", "CedId-first"])
+    def test_two_keys_named_after_the_entity_converge(self, keys, tmp_path, capsys):
+        source = tmp_path / "cedar.er"
+        source.write_text(f"entity Cedar {{ {keys} attr Size; }}")
+        assert main(["roundtrip", str(source)]) == 0
+        assert capsys.readouterr() == ("round trip OK: 1 relations reproduced\n", "")
 
     def test_invalid_models_fail_gracefully(self, tmp_path, capsys):
         bad = tmp_path / "bad.er"
@@ -692,6 +716,10 @@ class TestPipeline:
         (command, "bad.rds", "Employee[_EmpNo_",
          "1: error[SYNTAX]: malformed relation line 'Employee[_EmpNo_'")
         for command in ("reverse", "ddl")
+    ] + [
+        ("reverse", "bad.rds", "Alpha[_AlpNo_, _Aa_(R, 0, 1, 1)]",
+         "1: error[INVARIANT]: underlined attribute 'Aa' cannot carry a "
+         "foreign-key suffix"),
     ])
     def test_an_unreadable_input_exits_two_with_the_readers_errors(
             self, command, name, text, message, tmp_path, capsys):
@@ -793,6 +821,32 @@ class TestNoNestedFunctions:
             if inner is not outer and isinstance(inner, functions)
         )
         assert nested == []
+
+
+class TestGeneratorModules:
+    def test_no_module_imports_a_test_module(self):
+        # Shared generators live in genmodels and geninputs, not in tests.
+        importers = sorted({
+            name
+            for name, tree in _parsed_modules(CHECKOUT / "tests")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(alias.name.startswith("test_") for alias in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("test_")
+        })
+        assert importers == []
+
+    def test_importing_genmodels_loads_no_test_only_module(self):
+        # The benchmark's timed set-up imports genmodels.
+        result = subprocess.run([sys.executable, "-c",
+                                 "import sys; sys.path.insert(0, 'tests'); "
+                                 "import genmodels; print(sorted("
+                                 "{'geninputs', 'hypothesis', 'pytest'} & "
+                                 "{name.split('.')[0] for name in sys.modules}))"],
+                                capture_output=True, text=True, cwd=CHECKOUT,
+                                env=checkout_env())
+        assert (result.stdout, result.stderr) == ("[]\n", "")
 
 
 class TestErrorClasses:

@@ -10,6 +10,7 @@ from er2rds.model import (
     Attribute, AttributeKind, ERModel, RegularEntityType, Severity, Subtype,
 )
 from genmodels import generate_model
+from geninputs import colliding_text, repeating_text
 
 
 def parse_clean(text):
@@ -255,77 +256,6 @@ class TestEmission:
         once = emit_er(parse_clean(company_text))
         again = emit_er(parse_clean(once))
         assert once == again
-
-
-# Names that share three-letter prefixes.  Each construct takes a name of
-# its own, but references and members draw from the whole pool, so
-# resolution often reports an unknown reference, a clash or a missing key.
-_COLLIDING = ("Ivory", "IvoNo", "IvoryNo", "Ivo", "Del", "Delta", "DelNo",
-              "DeltaNo", "Bra", "Brave", "Bravo", "BraNo", "Ced", "Cedar",
-              "CedNo", "CedarNo")
-
-
-def colliding_text(rng: random.Random) -> str:
-    fresh = rng.sample(_COLLIDING, len(_COLLIDING))
-
-    def name():
-        return rng.choice(_COLLIDING)
-
-    def members(keywords):
-        return " ".join(f"{rng.choice(keywords)} {name()};"
-                        for _ in range(rng.randint(0, 3)))
-
-    def pair():
-        return f"{rng.choice('01')}..{rng.choice(('1', 'n', 'N'))}"
-
-    entities = [fresh.pop() for _ in range(rng.randint(1, 4))]
-    lines = [f"entity {entity} {{ key {name()}; {members(('key', 'attr', 'multi'))} }}"
-             for entity in entities]
-    lines += [f"subtype {fresh.pop()} of {rng.choice(entities)} {{ {members(('attr',))} }}"
-              for _ in range(rng.randint(0, 2))]
-    lines += [f"weak {fresh.pop()} of {rng.choice(entities)} via {fresh.pop()} "
-              f"{{ partial {name()}; {members(('attr',))} }}"
-              for _ in range(rng.randint(0, 2))]
-    lines += [f"rel {fresh.pop()} ({name()} {pair()}, {name()} {pair()}) "
-              f"{{ {members(('attr',))} }}"
-              for _ in range(rng.randint(0, 3))]
-    rng.shuffle(lines)
-    return "\n".join(lines)
-
-
-# A smaller pool that every element, via, member and participant name is
-# drawn from with replacement, so texts repeat names: a name already
-# declared, an attribute declared more than once, a weak entity with zero,
-# one or two partial keys, among them repeated ones.
-_REPEATING = ("Ivory", "IvoNo", "Del", "DelNo", "Bra", "BraNo")
-
-
-def repeating_text(rng: random.Random) -> str:
-    def name():
-        return rng.choice(_REPEATING)
-
-    def members(keywords, partials=0):
-        found = [f"partial {name()};" for _ in range(partials)]
-        found += [f"{rng.choice(keywords)} {name()};" for _ in range(rng.randint(0, 3))]
-        rng.shuffle(found)
-        return " ".join(found)
-
-    def pair():
-        return f"{rng.choice('01')}..{rng.choice(('1', 'n', 'N'))}"
-
-    entities = [name() for _ in range(rng.randint(1, 4))]
-    lines = [f"entity {entity} {{ key {name()}; {members(('key', 'attr', 'multi'))} }}"
-             for entity in entities]
-    lines += [f"subtype {name()} of {rng.choice(entities)} {{ {members(('attr',))} }}"
-              for _ in range(rng.randint(0, 2))]
-    lines += [f"weak {name()} of {rng.choice(entities)} via {name()} "
-              f"{{ {members(('attr',), rng.randint(0, 2))} }}"
-              for _ in range(rng.randint(0, 2))]
-    lines += [f"rel {name()} ({name()} {pair()}, {name()} {pair()}) "
-              f"{{ {members(('attr',))} }}"
-              for _ in range(rng.randint(0, 3))]
-    rng.shuffle(lines)
-    return "\n".join(lines)
 
 
 _CLEAN_EDGE_TEXTS = [

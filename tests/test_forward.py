@@ -36,8 +36,8 @@ import er2rds
 from er2rds import forward
 from er2rds import model as model_module
 from conftest import assert_well_formed
-from genmodels import build_model, generate_model, scaled_model, sog_configs, step_spec
-from test_er_text import colliding_text
+from genmodels import generate_model, scaled_model, sog_configs
+from geninputs import build_model, colliding_text, step_spec
 
 
 def transform_text(text, cfg=None):

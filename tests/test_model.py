@@ -234,3 +234,22 @@ class TestImmutableValues:
     @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
     def test_model_values_hash_as_their_equals(self, value):
         assert hash(value) == hash(dataclasses.replace(value))
+
+    def test_a_config_keeps_its_own_copy_of_the_side_choices(self):
+        choices = {"Consult": "Project"}
+        cfg = TransformConfig(sog_choice=choices)
+        choices["Manages"] = "Manager"
+        assert cfg.sog_choice == {"Consult": "Project"}
+
+    def test_the_side_choices_of_a_config_are_read_only(self):
+        with pytest.raises(TypeError):
+            TransformConfig().sog_choice["Consult"] = "Project"
+
+    def test_equal_configs_compare_equal(self):
+        assert (TransformConfig(sog_choice={"Consult": "Project"}, extensions=True)
+                == TransformConfig(sog_choice={"Consult": "Project"}, extensions=True))
+        assert TransformConfig() != TransformConfig(sog_choice={"Consult": "Project"})
+
+    def test_a_config_does_not_hash(self):
+        with pytest.raises(TypeError):
+            hash(TransformConfig())

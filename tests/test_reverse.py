@@ -1,20 +1,20 @@
-import dataclasses
 import hashlib
 import random
 
 import pytest
 
 from er2rds import (
+    CardinalityPair,
     Diagnostic,
     FkSuffix,
     RdsAttribute,
     Relation,
     RelationalSchema,
+    RelationshipEndpoint,
     Severity,
     canonical_model,
     classify_relations,
     emit_er,
-    emit_rds,
     format_diagnostic,
     model_diff,
     normalize_model,
@@ -24,11 +24,13 @@ from er2rds import (
     render_ddl,
     reverse_transform,
     transform_model,
+    validate_notation,
 )
 from er2rds import ddl, reverse
 from er2rds.reverse import RelationKind
 from conftest import golden_path, named
-from genmodels import generate_model, scaled_model
+from genmodels import scaled_model
+from geninputs import edited_schema_text, schema_text
 
 
 def schema_of(text):
@@ -344,6 +346,26 @@ class TestReverseErrors:
             "test.rds: error[FK]: multivalued relation 'Color' carries an "
             "unexpected foreign key (Color)"]
 
+    def test_a_suffix_outside_the_notation_is_left_to_the_gate(self):
+        # The reader refuses such values, so only a schema built in code can
+        # hold them; cardinality_pair builds the pairs, which the gate refuses.
+        schema = RelationalSchema([
+            Relation("Alpha", [RdsAttribute("AlpNo", underlined=True)]),
+            Relation("Bravo", [
+                RdsAttribute("BraNo", underlined=True),
+                RdsAttribute("AlpNo", suffix=FkSuffix("Works", "2", "0", "5")),
+            ]),
+        ])
+        model, _ = reverse_transform(schema)
+        assert named(model.relationships, "Works").endpoints == (
+            RelationshipEndpoint("Bravo", CardinalityPair("2", "1")),
+            RelationshipEndpoint("Alpha", CardinalityPair("0", "5")))
+        assert [format_diagnostic(d, "test.rds") for d in validate_notation(model)] == [
+            "test.rds: error[SUBSET]: minimum participation must be 0 or 1, found "
+            "'2' (relationship Works)",
+            "test.rds: error[SUBSET]: maximum participation must be 1 or n, found "
+            "'5' (relationship Works)"]
+
 
 # The reader refuses a repeated relation name, so only a schema built in code
 # can hold one.
@@ -374,79 +396,6 @@ class TestRepeatedRelationName:
 
 # --------------------------------------------------------------------------
 # Schema-side golden diagnostics
-
-# Names that share three-letter prefixes.  Relations, attributes and prefixes
-# all draw from them, so relations often share a key, fit a dependent shape
-# beside the regular one, or fit no shape at all.
-_SHARING = ("Ivory", "IvoNo", "Ivo", "Del", "DelNo", "Delta", "Bra", "BraNo",
-            "Bravo")
-_SUFFIX_RELATIONSHIPS = ("Grove", "Hazel", "Maple")
-
-
-def schema_text(rng: random.Random) -> str:
-    """One to five relations of distinct names from ``_SHARING``, each with
-    0-3 leading underlined attributes (the first often sharing the
-    relation's prefix), then attributes that are plain, underlined, suffixed
-    or prefixed, all of distinct names."""
-    def suffix():
-        return (f"({rng.choice(_SUFFIX_RELATIONSHIPS)}, {rng.choice('01')}, "
-                f"{rng.choice('01')}, {rng.choice('1n')})")
-
-    forms = (lambda name: name,
-             lambda name: f"_{name}_",
-             lambda name: name + suffix(),
-             lambda name: f"{rng.choice(_SHARING)}-{name}{suffix()}")
-    lines = []
-    for relation in rng.sample(_SHARING, rng.randint(1, 5)):
-        lead = rng.choices(range(4), (1, 4, 4, 1))[0]
-        count = lead + rng.randint(0 if lead else 1, 3)
-        names = rng.sample(_SHARING, count)
-        if lead and rng.random() < 0.5:
-            first = rng.choice([n for n in _SHARING if n[:3] == relation[:3]])
-            names = [first, *(n for n in names if n != first)][:count]
-        attributes = [f"_{name}_" for name in names[:lead]]
-        attributes += [rng.choices(forms, (3, 1, 3, 2))[0](name)
-                       for name in names[lead:]]
-        lines.append(f"{relation}[{', '.join(attributes)}]")
-    return "\n".join(lines)
-
-
-def edited_schema_text(rng: random.Random) -> str:
-    """The schema text of a corpus model after ``transform_model``, with one
-    edit: move a relation, drop a plain attribute, flip v2, v3 or v4 of a
-    suffix, drop a relation, copy a foreign key into another relation,
-    rename a prefix to another relation's name, or nothing."""
-    schema, _ = transform_model(generate_model(rng.randrange(1_000_000)))
-    relations = schema.relations
-    cells = [(relation, index, attr) for relation in relations
-             for index, attr in enumerate(relation.attributes)]
-    plain = [cell for cell in cells if not cell[2].underlined and cell[2].suffix is None]
-    suffixed = [cell for cell in cells if cell[2].suffix is not None]
-    prefixed = [cell for cell in suffixed if cell[2].prefix is not None]
-    edit = rng.choice(("move", "drop attribute", "flip", "drop relation",
-                       "copy foreign key", "rename prefix", "none"))
-    if edit == "move":
-        relations.insert(rng.randrange(len(relations)),
-                         relations.pop(rng.randrange(len(relations))))
-    elif edit == "drop attribute" and plain:
-        relation, index, _ = rng.choice(plain)
-        del relation.attributes[index]
-    elif edit == "flip" and suffixed:
-        relation, index, attr = rng.choice(suffixed)
-        field, values = rng.choice((("v2", "01"), ("v3", "01"), ("v4", "1n")))
-        other = values.replace(getattr(attr.suffix, field), "")
-        suffix = dataclasses.replace(attr.suffix, **{field: other})
-        relation.attributes[index] = dataclasses.replace(attr, suffix=suffix)
-    elif edit == "drop relation":
-        del relations[rng.randrange(len(relations))]
-    elif edit == "copy foreign key" and suffixed and len(relations) > 1:
-        holder, _, attr = rng.choice(suffixed)
-        rng.choice([r for r in relations if r is not holder]).attributes.append(attr)
-    elif edit == "rename prefix" and prefixed:
-        relation, index, attr = rng.choice(prefixed)
-        prefix = rng.choice(relations).name
-        relation.attributes[index] = dataclasses.replace(attr, prefix=prefix)
-    return emit_rds(schema)
 
 
 def schema_texts():
