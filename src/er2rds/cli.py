@@ -10,16 +10,17 @@ do not raise the exit code.
 
 A plain command line (the command, its input, then only options that command
 takes, spelled in full) is read directly, without argparse; every other
-line, help and usage errors included, is read by argparse.  Both readings
-give the same namespace, and one option table, ``_OPTIONS``, drives both.
+line, help and usage errors included, is read by argparse, which only such a
+line imports.  Both readings give the same namespace, and one option table,
+``_OPTIONS``, drives both.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import sys
+from types import SimpleNamespace
 
 from .ddl import render_ddl
 from .er_text import emit_er, parse_er
@@ -68,7 +69,7 @@ def _parse_choices(pairs: list[str]) -> dict[str, str]:
     return choices
 
 
-def _config_from(args: argparse.Namespace) -> TransformConfig:
+def _config_from(args: SimpleNamespace) -> TransformConfig:
     return TransformConfig(
         sog_choice=_parse_choices(args.sog_choice),
         prefer_regular=args.prefer_regular,
@@ -84,7 +85,7 @@ def _print_trace(trace: list[TraceEntry]) -> None:
             print(f"    {line}", file=sys.stderr)
 
 
-def cmd_check(args: argparse.Namespace, model: ERModel) -> int:
+def cmd_check(args: SimpleNamespace, model: ERModel) -> int:
     """validate and transform: the gate under the command's options, then,
     for transform only, the trace and the schema."""
     schema, events, diagnostics = gated_transform(model, _config_from(args))
@@ -98,7 +99,7 @@ def cmd_check(args: argparse.Namespace, model: ERModel) -> int:
     return _exit_code(diagnostics)
 
 
-def cmd_reverse(args: argparse.Namespace, schema: RelationalSchema) -> int:
+def cmd_reverse(args: SimpleNamespace, schema: RelationalSchema) -> int:
     model, diagnostics = reverse_transform(schema)
     _print_diagnostics(diagnostics, args.input)
     if model is None:
@@ -110,7 +111,7 @@ def cmd_reverse(args: argparse.Namespace, schema: RelationalSchema) -> int:
     return EXIT_CLEAN
 
 
-def cmd_roundtrip(args: argparse.Namespace, model: ERModel) -> int:
+def cmd_roundtrip(args: SimpleNamespace, model: ERModel) -> int:
     try:
         report = run_roundtrip(model, _config_from(args))
     except PrerequisiteFailed as exc:
@@ -126,7 +127,7 @@ def cmd_roundtrip(args: argparse.Namespace, model: ERModel) -> int:
     return EXIT_ERRORS
 
 
-def cmd_ddl(args: argparse.Namespace, schema: RelationalSchema) -> int:
+def cmd_ddl(args: SimpleNamespace, schema: RelationalSchema) -> int:
     sql, diagnostics = render_ddl(schema)
     _print_diagnostics(diagnostics, args.input)
     _write_output(sql, args.output)
@@ -152,33 +153,40 @@ _COMMANDS = {
 # The commands that take a transform configuration.
 _CONFIGURED = ("validate", "transform", "roundtrip")
 
-# Every option: its flags, the commands that take it and its add_argument
-# keywords.  build_parser adds them in this order, and _plain_args reads a
-# plain command line by the same table.
+# Every option: its flags, the commands that take it, its dest, action and
+# default, and its help keywords.  build_parser adds them in this order, and
+# _plain_args reads a plain command line by the same table.
 _OPTIONS = (
-    (("-o", "--output"), ("transform", "reverse", "ddl"),
-     {"default": None, "help": "output file (default: standard output)"}),
-    (("--extensions",), _CONFIGURED,
-     {"action": "store_true",
-      "help": "accept subtype endpoints in 1:N relationships"}),
-    (("--sog-choice",), _CONFIGURED,
-     {"action": "append", "default": [], "metavar": "RELATIONSHIP=PARTICIPANT",
+    (("-o", "--output"), ("transform", "reverse", "ddl"), "output", "store", None,
+     {"help": "output file (default: standard output)"}),
+    (("--extensions",), _CONFIGURED, "extensions", "store_true", False,
+     {"help": "accept subtype endpoints in 1:N relationships"}),
+    (("--sog-choice",), _CONFIGURED, "sog_choice", "append", [],
+     {"metavar": "RELATIONSHIP=PARTICIPANT",
       "help": "host this 1:1 relationship's foreign key in the named "
               "participant's relation (repeatable)"}),
-    (("--prefer-regular",), _CONFIGURED,
-     {"action": "store_true",
-      "help": "default 1:1 foreign keys into the regular entity's relation "
+    (("--prefer-regular",), _CONFIGURED, "prefer_regular", "store_true", False,
+     {"help": "default 1:1 foreign keys into the regular entity's relation "
               "instead of the subtype's"}),
-    (("--trace",), ("transform",),
-     {"action": "store_true",
-      "help": "write the step-by-step schema trace to standard error"}),
+    (("--trace",), ("transform",), "trace", "store_true", False,
+     {"help": "write the step-by-step schema trace to standard error"}),
 )
+
+# For each command, the (dest, action) of each of its flags and the
+# (dest, action, default) of each of its options, for _plain_args.
+_PLAIN = {command: ({}, []) for command in _COMMANDS}
+for flags, commands, dest, action, default, _ in _OPTIONS:
+    for command in commands:
+        _PLAIN[command][0].update(dict.fromkeys(flags, (dest, action)))
+        _PLAIN[command][1].append((dest, action, default))
 
 
 # Built once and reused: parse_args leaves the parser unchanged, and the
 # --sog-choice append action copies its default list before appending.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only lines the plain reader leaves need it
+
     parser = argparse.ArgumentParser(
         prog="er2rds",
         description="Transform ER models to annotated relational schemas "
@@ -188,32 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, _, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(command, help=help_text)
         sub.add_argument("input", help="input file")
-        for flags, commands, keywords in _OPTIONS:
+        for flags, commands, dest, action, default, keywords in _OPTIONS:
             if command in commands:
-                sub.add_argument(*flags, **keywords)
+                sub.add_argument(*flags, dest=dest, action=action, default=default,
+                                 **keywords)
     return parser
 
 
-def _plain_options() -> dict[str, tuple[dict, list]]:
-    """For each command, the ``(dest, action)`` of each of its flags and the
-    ``(dest, action, default)`` of each of its options, derived from
-    ``_OPTIONS`` as argparse derives them."""
-    index = {command: ({}, []) for command in _COMMANDS}
-    for flags, commands, keywords in _OPTIONS:
-        dest = next(f for f in flags if f.startswith("--"))[2:].replace("-", "_")
-        action = keywords.get("action", "store")
-        default = keywords.get("default", False if action == "store_true" else None)
-        for command in commands:
-            by_flag, defaults = index[command]
-            by_flag.update(dict.fromkeys(flags, (dest, action)))
-            defaults.append((dest, action, default))
-    return index
-
-
-_PLAIN = _plain_options()
-
-
-def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     """The namespace ``build_parser().parse_args(argv)`` gives for a plain
     command line, or None for any other.  A plain command line is a command,
     its input, then only options that command takes, each flag spelled in
@@ -248,7 +238,7 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
             values[dest].append(value)
         else:
             values[dest] = value
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -281,7 +271,7 @@ def _run(argv: list[str] | None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
     reader, handler, _ = _COMMANDS[args.command]
     try:
         text = _read(args.input)

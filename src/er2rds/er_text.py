@@ -9,8 +9,9 @@ Grammar (newline-insensitive, ``//`` line comments, UTF-8)::
 
 Identifiers are purely alphabetic; the lexer rejects anything else at the
 character-class rule (R2.5.2).  Minima are ``0`` or ``1``; maxima are ``1``
-or ``n``.  Declarations inside a block may appear in any order and keep
-that order through a parse and re-emit; canonical form fixes only layout.
+or ``n``, and ``N`` is read as ``n`` and emitted as ``n``.  Declarations
+inside a block may appear in any order and keep that order through a parse
+and re-emit; canonical form fixes only layout.
 The parser also refuses, at its construct, a name or an attribute declared
 twice, a reference that does not resolve (``REF``), an entity with no key,
 and a weak entity with no or several partial keys (``MODEL``).  For models
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 
 from .model import (
     MAX_MANY,
+    MINIMA,
     Attribute,
     AttributeKind,
     Diagnostic,
@@ -134,7 +136,7 @@ _MEMBER_KINDS = {
     "multi": AttributeKind.MULTIVALUED,
     "partial": AttributeKind.PARTIAL_KEY,
 }
-_MINIMA = ("0", "1")
+# The reader's spellings of each maximum: "N" is read as "n".
 _MAXIMA = {"1": "1", "n": MAX_MANY, "N": MAX_MANY}
 _KEY = AttributeKind.KEY
 _PARTIAL_KEY = AttributeKind.PARTIAL_KEY
@@ -208,7 +210,7 @@ def _parse(tokens: list[str]
                 for close in (",", ")"):
                     participant = _name(tokens, i, "a participant name", names)
                     minimum = tokens[i + 1]
-                    if minimum not in _MINIMA:
+                    if minimum not in MINIMA:
                         raise _Unexpected(i + 1, "minimum participation must be "
                                                  f"0 or 1, found {minimum!r}")
                     i = _expect(tokens, i + 2, "..")

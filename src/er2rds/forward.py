@@ -223,7 +223,8 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
     """The six steps, as six loops in step order (REG, SUB, GNG, SOG, MVA,
     WAK), on a model that passed notation validation; returns the schema and
     one event per relation created or extended.  A loop that creates a
-    relation appends it to the schema and registers it in the relation map.
+    relation appends it to the schema; REG and SUB also register it in the
+    relation map, the only relations a later step looks up.
     The steps check nothing themselves: the notation gate has made sure that
     every name they look up is there and that no two elements share a name.
     Only the relation map can still meet a repeated name, which it resolves
@@ -333,7 +334,6 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
             relation = Relation(attr.name, [owner.attributes[0],
                                             RdsAttribute(attr.name, underlined=True)])
             schema.relations.append(relation)
-            relations.setdefault(attr.name, relation)
             events.append((STEP_MULTIVALUED, f"{entity.name}.{attr.name}", attr.name,
                            2, True))
 
@@ -344,7 +344,6 @@ def _transform_steps(model: ERModel, cfg: TransformConfig
         attributes += [RdsAttribute(a.name) for a in weak.attributes]
         relation = Relation(weak.name, attributes)
         schema.relations.append(relation)
-        relations.setdefault(weak.name, relation)
         events.append((STEP_WEAK, weak.name, weak.name, len(attributes), True))
 
     return schema, events

@@ -22,6 +22,9 @@ from enum import Enum
 # Unbounded maximum in a cardinality pair; minima and maxima are kept as the
 # strings "0" / "1" / "n" so they serialize without conversion.
 MAX_MANY = "n"
+# The participation values of the notation.
+MINIMA = ("0", "1")
+MAXIMA = ("1", MAX_MANY)
 
 # Designated keys are matched on the first three letters of the entity name.
 NAME_PREFIX_LEN = 3
@@ -134,7 +137,7 @@ class CardinalityPair:
 
 # The four pairs that the notation admits, shared by every reader.
 _PAIRS = {(minimum, maximum): CardinalityPair(minimum, maximum)
-          for minimum in ("0", "1") for maximum in ("1", MAX_MANY)}
+          for minimum in MINIMA for maximum in MAXIMA}
 
 
 def cardinality_pair(minimum: str, maximum: str) -> CardinalityPair:

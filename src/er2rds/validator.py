@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .model import MAX_MANY, Diagnostic, ERModel, RatioKind, Severity, matching_keys
+from .model import (MAXIMA, MINIMA, Diagnostic, ERModel, RatioKind, Severity,
+                    matching_keys)
 
 RULES: dict[str, str] = {
     "REF": "a subtype's supertype and a weak entity's owner are regular entity "
@@ -42,9 +43,6 @@ RULES: dict[str, str] = {
 }
 
 _ERROR, _WARNING = Severity.ERROR, Severity.WARNING
-# The participation values of the notation.
-_MINIMA = ("0", "1")
-_MAXIMA = ("1", MAX_MANY)
 
 
 def _check_name(found: list[Diagnostic], name: str, kind: str, owner: str,
@@ -164,16 +162,16 @@ def validate_notation(model: ERModel, allow_extensions: bool = False) -> list[Di
                     f"type or subtype", element=f"rel {name}"))
         first, second = rel.participants()
         near, far = rel.endpoints[0].pair, rel.endpoints[1].pair
-        if (near.min not in _MINIMA or near.max not in _MAXIMA
-                or far.min not in _MINIMA or far.max not in _MAXIMA):
+        if (near.min not in MINIMA or near.max not in MAXIMA
+                or far.min not in MINIMA or far.max not in MAXIMA):
             # Values outside the notation replace the shape finding.
             message = None
             for pair in (near, far):
-                if pair.min not in _MINIMA:
+                if pair.min not in MINIMA:
                     found.append(Diagnostic(
                         "SUBSET", _ERROR, f"minimum participation must be 0 or 1, "
                         f"found {pair.min!r}", element=f"relationship {name}"))
-                if pair.max not in _MAXIMA:
+                if pair.max not in MAXIMA:
                     found.append(Diagnostic(
                         "SUBSET", _ERROR, f"maximum participation must be 1 or n, "
                         f"found {pair.max!r}", element=f"relationship {name}"))

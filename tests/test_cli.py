@@ -284,6 +284,14 @@ class TestReverse:
         assert capsys.readouterr().out == "entity Employee {\n  key EmpNo;\n}\n"
 
 
+# Two entities that own a key named Bra, and a relation keyed by it.
+TWO_OWNERS = [
+    "entity BraNo { key Bra; }\nentity Bra { key Bra; }\n"
+    "subtype Ivory of Bra { attr Ivory; }\n",
+    "entity Bravo { key Bra; }\nentity Brave { key Bra; key Ced; multi Cedar; }\n",
+]
+
+
 class TestRoundtrip:
     def test_default_configuration(self, capsys):
         assert main(["roundtrip", COMPANY_ER]) == 0
@@ -326,7 +334,11 @@ class TestRoundtrip:
     # relationship collide in the holding relation, which validate and
     # roundtrip both report as the same CLASH.  An entity named
     # like the <Name>Of that reversal gives a weak entity's identifying
-    # relationship makes the second transformation stop on REF.
+    # relationship makes the second transformation stop on REF.  Two entities
+    # that own a key of one name both fit a dependent relation keyed by it;
+    # reversal takes the first declared as its owner, so a subtype comes back
+    # under the other supertype or a multivalued attribute under the other
+    # entity.
     @pytest.mark.parametrize("text, validated, out, err", [
         ("entity Brave { key BraNo; multi Bravo; }", 0,
          "round trip FAILED\nmodel.entities: 1 elements expected, 2 found\n", ""),
@@ -358,9 +370,17 @@ class TestRoundtrip:
          "round trip FAILED\nsecond transformation failed:\n"
          "<schema>: error[REF]: name 'BetaOf' is already declared (weak Beta)\n",
          ""),
+        (TWO_OWNERS[0], 0,
+         "round trip FAILED\n"
+         "model.subtypes[0].supertype: expected 'Bra', found 'BraNo'\n", ""),
+        (TWO_OWNERS[1], 0,
+         "round trip FAILED\n"
+         "model.entities[0].attributes: 3 elements expected, 2 found\n"
+         "model.entities[1].attributes: 1 elements expected, 2 found\n", ""),
     ], ids=["multi-named-like-an-entity", "weak-partial-key", "shared-key-name",
             "subtype-named-like-its-supertype", "subtype-named-like-its-supertypes-key",
-            "entity-named-like-a-regenerated-of"])
+            "entity-named-like-a-regenerated-of", "two-owners-of-a-supertype-key",
+            "two-owners-of-a-multivalued-key"])
     def test_clean_models_that_fail_the_round_trip(self, text, validated, out, err,
                                                    tmp_path, capsys):
         source = tmp_path / "model.er"
@@ -370,6 +390,17 @@ class TestRoundtrip:
         assert capsys.readouterr() == ("", err)
         assert main(["roundtrip", str(source)]) == 2
         assert capsys.readouterr() == (out, err)
+
+    # The ambiguity depends on declaration order: with the true owner
+    # declared first, the same models round-trip.
+    @pytest.mark.parametrize("text", TWO_OWNERS,
+                             ids=["supertype-key", "multivalued-key"])
+    def test_the_two_owners_swapped_round_trip(self, text, tmp_path, capsys):
+        first, second, *rest = text.splitlines(keepends=True)
+        source = tmp_path / "model.er"
+        source.write_text("".join([second, first, *rest]))
+        assert main(["roundtrip", str(source)]) == 0
+        assert capsys.readouterr() == ("round trip OK: 3 relations reproduced\n", "")
 
     def test_a_changed_schema_text_prints_a_unified_diff(self, tmp_path, capsys):
         # Reversal reads the weak entity BraNo as a regular entity, so the
@@ -485,6 +516,25 @@ class TestEntryPoints:
                                 capture_output=True, text=True,
                                 env=checkout_env())
         assert (result.stdout, result.stderr) == ("False\n", "")
+
+    def test_a_plain_command_line_loads_no_argparse(self):
+        # argparse (and the gettext it pulls in) is imported only for a line
+        # that the plain reader leaves to it, such as --help.
+        script = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from er2rds import cli\n"
+            f"code = cli.main(['validate', {COMPANY_ER!r}])\n"
+            "loaded = lambda: ['argparse' in sys.modules, 'gettext' in sys.modules]\n"
+            "print(code, *loaded())\n"
+            "try:\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        cli.main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, *loaded())\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=checkout_env())
+        assert (result.stdout, result.stderr) == ("0 False False\n0 True True\n", "")
 
 
 class TestPlainCommandLines:

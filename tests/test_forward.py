@@ -154,6 +154,21 @@ class TestTraceEvents:
         assert trace[-1].schema_after == tuple(company_rds_text.splitlines())
         assert len(rendered) == 6
 
+    def test_entries_compare_hash_and_print_by_their_five_fields(self):
+        # The same event in two runs: the schemas the entries render differ,
+        # but equality, hashing and repr read only the event's five fields.
+        _, alone = transform_text("entity Ivory { key IvoNo; }")
+        _, after = transform_text("entity Alpha { key AlpNo; }\n"
+                                  "entity Ivory { key IvoNo; }")
+        entry, other = alone[0], after[1]
+        assert entry.schema_after == ("Ivory[_IvoNo_]",)
+        assert other.schema_after == ("Alpha[_AlpNo_]", "Ivory[_IvoNo_]")
+        assert entry == other
+        assert hash(entry) == hash(other)
+        assert repr(entry) == repr(other) == (
+            "TraceEntry(step='REG', subject='Ivory', relation='Ivory', width=1, "
+            "at_end=True)")
+
     def test_later_changes_to_the_schema_leave_the_trace_alone(self, company_model):
         schema, trace = transform_model(company_model)
         before = [entry.schema_after for entry in trace]
