@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -253,3 +255,107 @@ class TestImmutableValues:
     def test_a_config_does_not_hash(self):
         with pytest.raises(TypeError):
             hash(TransformConfig())
+
+
+def _items(value) -> tuple:
+    """The plain tuple of a value's fields, in declaration order."""
+    return tuple(getattr(value, field.name) for field in dataclasses.fields(value))
+
+
+# Each class's fields with their defaults; MISSING marks a required field.
+_REQUIRED = dataclasses.MISSING
+_DEFAULTS = {
+    Attribute: [("name", _REQUIRED), ("kind", AttributeKind.SIMPLE)],
+    RegularEntityType: [("name", _REQUIRED), ("attributes", ())],
+    Subtype: [("name", _REQUIRED), ("supertype", _REQUIRED), ("attributes", ())],
+    WeakEntityType: [("name", _REQUIRED), ("owner", _REQUIRED),
+                     ("identifying_relationship", _REQUIRED),
+                     ("partial_key", _REQUIRED), ("attributes", ())],
+    CardinalityPair: [("min", _REQUIRED), ("max", _REQUIRED)],
+    RelationshipEndpoint: [("participant", _REQUIRED), ("pair", _REQUIRED)],
+    RelationshipType: [("name", _REQUIRED), ("endpoints", _REQUIRED),
+                       ("attributes", ())],
+    ERModel: [("entities", ()), ("subtypes", ()), ("weak_entities", ()),
+              ("relationships", ())],
+    Ratio: [("kind", _REQUIRED), ("n_side", None)],
+    FkSuffix: [("relationship", _REQUIRED), ("v2", _REQUIRED), ("v3", _REQUIRED),
+               ("v4", _REQUIRED)],
+    RdsAttribute: [("name", _REQUIRED), ("underlined", False), ("prefix", None),
+                   ("suffix", None)],
+    Diagnostic: [("rule_id", _REQUIRED), ("severity", _REQUIRED),
+                 ("message", _REQUIRED), ("line", None), ("column", None),
+                 ("element", None)],
+}
+
+
+class TestValueContract:
+    """What a caller may rely on in the twelve model values, however they
+    are stored: equality and hashing by class and fields, no order, no
+    sequence behaviour, and copies that compare equal."""
+
+    @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
+    def test_equality_holds_only_within_one_class(self, value):
+        same = dataclasses.replace(value)
+        assert value == same and not value != same
+        items = _items(value)
+        assert value != items and items != value
+        assert not value == items and not items == value
+        for other in _MODEL_VALUES:
+            if type(other) is not type(value):
+                assert value != other and not value == other
+
+    def test_values_of_two_classes_with_the_same_fields_differ(self):
+        assert Subtype("Alpha", "Bravo") != RelationshipType("Alpha", "Bravo")
+        assert not CardinalityPair("1", "n") == RelationshipEndpoint("1", "n")
+
+    @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
+    def test_values_are_not_ordered(self, value):
+        with pytest.raises(TypeError):
+            value < dataclasses.replace(value)
+
+    @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
+    def test_a_value_hashes_as_the_tuple_of_its_fields(self, value):
+        assert hash(value) == hash(_items(value))
+
+    @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
+    def test_a_value_is_no_sequence_and_is_true(self, value):
+        with pytest.raises(TypeError):
+            iter(value)
+        with pytest.raises(TypeError):
+            len(value)
+        assert bool(value) is True
+
+    @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
+    def test_copies_and_pickles_are_equal(self, value):
+        for copied in (copy.copy(value), copy.deepcopy(value),
+                       pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value) and copied == value
+            assert hash(copied) == hash(value)
+
+    def test_copies_keep_what_was_read_lazily(self):
+        entity = RegularEntityType("Alpha", (Attribute("AlpNo", AttributeKind.KEY),
+                                             Attribute("Size")))
+        model = ERModel((entity,), relationships=(RelationshipType("Grove", _ENDPOINTS),))
+        partitions, ratios = entity._partitions, model.ratios
+        for copier in (copy.copy, copy.deepcopy,
+                       lambda value: pickle.loads(pickle.dumps(value))):
+            entity_copy, model_copy = copier(entity), copier(model)
+            assert entity_copy == entity and model_copy == model
+            assert entity_copy._partitions == partitions
+            assert entity_copy.keys() == (entity.attributes[0],)
+            assert model_copy.ratios == ratios
+
+    @pytest.mark.parametrize("cls", _DEFAULTS, ids=lambda cls: cls.__name__)
+    def test_field_defaults_are_unchanged(self, cls):
+        assert [(f.name, f.default) for f in dataclasses.fields(cls)] == _DEFAULTS[cls]
+        assert all(f.default_factory is _REQUIRED for f in dataclasses.fields(cls))
+
+    def test_every_model_value_class_is_pinned(self):
+        assert [type(value) for value in _MODEL_VALUES] == list(_DEFAULTS)
+
+    def test_repr_and_asdict_name_the_fields(self):
+        attr = RdsAttribute("AlpNo", underlined=True)
+        assert repr(attr) == ("RdsAttribute(name='AlpNo', underlined=True, "
+                              "prefix=None, suffix=None)")
+        assert dataclasses.asdict(_ENDPOINTS[0]) == {
+            "participant": "Alpha", "pair": {"min": "1", "max": "n"}}
