@@ -9,14 +9,18 @@ schema: relations whose attributes may be underlined (primary key part),
 carry a subtype prefix, or carry a bracketed foreign-key suffix recording
 the relationship name and three cardinality variables.
 
-Both sides are plain dataclasses with no I/O.  The derived operation that
-the rest of the pipeline leans on lives here as well: classifying a
-relationship's cardinality ratio.
+Both sides are plain dataclasses with no I/O.  The twelve frozen values
+are stored as tuples of their fields (see ``_value``): each equals only a
+value of its own class and hashes as its fields' tuple, two values do not
+order, and none iterates, indexes or sizes like a tuple.  The derived
+operation that the rest of the pipeline leans on lives here as well:
+classifying a relationship's cardinality ratio.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import _tuplegetter
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
 # Unbounded maximum in a cardinality pair; minima and maxima are kept as the
@@ -50,6 +54,75 @@ class _lazy:
         return value
 
 
+_tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
+_tuple_getnewargs = tuple.__getnewargs__
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _tuple_eq(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _ne(self, other):
+    if other.__class__ is self.__class__:
+        return _tuple_ne(self, other)
+    return True if isinstance(other, tuple) else NotImplemented
+
+
+def _true(self):
+    return True
+
+
+def _getnewargs(self):
+    # copy and pickle call __new__ with the items, not with one tuple.
+    return _tuple_getnewargs(self)[0]
+
+
+# What a value class puts in place of tuple's own behaviour: equality within
+# one class only, the tuple's hash (the dataclass's hash of its fields), no
+# order between values (object's comparisons), no sequence methods, always
+# true, and copies built from the items.  A plain tuple still orders against
+# a value by its items: refusing that would take a raise, and this module
+# raises nothing.
+_VALUE_METHODS = {
+    "__eq__": _eq, "__ne__": _ne, "__hash__": tuple.__hash__,
+    "__lt__": object.__lt__, "__le__": object.__le__,
+    "__gt__": object.__gt__, "__ge__": object.__ge__,
+    "__bool__": _true, "__getnewargs__": _getnewargs,
+    **dict.fromkeys(("__iter__", "__len__", "__getitem__", "__contains__",
+                     "__add__", "__mul__", "__rmul__", "count", "index")),
+}
+
+
+def _value(cls):
+    """A frozen dataclass stored as a tuple of its fields.
+
+    ``cls`` subclasses ``tuple``.  Its fields, defaults, ``repr`` and
+    frozen ``__setattr__`` come from ``dataclass(frozen=True, init=False)``;
+    a ``__new__`` with the same signature as the dataclass ``__init__``
+    builds the tuple in one call, and each field reads its item through the
+    descriptor ``namedtuple`` uses.  Construction is thus one
+    ``tuple.__new__`` rather than one ``object.__setattr__`` per field, and
+    the hash runs in C.  A class declares ``__slots__ = ()`` unless it
+    caches with ``_lazy``, which needs an instance ``__dict__``."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    value_fields = fields(cls)
+    names = ", ".join(f.name for f in value_fields)
+    namespace = {"_tuple_new": tuple.__new__}
+    exec(f"def __new__(_cls, {names}):\n"
+         f"    return _tuple_new(_cls, ({names},))", namespace)
+    new = namespace["__new__"]
+    new.__defaults__ = tuple(f.default for f in value_fields if f.default is not MISSING)
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    cls.__new__ = staticmethod(new)
+    for index, f in enumerate(value_fields):
+        setattr(cls, f.name, _tuplegetter(index, f"Alias for field number {index}"))
+    for name, method in _VALUE_METHODS.items():
+        setattr(cls, name, method)
+    return cls
+
+
 class AttributeKind(Enum):
     SIMPLE = "simple"
     KEY = "key"
@@ -64,16 +137,17 @@ _KEY = AttributeKind.KEY
 _MULTIVALUED = AttributeKind.MULTIVALUED
 
 
-@dataclass(frozen=True)
-class Attribute:
+@_value
+class Attribute(tuple):
     """A named attribute of an entity, subtype, weak entity or relationship."""
 
+    __slots__ = ()
     name: str
     kind: AttributeKind = AttributeKind.SIMPLE
 
 
-@dataclass(frozen=True)
-class RegularEntityType:
+@_value
+class RegularEntityType(tuple):
     """An entity type identified by keys of its own; ``attributes`` holds its
     keys, simple and multivalued attributes in declaration order."""
 
@@ -107,19 +181,21 @@ class RegularEntityType:
         return self._partitions[2]
 
 
-@dataclass(frozen=True)
-class Subtype:
+@_value
+class Subtype(tuple):
     """An entity subtype; carries only its intrinsic attributes."""
 
+    __slots__ = ()
     name: str
     supertype: str
     attributes: tuple[Attribute, ...] = ()
 
 
-@dataclass(frozen=True)
-class WeakEntityType:
+@_value
+class WeakEntityType(tuple):
     """An entity identified by its owner's key plus a partial key of its own."""
 
+    __slots__ = ()
     name: str
     owner: str
     identifying_relationship: str
@@ -127,10 +203,11 @@ class WeakEntityType:
     attributes: tuple[Attribute, ...] = ()
 
 
-@dataclass(frozen=True)
-class CardinalityPair:
+@_value
+class CardinalityPair(tuple):
     """A look-here (min, max) participation bound; min in {0,1}, max in {1,n}."""
 
+    __slots__ = ()
     min: str
     max: str
 
@@ -145,19 +222,21 @@ def cardinality_pair(minimum: str, maximum: str) -> CardinalityPair:
     return _PAIRS.get((minimum, maximum)) or CardinalityPair(minimum, maximum)
 
 
-@dataclass(frozen=True)
-class RelationshipEndpoint:
+@_value
+class RelationshipEndpoint(tuple):
     """One relationship side: the participant plus the pair written nearest it."""
 
+    __slots__ = ()
     participant: str
     pair: CardinalityPair
 
 
-@dataclass(frozen=True)
-class RelationshipType:
+@_value
+class RelationshipType(tuple):
     """A binary relationship: two endpoints in declaration order and the
     relationship's own attributes."""
 
+    __slots__ = ()
     name: str
     endpoints: tuple[RelationshipEndpoint, RelationshipEndpoint]
     attributes: tuple[Attribute, ...] = ()
@@ -166,8 +245,8 @@ class RelationshipType:
         return (self.endpoints[0].participant, self.endpoints[1].participant)
 
 
-@dataclass(frozen=True)
-class ERModel:
+@_value
+class ERModel(tuple):
     """A complete source model; the four element lists keep declaration order."""
 
     entities: tuple[RegularEntityType, ...] = ()
@@ -189,10 +268,11 @@ class RatioKind(Enum):
     MANY_TO_MANY = "N:M"
 
 
-@dataclass(frozen=True)
-class Ratio:
+@_value
+class Ratio(tuple):
     """A relationship's cardinality ratio, as ``ratio_class`` derives it."""
 
+    __slots__ = ()
     kind: RatioKind
     n_side: int | None = None  # endpoint index, set only for ONE_TO_MANY
 
@@ -229,22 +309,24 @@ def matching_keys(entity: RegularEntityType) -> tuple[Attribute, ...]:
 # Relational side
 
 
-@dataclass(frozen=True)
-class FkSuffix:
+@_value
+class FkSuffix(tuple):
     """Bracketed annotation on a foreign key: relationship name plus the
     minimum at the holding side and the (min, max) of the far side."""
 
+    __slots__ = ()
     relationship: str
     v2: str
     v3: str
     v4: str
 
 
-@dataclass(frozen=True)
-class RdsAttribute:
+@_value
+class RdsAttribute(tuple):
     """An attribute of a relation: underlined when part of the primary key; a
     foreign key carries a suffix, and a prefix when it points at a subtype."""
 
+    __slots__ = ()
     name: str
     underlined: bool = False
     prefix: str | None = None
@@ -293,10 +375,11 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@_value
+class Diagnostic(tuple):
     """One finding about a source text or a model, tagged with a rule id."""
 
+    __slots__ = ()
     rule_id: str
     severity: Severity
     message: str

@@ -1,0 +1,151 @@
+"""Check that several Python interpreters give the same command-line results.
+
+    python tests/check_interpreters.py PY [PY...]
+
+The interpreter that runs the script writes the inputs once into a
+temporary directory.  Then each interpreter PY runs the same fixed list of
+``cli.main`` calls in one child process, with the checkout's ``src`` put
+ahead of any ``PYTHONPATH`` it was given and that directory as its working
+directory, so every path in the output is the same relative name:
+
+- the golden commands on ``tests/golden/company.er`` and ``company.rds``:
+  ``validate``, ``transform`` (plain, ``--trace``, ``--prefer-regular
+  --trace`` and ``--sog-choice Consult=Project``), ``roundtrip`` (plain and
+  ``--prefer-regular``), ``reverse`` and ``ddl``;
+- ``roundtrip`` and ``transform`` on the 500 corpus models of the
+  acceptance suite (``genmodels.generate_model``, seeds 0-499);
+- ``validate`` and ``roundtrip`` on 3,000 ``geninputs.colliding_text``
+  texts (generator seed 705), most of which the reader refuses.
+
+For each interpreter the script prints its version, the number of calls
+and one SHA-256 over every call's argv, exit code, stdout and stderr, so
+equal digests mean identical output.  Where PY can import pytest, it also
+runs the tier-1 suite (``PY -m pytest -q``) in the checkout and prints the
+suite's last line.  The script exits 1 when the digests differ or a suite
+fails.
+
+Pytest does not collect this file; it is a script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+CHECKOUT = Path(__file__).resolve().parent.parent
+GOLDEN = CHECKOUT / "tests" / "golden"
+CORPUS_MODELS = 500
+COLLIDING_TEXTS = 3000
+COLLIDING_SEED = 705
+GOLDEN_CALLS = (
+    ["validate", "company.er"],
+    ["transform", "company.er"],
+    ["transform", "company.er", "--trace"],
+    ["transform", "company.er", "--prefer-regular", "--trace"],
+    ["transform", "company.er", "--sog-choice", "Consult=Project"],
+    ["roundtrip", "company.er"],
+    ["roundtrip", "company.er", "--prefer-regular"],
+    ["reverse", "company.rds"],
+    ["ddl", "company.rds"],
+)
+
+
+def write_inputs(work: Path) -> list[list[str]]:
+    """Write the input files into ``work``; returns the argv of every call,
+    with paths relative to ``work``."""
+    sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "tests")]
+    from er2rds import emit_er
+    from geninputs import colliding_text
+    from genmodels import generate_model
+
+    for name in ("company.er", "company.rds"):
+        shutil.copyfile(GOLDEN / name, work / name)
+    calls = [list(argv) for argv in GOLDEN_CALLS]
+    for seed in range(CORPUS_MODELS):
+        name = f"model{seed}.er"
+        (work / name).write_text(emit_er(generate_model(seed)), encoding="utf-8")
+        calls += [["roundtrip", name], ["transform", name]]
+    rng = random.Random(COLLIDING_SEED)
+    for index in range(COLLIDING_TEXTS):
+        name = f"colliding{index}.er"
+        (work / name).write_text(colliding_text(rng), encoding="utf-8")
+        calls += [["validate", name], ["roundtrip", name]]
+    return calls
+
+
+def run_calls(calls_file: str) -> None:
+    """Run each call of ``calls_file`` through ``cli.main`` in this process;
+    print the interpreter version, the call count and the digest as JSON."""
+    from er2rds.cli import main
+
+    calls = json.loads(Path(calls_file).read_text(encoding="utf-8"))
+    digest = hashlib.sha256()
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()])
+                      .encode("utf-8") + b"\n")
+    print(json.dumps({"version": sys.version.split()[0], "calls": len(calls),
+                      "sha256": digest.hexdigest()}))
+
+
+def check(python: str, work: Path, calls_file: Path) -> tuple[str, bool]:
+    """The digest of ``python``'s calls, and whether its tier-1 run passed
+    (True where it cannot import pytest)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(CHECKOUT / "src"), os.environ.get("PYTHONPATH")))))
+    child = subprocess.run([python, str(Path(__file__).resolve()), "--calls",
+                            str(calls_file)], cwd=work, env=env,
+                           capture_output=True, text=True)
+    if child.returncode != 0:
+        sys.exit(f"check_interpreters: {python} failed:\n{child.stderr}")
+    result = json.loads(child.stdout)
+    print(f"{python}: Python {result['version']}, {result['calls']} calls, "
+          f"sha256 {result['sha256']}")
+    has_pytest = subprocess.run([python, "-c", "import pytest"],
+                                capture_output=True).returncode == 0
+    if not has_pytest:
+        print(f"{python}: pytest does not import, tier-1 not run")
+        return result["sha256"], True
+    suite = subprocess.run([python, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                           cwd=CHECKOUT, env=env, capture_output=True, text=True)
+    last = (suite.stdout.strip().splitlines() or [""])[-1]
+    print(f"{python}: tier-1 {last}")
+    return result["sha256"], suite.returncode == 0
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("pythons", nargs="*", metavar="PY")
+    parser.add_argument("--calls", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.calls:
+        run_calls(args.calls)
+        return
+    if not args.pythons:
+        parser.error("name at least one interpreter")
+    with tempfile.TemporaryDirectory() as work:
+        calls_file = Path(work) / "calls.json"
+        calls_file.write_text(json.dumps(write_inputs(Path(work))), encoding="utf-8")
+        results = [check(python, Path(work), calls_file) for python in args.pythons]
+    digests = {digest for digest, _ in results}
+    failed = sum(not passed for _, passed in results)
+    print(f"check_interpreters: {len(digests)} distinct digest(s) over "
+          f"{len(results)} interpreter(s), {failed} failed suite(s)")
+    if len(digests) > 1 or failed:
+        sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

@@ -30,9 +30,11 @@ outside it (``2..n``, ``1..5``, ``0..N``).  With ``extensions`` false and
 true, ``validate_notation`` must return the same ``(rule_id, severity,
 message, line, column, element)`` list in both trees for each of them, and
 ``forward.gated_transform`` the same emitted schema text (or None), events
-and diagnostics.  Parsed text never reaches ``R2.5.2``, a dangling or
-repeated name or a pair outside the notation, since the parser refuses
-them, so only models built in code can show a difference there.  Few of
+and diagnostics.  Each built model must also have the same ``repr`` and
+``hash`` in both trees, which checks how the model values are stored.
+Parsed text never reaches ``R2.5.2``, a dangling or repeated name or a pair
+outside the notation, since the parser refuses them, so only models built
+in code can show a difference there.  Few of
 these 20,000 pass the gate, so a second batch of 20,000 (generator seed 23,
 ``geninputs.step_spec``) draws only clean names: entities, subtypes and
 multivalued attributes of a few names each.  For every run that the gate
@@ -160,19 +162,25 @@ def show(label: str, differences: list[str]) -> str:
 def check_validator(old, new, draw, models: int, seed: int) -> int:
     """Count the runs on models built in code, under either ``extensions``
     value, on which the two packages' ``validate_notation`` or
-    ``forward.gated_transform`` differ, and print the first few; print how
-    many runs were compared, how many had findings and how many transformed.
-    Of the runs that the gate passes, also print how many the new tree's
-    readers refuse: ``parse_er`` on the model's ``emit_er`` text, and
-    ``parse_rds`` on the schema text.  Returns the number of differences."""
+    ``forward.gated_transform`` differ, and the models whose ``repr`` or
+    ``hash`` differs; print the first few of each and how many runs were
+    compared, how many had findings and how many transformed.  Of the runs
+    that the gate passes, also print how many the new tree's readers refuse:
+    ``parse_er`` on the model's ``emit_er`` text, and ``parse_rds`` on the
+    schema text.  Returns the number of differences."""
     from geninputs import build_model
 
     rng = random.Random(seed)
     with_findings = transformed = er_refused = rds_refused = 0
     differences: list[str] = []
+    stored: list[str] = []
     for index in range(models):
         spec = draw(rng)
         built = build_model(old, spec), build_model(new, spec)
+        if (repr(built[0]) != repr(built[1])
+                or hash(built[0]) != hash(built[1])):
+            stored.append(f"repr or hash differs on model {index} (seed {seed}): "
+                          f"{spec}")
         for extensions in (False, True):
             old_found, new_found = (
                 rows(package.validate_notation(model, extensions))
@@ -198,10 +206,12 @@ def check_validator(old, new, draw, models: int, seed: int) -> int:
           f"gated_transform results under both extensions values "
           f"({with_findings} of {2 * models} runs with findings, "
           f"{transformed} transformed)")
+    print(f"{draw.__name__}: {models} models built in code give "
+          f"{show(draw.__name__, stored)} repr and hash")
     print(f"{draw.__name__}: of the {transformed} runs the gate passes, parse_er "
           f"refuses the emit_er text of {er_refused} and parse_rds the emit_rds "
           f"text of {rds_refused}")
-    return len(differences)
+    return len(differences) + len(stored)
 
 
 def rows(diagnostics) -> list[tuple]:

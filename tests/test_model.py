@@ -359,3 +359,8 @@ class TestValueContract:
                               "prefix=None, suffix=None)")
         assert dataclasses.asdict(_ENDPOINTS[0]) == {
             "participant": "Alpha", "pair": {"min": "1", "max": "n"}}
+
+    def test_attributes_keep_no_instance_dict(self):
+        # The two most numerous values hold their fields and nothing else.
+        assert not hasattr(Attribute("AlpNo"), "__dict__")
+        assert not hasattr(RdsAttribute("AlpNo"), "__dict__")
