@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import inspect
+import json
 import pickle
 
 import pytest
@@ -364,3 +366,56 @@ class TestValueContract:
         # The two most numerous values hold their fields and nothing else.
         assert not hasattr(Attribute("AlpNo"), "__dict__")
         assert not hasattr(RdsAttribute("AlpNo"), "__dict__")
+
+    def test_only_the_lazy_classes_keep_an_instance_dict(self):
+        # _lazy caches in the instance __dict__; the other ten hold slots.
+        for value in _MODEL_VALUES:
+            lazy = type(value) in (RegularEntityType, ERModel)
+            assert hasattr(value, "__dict__") is lazy, type(value).__name__
+
+    @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
+    def test_a_plain_tuple_neither_orders_against_nor_joins_a_value(self, value):
+        with pytest.raises(TypeError):
+            ("y",) > value
+        with pytest.raises(TypeError):
+            (1,) + value
+
+    @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
+    def test_percent_formatting_gives_the_repr(self, value):
+        assert "%s" % value == repr(value)
+
+    @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
+    def test_a_value_is_not_a_tuple(self, value):
+        assert not isinstance(value, tuple)
+
+    @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
+    def test_json_hands_a_value_to_the_default_hook(self, value):
+        seen = []
+
+        def hook(obj):
+            seen.append(obj)
+            return "hooked"
+
+        assert json.dumps(value, default=hook) == '"hooked"'
+        assert len(seen) == 1 and seen[0] is value
+
+
+class TestConstructor:
+    """Each model value's constructor takes its fields in declaration order,
+    with the defaults that ``dataclasses.fields`` reports, and stores each
+    argument in its own field."""
+
+    @pytest.mark.parametrize("cls", _DEFAULTS, ids=lambda cls: cls.__name__)
+    def test_the_signature_lists_the_fields_with_their_defaults(self, cls):
+        parameters = inspect.signature(cls).parameters.values()
+        assert [(p.name, _REQUIRED if p.default is p.empty else p.default)
+                for p in parameters] == _DEFAULTS[cls]
+
+    @pytest.mark.parametrize("cls", _DEFAULTS, ids=lambda cls: cls.__name__)
+    def test_keywords_and_positions_fill_the_same_fields(self, cls):
+        names = [name for name, _ in _DEFAULTS[cls]]
+        # One distinct object per field, so two swapped fields cannot agree.
+        arguments = [object() for _ in names]
+        by_position = cls(*arguments)
+        assert cls(**dict(zip(names, arguments))) == by_position
+        assert [getattr(by_position, name) for name in names] == arguments
