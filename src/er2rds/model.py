@@ -10,16 +10,15 @@ carry a subtype prefix, or carry a bracketed foreign-key suffix recording
 the relationship name and three cardinality variables.
 
 Both sides are plain dataclasses with no I/O.  The twelve frozen values
-are stored as tuples of their fields (see ``_value``): each equals only a
+are slot-backed frozen dataclasses (see ``_value``): each equals only a
 value of its own class and hashes as its fields' tuple, two values do not
-order, and none iterates, indexes or sizes like a tuple.  The derived
-operation that the rest of the pipeline leans on lives here as well:
-classifying a relationship's cardinality ratio.
+order, and none is a sequence.  The derived operation that the rest of the
+pipeline leans on lives here as well: classifying a relationship's
+cardinality ratio.
 """
 
 from __future__ import annotations
 
-from collections import _tuplegetter
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
@@ -54,72 +53,32 @@ class _lazy:
         return value
 
 
-_tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
-_tuple_getnewargs = tuple.__getnewargs__
-
-
-def _eq(self, other):
-    if other.__class__ is self.__class__:
-        return _tuple_eq(self, other)
-    return False if isinstance(other, tuple) else NotImplemented
-
-
-def _ne(self, other):
-    if other.__class__ is self.__class__:
-        return _tuple_ne(self, other)
-    return True if isinstance(other, tuple) else NotImplemented
-
-
-def _true(self):
-    return True
-
-
-def _getnewargs(self):
-    # copy and pickle call __new__ with the items, not with one tuple.
-    return _tuple_getnewargs(self)[0]
-
-
-# What a value class puts in place of tuple's own behaviour: equality within
-# one class only, the tuple's hash (the dataclass's hash of its fields), no
-# order between values (object's comparisons), no sequence methods, always
-# true, and copies built from the items.  A plain tuple still orders against
-# a value by its items: refusing that would take a raise, and this module
-# raises nothing.
-_VALUE_METHODS = {
-    "__eq__": _eq, "__ne__": _ne, "__hash__": tuple.__hash__,
-    "__lt__": object.__lt__, "__le__": object.__le__,
-    "__gt__": object.__gt__, "__ge__": object.__ge__,
-    "__bool__": _true, "__getnewargs__": _getnewargs,
-    **dict.fromkeys(("__iter__", "__len__", "__getitem__", "__contains__",
-                     "__add__", "__mul__", "__rmul__", "count", "index")),
-}
-
-
 def _value(cls):
-    """A frozen dataclass stored as a tuple of its fields.
+    """A frozen dataclass with a generated constructor.
 
-    ``cls`` subclasses ``tuple``.  Its fields, defaults, ``repr`` and
-    frozen ``__setattr__`` come from ``dataclass(frozen=True, init=False)``;
-    a ``__new__`` with the same signature as the dataclass ``__init__``
-    builds the tuple in one call, and each field reads its item through the
-    descriptor ``namedtuple`` uses.  Construction is thus one
-    ``tuple.__new__`` rather than one ``object.__setattr__`` per field, and
-    the hash runs in C.  A class declares ``__slots__ = ()`` unless it
-    caches with ``_lazy``, which needs an instance ``__dict__``."""
-    cls = dataclass(frozen=True, init=False)(cls)
+    ``dataclass(frozen=True, init=False)`` gives ``cls`` its fields,
+    defaults, ``repr``, class-strict ``__eq__``, the hash of its fields'
+    tuple, no order, and the frozen ``__setattr__``; with ``slots=True``,
+    unless ``cls`` caches with ``_lazy``, which needs an instance
+    ``__dict__``, it also gives the slots and the pickling that frozen slots
+    need.  The ``__init__`` has the dataclass signature and defaults."""
+    lazy = any(isinstance(member, _lazy) for member in vars(cls).values())
+    cls = dataclass(frozen=True, init=False, slots=not lazy)(cls)
     value_fields = fields(cls)
-    names = ", ".join(f.name for f in value_fields)
-    namespace = {"_tuple_new": tuple.__new__}
-    exec(f"def __new__(_cls, {names}):\n"
-         f"    return _tuple_new(_cls, ({names},))", namespace)
-    new = namespace["__new__"]
-    new.__defaults__ = tuple(f.default for f in value_fields if f.default is not MISSING)
-    new.__qualname__ = f"{cls.__qualname__}.__new__"
-    cls.__new__ = staticmethod(new)
-    for index, f in enumerate(value_fields):
-        setattr(cls, f.name, _tuplegetter(index, f"Alias for field number {index}"))
-    for name, method in _VALUE_METHODS.items():
-        setattr(cls, name, method)
+    names = [f.name for f in value_fields]
+    # The dataclass __init__ makes one object.__setattr__ call per field,
+    # which ran the round trip at 0.93-0.96 of this one's speed.
+    if lazy:
+        namespace = {}
+        body = f"self.__dict__.update({', '.join(f'{n}={n}' for n in names)})"
+    else:
+        namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+        body = "; ".join(f"_set_{n}(self, {n})" for n in names)
+    exec(f"def __init__(self, {', '.join(names)}):\n    {body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(f.default for f in value_fields if f.default is not MISSING)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
     return cls
 
 
@@ -138,16 +97,15 @@ _MULTIVALUED = AttributeKind.MULTIVALUED
 
 
 @_value
-class Attribute(tuple):
+class Attribute:
     """A named attribute of an entity, subtype, weak entity or relationship."""
 
-    __slots__ = ()
     name: str
     kind: AttributeKind = AttributeKind.SIMPLE
 
 
 @_value
-class RegularEntityType(tuple):
+class RegularEntityType:
     """An entity type identified by keys of its own; ``attributes`` holds its
     keys, simple and multivalued attributes in declaration order."""
 
@@ -182,20 +140,18 @@ class RegularEntityType(tuple):
 
 
 @_value
-class Subtype(tuple):
+class Subtype:
     """An entity subtype; carries only its intrinsic attributes."""
 
-    __slots__ = ()
     name: str
     supertype: str
     attributes: tuple[Attribute, ...] = ()
 
 
 @_value
-class WeakEntityType(tuple):
+class WeakEntityType:
     """An entity identified by its owner's key plus a partial key of its own."""
 
-    __slots__ = ()
     name: str
     owner: str
     identifying_relationship: str
@@ -204,10 +160,9 @@ class WeakEntityType(tuple):
 
 
 @_value
-class CardinalityPair(tuple):
+class CardinalityPair:
     """A look-here (min, max) participation bound; min in {0,1}, max in {1,n}."""
 
-    __slots__ = ()
     min: str
     max: str
 
@@ -223,20 +178,18 @@ def cardinality_pair(minimum: str, maximum: str) -> CardinalityPair:
 
 
 @_value
-class RelationshipEndpoint(tuple):
+class RelationshipEndpoint:
     """One relationship side: the participant plus the pair written nearest it."""
 
-    __slots__ = ()
     participant: str
     pair: CardinalityPair
 
 
 @_value
-class RelationshipType(tuple):
+class RelationshipType:
     """A binary relationship: two endpoints in declaration order and the
     relationship's own attributes."""
 
-    __slots__ = ()
     name: str
     endpoints: tuple[RelationshipEndpoint, RelationshipEndpoint]
     attributes: tuple[Attribute, ...] = ()
@@ -246,7 +199,7 @@ class RelationshipType(tuple):
 
 
 @_value
-class ERModel(tuple):
+class ERModel:
     """A complete source model; the four element lists keep declaration order."""
 
     entities: tuple[RegularEntityType, ...] = ()
@@ -269,10 +222,9 @@ class RatioKind(Enum):
 
 
 @_value
-class Ratio(tuple):
+class Ratio:
     """A relationship's cardinality ratio, as ``ratio_class`` derives it."""
 
-    __slots__ = ()
     kind: RatioKind
     n_side: int | None = None  # endpoint index, set only for ONE_TO_MANY
 
@@ -310,11 +262,10 @@ def matching_keys(entity: RegularEntityType) -> tuple[Attribute, ...]:
 
 
 @_value
-class FkSuffix(tuple):
+class FkSuffix:
     """Bracketed annotation on a foreign key: relationship name plus the
     minimum at the holding side and the (min, max) of the far side."""
 
-    __slots__ = ()
     relationship: str
     v2: str
     v3: str
@@ -322,11 +273,10 @@ class FkSuffix(tuple):
 
 
 @_value
-class RdsAttribute(tuple):
+class RdsAttribute:
     """An attribute of a relation: underlined when part of the primary key; a
     foreign key carries a suffix, and a prefix when it points at a subtype."""
 
-    __slots__ = ()
     name: str
     underlined: bool = False
     prefix: str | None = None
@@ -376,10 +326,9 @@ class Severity(Enum):
 
 
 @_value
-class Diagnostic(tuple):
+class Diagnostic:
     """One finding about a source text or a model, tagged with a rule id."""
 
-    __slots__ = ()
     rule_id: str
     severity: Severity
     message: str
