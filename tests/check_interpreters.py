@@ -19,10 +19,22 @@ directory, so every path in the output is the same relative name:
 
 For each interpreter the script prints its version, the number of calls
 and one SHA-256 over every call's argv, exit code, stdout and stderr, so
-equal digests mean identical output.  Where PY can import pytest, it also
-runs the tier-1 suite (``PY -m pytest -q``) in the checkout and prints the
-suite's last line.  The script exits 1 when the digests differ or a suite
-fails.
+equal digests mean identical output.
+
+The same child then checks the model values' contract, which ``dataclasses``
+implements by different code in 3.10 and in 3.11 and later.  It takes every
+value reachable from the golden model (its ratios and entity partitions
+read first), the ``RdsAttribute`` values of its schema and the diagnostics
+of the colliding texts.  A value fails when it is a tuple, or when
+``copy.copy``, ``copy.deepcopy`` or a ``pickle`` round trip gives a value
+of another class, an unequal value, an unequal hash or another instance
+``__dict__``.  The script prints the number of values and of failures; they
+stay out of the digest, because the hash of a ``str`` varies between
+processes.
+
+Where PY can import pytest, it also runs the tier-1 suite (``PY -m pytest
+-q``) in the checkout and prints the suite's last line.  The script exits 1
+when the digests differ, a value fails or a suite fails.
 
 Pytest does not collect this file; it is a script.
 """
@@ -30,10 +42,13 @@ Pytest does not collect this file; it is a script.
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import pickle
 import random
 import shutil
 import subprocess
@@ -83,9 +98,56 @@ def write_inputs(work: Path) -> list[list[str]]:
     return calls
 
 
+def contract_values() -> list:
+    """The model values that ``check_values`` checks, read from the input
+    files in the working directory."""
+    from er2rds import parse_er, transform_model, validate_notation
+
+    values = []
+
+    def walk(item) -> None:
+        if dataclasses.is_dataclass(item):
+            values.append(item)
+            for f in dataclasses.fields(item):
+                walk(getattr(item, f.name))
+        elif isinstance(item, tuple):
+            for member in item:
+                walk(member)
+
+    model, _ = parse_er(Path("company.er").read_text(encoding="utf-8"))
+    for entity in model.entities:
+        entity.keys()
+    walk((model, model.ratios))
+    schema, _ = transform_model(model)
+    walk(tuple(attr for relation in schema.relations for attr in relation.attributes))
+    for index in range(COLLIDING_TEXTS):
+        parsed, diagnostics = parse_er(
+            Path(f"colliding{index}.er").read_text(encoding="utf-8"))
+        walk(tuple(diagnostics))
+        if parsed is not None:
+            walk(tuple(validate_notation(parsed)))
+    return values
+
+
+def check_values(values: list) -> int:
+    """The number of ``values`` that are tuples or do not copy and pickle
+    to an equal value of their class with an equal hash and ``__dict__``."""
+    failures = 0
+    for value in values:
+        copies = (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value)))
+        failures += isinstance(value, tuple) or not all(
+            type(copied) is type(value) and copied == value
+            and hash(copied) == hash(value)
+            and getattr(copied, "__dict__", None) == getattr(value, "__dict__", None)
+            for copied in copies)
+    return failures
+
+
 def run_calls(calls_file: str) -> None:
-    """Run each call of ``calls_file`` through ``cli.main`` in this process;
-    print the interpreter version, the call count and the digest as JSON."""
+    """Run each call of ``calls_file`` through ``cli.main`` in this process,
+    then check the model values; print the interpreter version, the call
+    count, the digest and the value counts as JSON."""
     from er2rds.cli import main
 
     calls = json.loads(Path(calls_file).read_text(encoding="utf-8"))
@@ -96,13 +158,15 @@ def run_calls(calls_file: str) -> None:
             code = main(argv)
         digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()])
                       .encode("utf-8") + b"\n")
+    values = contract_values()
     print(json.dumps({"version": sys.version.split()[0], "calls": len(calls),
-                      "sha256": digest.hexdigest()}))
+                      "sha256": digest.hexdigest(), "values": len(values),
+                      "value_failures": check_values(values)}))
 
 
 def check(python: str, work: Path, calls_file: Path) -> tuple[str, bool]:
-    """The digest of ``python``'s calls, and whether its tier-1 run passed
-    (True where it cannot import pytest)."""
+    """The digest of ``python``'s calls, and whether its model values all
+    passed and its tier-1 run passed (True where it cannot import pytest)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(CHECKOUT / "src"), os.environ.get("PYTHONPATH")))))
     child = subprocess.run([python, str(Path(__file__).resolve()), "--calls",
@@ -113,16 +177,19 @@ def check(python: str, work: Path, calls_file: Path) -> tuple[str, bool]:
     result = json.loads(child.stdout)
     print(f"{python}: Python {result['version']}, {result['calls']} calls, "
           f"sha256 {result['sha256']}")
+    print(f"{python}: {result['values']} model values, "
+          f"{result['value_failures']} value-contract failure(s)")
+    values_hold = result["value_failures"] == 0
     has_pytest = subprocess.run([python, "-c", "import pytest"],
                                 capture_output=True).returncode == 0
     if not has_pytest:
         print(f"{python}: pytest does not import, tier-1 not run")
-        return result["sha256"], True
+        return result["sha256"], values_hold
     suite = subprocess.run([python, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
                            cwd=CHECKOUT, env=env, capture_output=True, text=True)
     last = (suite.stdout.strip().splitlines() or [""])[-1]
     print(f"{python}: tier-1 {last}")
-    return result["sha256"], suite.returncode == 0
+    return result["sha256"], values_hold and suite.returncode == 0
 
 
 def main() -> None:
@@ -142,7 +209,7 @@ def main() -> None:
     digests = {digest for digest, _ in results}
     failed = sum(not passed for _, passed in results)
     print(f"check_interpreters: {len(digests)} distinct digest(s) over "
-          f"{len(results)} interpreter(s), {failed} failed suite(s)")
+          f"{len(results)} interpreter(s), {failed} failing the values or the suite")
     if len(digests) > 1 or failed:
         sys.exit(1)
 
