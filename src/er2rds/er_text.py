@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 from .model import (
     MAX_MANY,
@@ -37,6 +36,7 @@ from .model import (
     AttributeKind,
     Diagnostic,
     ERModel,
+    Factory,
     RegularEntityType,
     RelationshipEndpoint,
     RelationshipType,
@@ -44,6 +44,7 @@ from .model import (
     Subtype,
     WeakEntityType,
     cardinality_pair,
+    record,
 )
 
 
@@ -106,8 +107,7 @@ def _located(text: str, errors: list[tuple]) -> list[Diagnostic]:
     return diagnostics
 
 
-@dataclass(slots=True)
-class _RawConstruct:
+class _RawConstruct(metaclass=record, frozen=False):
     """One top-level construct as ``_parse`` reads it and ``_resolve`` checks
     it: keyword, name and the keyword's token index, then what the keyword
     admits (a supertype, an owner and ``via`` name, endpoints or members)."""
@@ -118,8 +118,8 @@ class _RawConstruct:
     supertype: str = ""
     owner: str = ""
     via: str = ""
-    endpoints: list[RelationshipEndpoint] = field(default_factory=list)
-    members: list[Attribute] = field(default_factory=list)
+    endpoints: list[RelationshipEndpoint] = Factory(list)
+    members: list[Attribute] = Factory(list)
 
 
 # The top-level keywords, in the order that messages list them, and the

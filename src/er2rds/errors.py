@@ -1,4 +1,5 @@
-"""Exception types raised by the transformation pipeline."""
+"""Exception types raised by the transformation pipeline, and the refusal of
+an assignment to a frozen value."""
 
 from __future__ import annotations
 
@@ -19,3 +20,19 @@ class PrerequisiteFailed(TransformError):
     def __init__(self, diagnostics):
         super().__init__("model failed validation")
         self.diagnostics = list(diagnostics)
+
+
+# The __setattr__ and __delattr__ of a frozen record class (model.record).
+# Only a refused assignment or deletion imports dataclasses, for its error.
+
+
+def refuse_assignment(self, name, value):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def refuse_deletion(self, name):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot delete field {name!r}")

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import BadSideChoice, PrerequisiteFailed
 from .model import (
     Diagnostic,
     ERModel,
+    Factory,
     FkSuffix,
     Ratio,
     RatioKind,
@@ -47,6 +47,7 @@ from .model import (
     Severity,
     has_errors,
     matching_keys,
+    record,
 )
 from .rds_text import render_relation
 from .validator import validate_notation
@@ -59,8 +60,7 @@ STEP_MULTIVALUED = "MVA"
 STEP_WEAK = "WAK"
 
 
-@dataclass(frozen=True)
-class TransformConfig:
+class TransformConfig(metaclass=record):
     """Knobs for the transformation.
 
     ``sog_choice`` maps a one-to-one relationship name to the participant
@@ -71,7 +71,7 @@ class TransformConfig:
     one-to-many relationships, which the steps treat as any other endpoint.
     """
 
-    sog_choice: Mapping[str, str] = field(default_factory=dict)
+    sog_choice: Mapping[str, str] = Factory(dict)
     prefer_regular: bool = False
     extensions: bool = False
 
@@ -83,8 +83,7 @@ class TransformConfig:
 _Event = tuple[str, str, str, int, bool]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(metaclass=record):
     """One step event: the step created or extended ``relation`` to
     ``width`` attributes, and the relation ends the schema when ``at_end``.
     ``schema_after`` renders the schema as it stood after the event, by
@@ -95,9 +94,10 @@ class TraceEntry:
     relation: str
     width: int
     at_end: bool
-    _events: tuple[_Event, ...] = field(repr=False, compare=False)
-    _final: dict[str, tuple[RdsAttribute, ...]] = field(repr=False, compare=False)
-    _position: int = field(repr=False, compare=False)
+    # The replay's data; record keeps _ fields out of repr, == and hash.
+    _events: tuple[_Event, ...]
+    _final: dict[str, tuple[RdsAttribute, ...]]
+    _position: int
 
     @property
     def schema_after(self) -> tuple[str, ...]:

@@ -9,18 +9,21 @@ schema: relations whose attributes may be underlined (primary key part),
 carry a subtype prefix, or carry a bracketed foreign-key suffix recording
 the relationship name and three cardinality variables.
 
-Both sides are plain dataclasses with no I/O.  The twelve frozen values
-are slot-backed frozen dataclasses (see ``_value``): each equals only a
-value of its own class and hashes as its fields' tuple, two values do not
-order, and none is a sequence.  The derived operation that the rest of the
-pipeline leans on lives here as well: classifying a relationship's
+Both sides are plain records with no I/O, made by ``record`` without
+importing ``dataclasses``, yet readable by ``dataclasses.fields``,
+``replace`` and ``asdict``.  Each of the twelve frozen model values equals
+only a value of its own class and hashes as its fields' tuple, two values do
+not order, and none is a sequence.  The derived operation that the rest of
+the pipeline leans on lives here as well: classifying a relationship's
 cardinality ratio.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
+
+from .errors import refuse_assignment, refuse_deletion
 
 # Unbounded maximum in a cardinality pair; minima and maxima are kept as the
 # strings "0" / "1" / "n" so they serialize without conversion.
@@ -53,30 +56,143 @@ class _lazy:
         return value
 
 
-def _value(cls):
-    """A frozen dataclass with a generated constructor.
+class Factory:
+    """A field default made anew for each value: ``Factory(list)`` gives each
+    one its own empty list, as ``dataclasses.field(default_factory=list)``
+    does."""
 
-    ``dataclass(frozen=True, init=False)`` gives ``cls`` its fields,
-    defaults, ``repr``, class-strict ``__eq__``, the hash of its fields'
-    tuple, no order, and the frozen ``__setattr__``; with ``slots=True``,
-    unless ``cls`` caches with ``_lazy``, which needs an instance
-    ``__dict__``, it also gives the slots and the pickling that frozen slots
-    need.  The ``__init__`` has the dataclass signature and defaults."""
-    lazy = any(isinstance(member, _lazy) for member in vars(cls).values())
-    cls = dataclass(frozen=True, init=False, slots=not lazy)(cls)
-    value_fields = fields(cls)
-    names = [f.name for f in value_fields]
-    # The dataclass's own __init__ makes one object.__setattr__ call per
-    # field; with it, tests/compare_speed.py ran at 0.90-0.95 of this speed.
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+# The methods every record class shares.  Each reads what is particular to
+# its class from the class: the field names from __match_args__ or
+# __slots__, and the compared fields through the class's _compared getter.
+
+
+def _repr(self) -> str:
+    shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                      for name in self.__match_args__ if name[0] != "_")
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        compared = self._compared
+        return compared(self) == compared(other)
+    return NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(self._compared(self))
+
+
+def _getstate(self) -> list:
+    return [getattr(self, name) for name in self.__slots__]
+
+
+def _setstate(self, state: list) -> None:
+    for name, value in zip(self.__slots__, state):
+        object.__setattr__(self, name, value)
+
+
+def _replace(self, /, **changes):
+    from dataclasses import replace
+
+    return replace(self, **changes)
+
+
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, built on first read and then
+    stored on the class, so ``dataclasses.fields``, ``replace``, ``asdict``
+    and ``copy.replace`` work, while importing er2rds loads no
+    ``dataclasses``.  The fields come from the annotations and the
+    constructor's defaults; a field whose name starts with ``_`` stays out
+    of ``repr`` and comparison."""
+
+    def __get__(self, instance, owner):
+        from dataclasses import MISSING, field, make_dataclass
+
+        names = owner.__match_args__
+        defaults = owner.__init__.__defaults__ or ()
+        defaults = (MISSING,) * (len(names) - len(defaults)) + defaults
+        fields = []
+        for name, default in zip(names, defaults):
+            made = isinstance(default, Factory)
+            fields.append((name, owner.__annotations__[name], field(
+                default=MISSING if made else default,
+                default_factory=default.make if made else MISSING,
+                repr=name[0] != "_", compare=name[0] != "_")))
+        table = make_dataclass(owner.__name__, fields).__dataclass_fields__
+        owner.__dataclass_fields__ = table
+        return table
+
+
+_DATACLASS_FIELDS = _DataclassFields()
+
+
+def record(name: str, bases: tuple, namespace: dict, frozen: bool = True) -> type:
+    """Make a record class from a class body: ``class C(metaclass=record)``,
+    or ``class C(metaclass=record, frozen=False)`` for a mutable one.
+
+    The annotated names are the fields, in order; a default follows the
+    annotation, and ``Factory`` makes one anew per value.  The class gets a
+    constructor with those parameters and defaults that calls
+    ``__post_init__`` if the body defines it, a ``repr`` of the fields, an
+    ``__eq__`` that holds only within the class and compares the fields,
+    and, when frozen, the hash of the fields' tuple and a
+    ``__setattr__``/``__delattr__`` that raise
+    ``dataclasses.FrozenInstanceError``.  A field whose name starts with
+    ``_`` takes no part in ``repr``, equality or hashing.  The fields live
+    in slots, except in a class that caches with ``_lazy``, which needs an
+    instance ``__dict__``; slots copy and pickle through shared
+    ``__getstate__``/``__setstate__``.  The class is made once, by one
+    ``type`` call, and compiles only its constructor."""
+    fields = tuple(namespace.get("__annotations__", ()))
+    defaults = tuple(namespace.pop(field) for field in fields if field in namespace)
+    lazy = any(isinstance(member, _lazy) for member in namespace.values())
+    post_init = "__post_init__" in namespace
+    namespace.update(
+        __match_args__=fields,
+        __repr__=_repr,
+        __eq__=_eq,
+        __hash__=_hash if frozen else None,
+        _compared=attrgetter(*(field for field in fields if field[0] != "_")),
+        __dataclass_fields__=_DATACLASS_FIELDS,
+        __replace__=_replace,
+    )
+    if frozen:
+        namespace.update(__setattr__=refuse_assignment, __delattr__=refuse_deletion)
+    if not lazy:
+        namespace.update(__slots__=fields, __getstate__=_getstate,
+                         __setstate__=_setstate)
+    cls = type(name, bases, namespace)
+
+    factories = {field: default
+                 for field, default in zip(fields[len(fields) - len(defaults):], defaults)
+                 if isinstance(default, Factory)}
+    scope = {f"_{field}": factory for field, factory in factories.items()}
+    lines = [f"if {field} is _{field}: {field} = _{field}.make()" for field in factories]
     if lazy:
-        namespace = {}
-        body = f"self.__dict__.update({', '.join(f'{n}={n}' for n in names)})"
+        lines.append(f"self.__dict__.update({', '.join(f'{f}={f}' for f in fields)})")
+    elif frozen:
+        # Each field is stored through its slot's __set__, bound here once:
+        # with one object.__setattr__ call per field, as dataclasses does,
+        # tests/compare_speed.py ran at 0.90-0.95 of this speed.
+        scope.update({f"_set_{field}": getattr(cls, field).__set__ for field in fields})
+        lines += [f"_set_{field}(self, {field})" for field in fields]
     else:
-        namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
-        body = "; ".join(f"_set_{n}(self, {n})" for n in names)
-    exec(f"def __init__(self, {', '.join(names)}):\n    {body}", namespace)
-    init = namespace["__init__"]
-    init.__defaults__ = tuple(f.default for f in value_fields if f.default is not MISSING)
+        lines += [f"self.{field} = {field}" for field in fields]
+    if post_init:
+        lines.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(fields)}):\n    " + "\n    ".join(lines), scope)
+    init = scope["__init__"]
+    init.__defaults__ = defaults or None
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
     return cls
@@ -96,16 +212,14 @@ _KEY = AttributeKind.KEY
 _MULTIVALUED = AttributeKind.MULTIVALUED
 
 
-@_value
-class Attribute:
+class Attribute(metaclass=record):
     """A named attribute of an entity, subtype, weak entity or relationship."""
 
     name: str
     kind: AttributeKind = AttributeKind.SIMPLE
 
 
-@_value
-class RegularEntityType:
+class RegularEntityType(metaclass=record):
     """An entity type identified by keys of its own; ``attributes`` holds its
     keys, simple and multivalued attributes in declaration order."""
 
@@ -139,8 +253,7 @@ class RegularEntityType:
         return self._partitions[2]
 
 
-@_value
-class Subtype:
+class Subtype(metaclass=record):
     """An entity subtype; carries only its intrinsic attributes."""
 
     name: str
@@ -148,8 +261,7 @@ class Subtype:
     attributes: tuple[Attribute, ...] = ()
 
 
-@_value
-class WeakEntityType:
+class WeakEntityType(metaclass=record):
     """An entity identified by its owner's key plus a partial key of its own."""
 
     name: str
@@ -159,8 +271,7 @@ class WeakEntityType:
     attributes: tuple[Attribute, ...] = ()
 
 
-@_value
-class CardinalityPair:
+class CardinalityPair(metaclass=record):
     """A look-here (min, max) participation bound; min in {0,1}, max in {1,n}."""
 
     min: str
@@ -177,16 +288,14 @@ def cardinality_pair(minimum: str, maximum: str) -> CardinalityPair:
     return _PAIRS.get((minimum, maximum)) or CardinalityPair(minimum, maximum)
 
 
-@_value
-class RelationshipEndpoint:
+class RelationshipEndpoint(metaclass=record):
     """One relationship side: the participant plus the pair written nearest it."""
 
     participant: str
     pair: CardinalityPair
 
 
-@_value
-class RelationshipType:
+class RelationshipType(metaclass=record):
     """A binary relationship: two endpoints in declaration order and the
     relationship's own attributes."""
 
@@ -198,8 +307,7 @@ class RelationshipType:
         return (self.endpoints[0].participant, self.endpoints[1].participant)
 
 
-@_value
-class ERModel:
+class ERModel(metaclass=record):
     """A complete source model; the four element lists keep declaration order."""
 
     entities: tuple[RegularEntityType, ...] = ()
@@ -221,8 +329,7 @@ class RatioKind(Enum):
     MANY_TO_MANY = "N:M"
 
 
-@_value
-class Ratio:
+class Ratio(metaclass=record):
     """A relationship's cardinality ratio, as ``ratio_class`` derives it."""
 
     kind: RatioKind
@@ -261,8 +368,7 @@ def matching_keys(entity: RegularEntityType) -> tuple[Attribute, ...]:
 # Relational side
 
 
-@_value
-class FkSuffix:
+class FkSuffix(metaclass=record):
     """Bracketed annotation on a foreign key: relationship name plus the
     minimum at the holding side and the (min, max) of the far side."""
 
@@ -272,8 +378,7 @@ class FkSuffix:
     v4: str
 
 
-@_value
-class RdsAttribute:
+class RdsAttribute(metaclass=record):
     """An attribute of a relation: underlined when part of the primary key; a
     foreign key carries a suffix, and a prefix when it points at a subtype."""
 
@@ -286,25 +391,23 @@ class RdsAttribute:
         return f"{self.prefix}-{self.name}" if self.prefix else self.name
 
 
-@dataclass
-class Relation:
+class Relation(metaclass=record, frozen=False):
     """A named relation with its attributes in order.  Unlike the model values
     it is mutable: the transformation's steps extend its attributes."""
 
     name: str
-    attributes: list[RdsAttribute] = field(default_factory=list)
+    attributes: list[RdsAttribute] = Factory(list)
 
     def pk_name(self) -> str:
         # The designated key always lands in position 1.
         return self.attributes[0].name
 
 
-@dataclass
-class RelationalSchema:
+class RelationalSchema(metaclass=record, frozen=False):
     """An annotated relational schema: its relations in order, mutable as
     each relation is."""
 
-    relations: list[Relation] = field(default_factory=list)
+    relations: list[Relation] = Factory(list)
 
 
 def leading_underline_count(relation: Relation) -> int:
@@ -325,8 +428,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@_value
-class Diagnostic:
+class Diagnostic(metaclass=record):
     """One finding about a source text or a model, tagged with a rule id."""
 
     rule_id: str

@@ -22,7 +22,6 @@ promise on one model: transform, reverse, and transform again.
 
 from __future__ import annotations
 
-import dataclasses
 from enum import Enum
 from operator import attrgetter
 
@@ -33,6 +32,7 @@ from .model import (
     AttributeKind,
     Diagnostic,
     ERModel,
+    Factory,
     Ratio,
     RatioKind,
     RegularEntityType,
@@ -49,6 +49,7 @@ from .model import (
     leading_underline_count,
     matching_keys,
     name_prefix,
+    record,
 )
 from .rds_text import emit_rds
 
@@ -365,20 +366,20 @@ def model_diff(expected: ERModel, actual: ERModel) -> list[str]:
     expected, actual = canonical_model(expected), canonical_model(actual)
     if expected == actual:
         return []
+    from dataclasses import asdict  # only two models that differ need it
+
     differences: list[str] = []
-    _walk("model", dataclasses.asdict(expected), dataclasses.asdict(actual),
-          differences)
+    _walk("model", asdict(expected), asdict(actual), differences)
     return differences
 
 
-@dataclasses.dataclass
-class RoundtripReport:
+class RoundtripReport(metaclass=record, frozen=False):
     """Outcome of forward, reverse, forward-again on one configuration."""
 
     ok: bool
     schema_text: str = ""
     second_schema_text: str = ""
-    differences: list[str] = dataclasses.field(default_factory=list)
+    differences: list[str] = Factory(list)
 
 
 def _failed(stage: str, diagnostics: list[Diagnostic]) -> list[str]:

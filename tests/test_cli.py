@@ -517,6 +517,39 @@ class TestEntryPoints:
                                 env=checkout_env())
         assert (result.stdout, result.stderr) == ("False\n", "")
 
+    def test_importing_the_cli_and_a_round_trip_load_no_dataclasses(self):
+        # model.record builds every value class without dataclasses or
+        # inspect; only a refused assignment imports dataclasses, for its
+        # FrozenInstanceError.  What the interpreter loaded at start-up (a
+        # site hook may load inspect) is left out.
+        script = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "started = set(sys.modules)\n"
+            "from er2rds import cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['roundtrip', {COMPANY_ER!r}])\n"
+            "loaded = set(sys.modules) - started\n"
+            "print(code, 'dataclasses' in loaded, 'inspect' in loaded)\n"
+            "from er2rds import Attribute\n"
+            "attr = Attribute('AlpNo')\n"
+            "def show(exc):\n"
+            "    print(f'{type(exc).__module__}.{type(exc).__name__}: {exc}')\n"
+            "try:\n"
+            "    attr.name = 'Other'\n"
+            "except AttributeError as exc:\n"
+            "    show(exc)\n"
+            "try:\n"
+            "    del attr.name\n"
+            "except AttributeError as exc:\n"
+            "    show(exc)\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=checkout_env())
+        assert (result.stdout, result.stderr) == (
+            "0 False False\n"
+            "dataclasses.FrozenInstanceError: cannot assign to field 'name'\n"
+            "dataclasses.FrozenInstanceError: cannot delete field 'name'\n", "")
+
     def test_a_plain_command_line_loads_no_argparse(self):
         # argparse (and the gettext it pulls in) is imported only for a line
         # that the plain reader leaves to it, such as --help.

@@ -2,7 +2,10 @@ import copy
 import dataclasses
 import inspect
 import json
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -419,3 +422,113 @@ class TestConstructor:
         by_position = cls(*arguments)
         assert cls(**dict(zip(names, arguments))) == by_position
         assert [getattr(by_position, name) for name in names] == arguments
+
+
+# Runs in a fresh interpreter, so that each class's __dataclass_fields__ is
+# first read by one of the five dataclasses functions below (the reader that
+# goes first turns with the class); argv[1] is the src directory.
+_FIRST_READ = """
+import dataclasses, json, sys
+sys.path.insert(0, sys.argv[1])
+from er2rds import (Attribute, AttributeKind, CardinalityPair, Diagnostic, ERModel,
+                    FkSuffix, RatioKind, RdsAttribute, RegularEntityType,
+                    RelationshipEndpoint, RelationshipType, Severity, Subtype,
+                    TransformConfig, WeakEntityType, run_roundtrip, transform_model)
+from er2rds.er_text import _RawConstruct
+from er2rds.model import Ratio
+
+key = Attribute("AlpNo", AttributeKind.KEY)
+pair = CardinalityPair("1", "n")
+endpoint = RelationshipEndpoint("Alpha", pair)
+entity = RegularEntityType("Alpha", (key,))
+model = ERModel((entity,))
+schema, trace = transform_model(model)
+values = [
+    key, entity, Subtype("Sub", "Alpha", (Attribute("Grade"),)),
+    WeakEntityType("Weak", "Alpha", "WeakOf", Attribute("Part", AttributeKind.PARTIAL_KEY)),
+    pair, endpoint, RelationshipType("Grove", (endpoint, endpoint)), model,
+    Ratio(RatioKind.ONE_TO_MANY, n_side=0), FkSuffix("Grove", "1", "1", "n"),
+    RdsAttribute("AlpNo", underlined=True), Diagnostic("FK", Severity.ERROR, "message"),
+    schema.relations[0], schema, TransformConfig(sog_choice={"Grove": "Alpha"}),
+    trace[0], run_roundtrip(model), _RawConstruct("entity", "Alpha", 0),
+]
+readers = [dataclasses.fields, dataclasses.replace, dataclasses.asdict,
+           dataclasses.astuple, dataclasses.is_dataclass]
+
+
+def default(f):
+    if f.default_factory is not dataclasses.MISSING:
+        return "factory " + f.default_factory.__name__
+    return "required" if f.default is dataclasses.MISSING else repr(f.default)
+
+
+rows = {}
+for index, value in enumerate(values):
+    cls = type(value)
+    unread = not isinstance(vars(cls)["__dataclass_fields__"], dict)
+    raised = []
+    for reader in readers[index % 5:] + readers[:index % 5]:
+        try:
+            reader(value)
+        except TypeError:
+            raised.append(reader.__name__)
+    fields = dataclasses.fields(value)
+    names = [f.name for f in fields]
+    rows[cls.__name__] = {
+        "unread": unread,
+        "fields": [[f.name, default(f)] for f in fields],
+        "hidden": [f.name for f in fields if not f.repr or not f.compare],
+        "raised": sorted(raised),
+        "calls": [dataclasses.replace(value) == value,
+                  "asdict" in raised or list(dataclasses.asdict(value)) == names,
+                  "astuple" in raised or len(dataclasses.astuple(value)) == len(names),
+                  dataclasses.is_dataclass(value), dataclasses.is_dataclass(cls)],
+    }
+entry = trace[0]
+moved = dataclasses.replace(entry, _position=entry._position + 1)
+print(json.dumps({"rows": rows, "entry": [repr(entry), moved == entry,
+                                          hash(moved) == hash(entry)]}))
+"""
+
+# The six classes besides the twelve of _DEFAULTS, with each field's default
+# as _FIRST_READ describes it.
+_OTHER_DEFAULTS = {
+    "Relation": [["name", "required"], ["attributes", "factory list"]],
+    "RelationalSchema": [["relations", "factory list"]],
+    "TransformConfig": [["sog_choice", "factory dict"], ["prefer_regular", "False"],
+                        ["extensions", "False"]],
+    "TraceEntry": [["step", "required"], ["subject", "required"],
+                   ["relation", "required"], ["width", "required"],
+                   ["at_end", "required"], ["_events", "required"],
+                   ["_final", "required"], ["_position", "required"]],
+    "RoundtripReport": [["ok", "required"], ["schema_text", "''"],
+                        ["second_schema_text", "''"], ["differences", "factory list"]],
+    "_RawConstruct": [["keyword", "required"], ["name", "required"], ["at", "required"],
+                      ["supertype", "''"], ["owner", "''"], ["via", "''"],
+                      ["endpoints", "factory list"], ["members", "factory list"]],
+}
+
+
+def test_the_dataclass_surface_is_built_on_its_first_read():
+    # In this process other tests may have read it already; a fresh one
+    # shows what the first read builds.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", _FIRST_READ, str(src)],
+                            capture_output=True, text=True)
+    assert result.stderr == ""
+    found = json.loads(result.stdout)
+    expected = {cls.__name__: [[name, "required" if value is _REQUIRED else repr(value)]
+                               for name, value in rows]
+                for cls, rows in _DEFAULTS.items()}
+    expected.update(_OTHER_DEFAULTS)
+    assert {name: row["fields"] for name, row in found["rows"].items()} == expected
+    assert all(row["unread"] and all(row["calls"]) for row in found["rows"].values())
+    # asdict and astuple deep-copy the read-only side choices, which cannot
+    # be copied, as they could not when the class was a dataclass.
+    assert {name: row["raised"] for name, row in found["rows"].items()
+            if row["raised"]} == {"TransformConfig": ["asdict", "astuple"]}
+    assert {name: row["hidden"] for name, row in found["rows"].items()
+            if row["hidden"]} == {"TraceEntry": ["_events", "_final", "_position"]}
+    assert found["entry"] == [
+        "TraceEntry(step='REG', subject='Alpha', relation='Alpha', width=1, "
+        "at_end=True)", True, True]
