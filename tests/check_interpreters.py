@@ -21,20 +21,26 @@ For each interpreter the script prints its version, the number of calls
 and one SHA-256 over every call's argv, exit code, stdout and stderr, so
 equal digests mean identical output.
 
-The same child then checks the model values' contract, which ``dataclasses``
-implements by different code in 3.10 and in 3.11 and later.  It takes every
+The same child then checks the model values' contract, which
+``model.record`` gives every interpreter by the same code (under
+``dataclasses``, 3.10 pickled frozen slot classes by other code than 3.11
+and later).  It takes every
 value reachable from the golden model (its ratios and entity partitions
 read first), the ``RdsAttribute`` values of its schema and the diagnostics
 of the colliding texts.  A value fails when it is a tuple, or when
 ``copy.copy``, ``copy.deepcopy`` or a ``pickle`` round trip gives a value
 of another class, an unequal value, an unequal hash or another instance
-``__dict__``.  The script prints the number of values and of failures; they
-stay out of the digest, because the hash of a ``str`` varies between
-processes.
+``__dict__``, or, on 3.13 and later, when ``copy.replace`` gives a value of
+another class, an unequal value or an unequal hash.  The script prints the
+number of values and of failures; they stay out of the digest, because the
+hash of a ``str`` varies between processes.  A second child of each
+interpreter imports ``er2rds.cli`` alone, which must load no
+``dataclasses``.
 
 Where PY can import pytest, it also runs the tier-1 suite (``PY -m pytest
 -q``) in the checkout and prints the suite's last line.  The script exits 1
-when the digests differ, a value fails or a suite fails.
+when the digests differ, a value fails, an import loads ``dataclasses`` or a
+suite fails.
 
 Pytest does not collect this file; it is a script.
 """
@@ -129,18 +135,26 @@ def contract_values() -> list:
     return values
 
 
+def equal(copied, value) -> bool:
+    """Whether ``copied`` is a value of ``value``'s class, equal to it and with
+    its hash."""
+    return type(copied) is type(value) and copied == value and hash(copied) == hash(value)
+
+
 def check_values(values: list) -> int:
-    """The number of ``values`` that are tuples or do not copy and pickle
-    to an equal value of their class with an equal hash and ``__dict__``."""
+    """The number of ``values`` that are tuples, that do not copy and pickle
+    to an equal value with an equal ``__dict__``, or whose ``copy.replace``
+    (3.13 and later) is not an equal value.  A replaced value is built anew,
+    so it holds none of what the original read lazily."""
     failures = 0
     for value in values:
         copies = (copy.copy(value), copy.deepcopy(value),
                   pickle.loads(pickle.dumps(value)))
+        replaced = (copy.replace(value),) if hasattr(copy, "replace") else ()
         failures += isinstance(value, tuple) or not all(
-            type(copied) is type(value) and copied == value
-            and hash(copied) == hash(value)
+            equal(copied, value)
             and getattr(copied, "__dict__", None) == getattr(value, "__dict__", None)
-            for copied in copies)
+            for copied in copies) or not all(equal(copied, value) for copied in replaced)
     return failures
 
 
@@ -166,7 +180,8 @@ def run_calls(calls_file: str) -> None:
 
 def check(python: str, work: Path, calls_file: Path) -> tuple[str, bool]:
     """The digest of ``python``'s calls, and whether its model values all
-    passed and its tier-1 run passed (True where it cannot import pytest)."""
+    passed, its import of ``er2rds.cli`` loaded no ``dataclasses`` and its
+    tier-1 run passed (True where it cannot import pytest)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(CHECKOUT / "src"), os.environ.get("PYTHONPATH")))))
     child = subprocess.run([python, str(Path(__file__).resolve()), "--calls",
@@ -179,17 +194,21 @@ def check(python: str, work: Path, calls_file: Path) -> tuple[str, bool]:
           f"sha256 {result['sha256']}")
     print(f"{python}: {result['values']} model values, "
           f"{result['value_failures']} value-contract failure(s)")
-    values_hold = result["value_failures"] == 0
+    imported = subprocess.run([python, "-c", "import sys, er2rds.cli; "
+                               "print('dataclasses' in sys.modules)"],
+                              env=env, capture_output=True, text=True).stdout.strip()
+    print(f"{python}: import er2rds.cli loads dataclasses: {imported}")
+    passed = result["value_failures"] == 0 and imported == "False"
     has_pytest = subprocess.run([python, "-c", "import pytest"],
                                 capture_output=True).returncode == 0
     if not has_pytest:
         print(f"{python}: pytest does not import, tier-1 not run")
-        return result["sha256"], values_hold
+        return result["sha256"], passed
     suite = subprocess.run([python, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
                            cwd=CHECKOUT, env=env, capture_output=True, text=True)
     last = (suite.stdout.strip().splitlines() or [""])[-1]
     print(f"{python}: tier-1 {last}")
-    return result["sha256"], values_hold and suite.returncode == 0
+    return result["sha256"], passed and suite.returncode == 0
 
 
 def main() -> None:
@@ -209,7 +228,8 @@ def main() -> None:
     digests = {digest for digest, _ in results}
     failed = sum(not passed for _, passed in results)
     print(f"check_interpreters: {len(digests)} distinct digest(s) over "
-          f"{len(results)} interpreter(s), {failed} failing the values or the suite")
+          f"{len(results)} interpreter(s), {failed} failing the values, the "
+          f"import or the suite")
     if len(digests) > 1 or failed:
         sys.exit(1)
 

@@ -1,6 +1,7 @@
 """Compare the speed of two er2rds source trees in one process.
 
     python tests/compare_speed.py OLD_SRC NEW_SRC [--seed S] [--rounds N]
+                                  [--startup PAIRS]
 
 OLD_SRC and NEW_SRC are directories that each hold an ``er2rds`` package,
 such as the ``src`` directory of two checkouts.  Both trees are loaded under
@@ -87,17 +88,36 @@ tree and the ratio NEW/OLD, both for the summed time and as the median of
 the per-round ratios.  Inside a round the two trees take turns op by op, so
 a slow phase of the host slows both.
 
+With ``--startup PAIRS`` the script then times a fifth workload,
+``startup``, in fresh interpreters: each copies both trees' ``er2rds`` into
+a temporary directory and runs PAIRS pairs of child processes, the two
+trees alternating which runs first.  Each child runs with
+``python -X importtime``, times ``import er2rds.cli`` and one ``roundtrip``
+of ``tests/golden/company.er`` with ``time.perf_counter``, and reports that
+time and the sum of the ``er2rds.*`` self times that ``-X importtime``
+prints.  It runs under two conditions: with ``PYTHONDONTWRITEBYTECODE=1``
+on copies with no bytecode, so that every er2rds module is compiled from
+source in every child, as in the benchmark's set-up; and on copies whose
+bytecode ``compileall`` wrote first.  For each condition it prints each
+tree's median, the median and quartiles of the paired differences (new
+minus old) with the pairs the new tree won, and each tree's median
+import self time.  ``--startup 0``, the default, skips it.
+
 Pytest does not collect this file; it is a script.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import gc
 import importlib.util
 import io
+import os
 import random
+import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -132,6 +152,19 @@ STEP_MODELS = 20000
 STEP_SEED = 23
 # Differences printed per check; every one is counted.
 SHOWN = 3
+# What each child of the startup workload runs, with the tree's copy and the
+# model as arguments; it prints the seconds from before the import to after
+# the round trip, and the exit code.
+STARTUP_CHILD = """\
+import io, sys, time
+from contextlib import redirect_stdout
+started = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+from er2rds.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main(["roundtrip", sys.argv[2]])
+print(time.perf_counter() - started, code)
+"""
 
 
 def load(src: Path, name: str):
@@ -412,6 +445,60 @@ def time_workloads(old, new, workloads: dict[str, list[list[str]]],
               f"range {min(ratios):.3f}-{max(ratios):.3f})")
 
 
+def startup_child(tree: Path, env: dict[str, str]) -> tuple[float, float]:
+    """One fresh interpreter's seconds for the import and the round trip, and
+    the sum of its ``er2rds.*`` import self times in seconds."""
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", STARTUP_CHILD, str(tree),
+         str(GOLDEN / "company.er")], capture_output=True, text=True, env=env)
+    if child.returncode != 0 or not child.stdout.endswith(" 0\n"):
+        sys.exit(f"compare_speed: the startup child of {tree} failed:\n{child.stderr}")
+    self_us = 0
+    for line in child.stderr.splitlines():
+        # "import time: SELF | CUMULATIVE | NAME", self and cumulative in µs
+        fields = line.removeprefix("import time:").split("|")
+        if len(fields) == 3 and fields[2].strip().startswith("er2rds"):
+            self_us += int(fields[0])
+    return float(child.stdout.split()[0]), self_us / 1e6
+
+
+def time_startup(old_src: Path, new_src: Path, pairs: int) -> None:
+    """Time the startup workload under both bytecode conditions and print
+    the figures of each."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
+    with tempfile.TemporaryDirectory() as work:
+        for condition, cached in (("compiled from source", False),
+                                  ("bytecode cached", True)):
+            trees = []
+            for side, src in (("old", old_src), ("new", new_src)):
+                tree = Path(work) / f"{side}-{int(cached)}"
+                shutil.copytree(src / "er2rds", tree / "er2rds",
+                                ignore=shutil.ignore_patterns("__pycache__"))
+                if cached:
+                    compileall.compile_dir(tree, quiet=1)
+                trees.append(tree)
+            child_env = env if cached else dict(env, PYTHONDONTWRITEBYTECODE="1")
+            times: tuple[list, list] = ([], [])
+            imports: tuple[list, list] = ([], [])
+            for pair in range(pairs):
+                for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+                    seconds, self_s = startup_child(trees[side], child_env)
+                    times[side].append(seconds)
+                    imports[side].append(self_s)
+            differences = [new - old for old, new in zip(*times)]
+            low, _, high = (statistics.quantiles(differences, n=4) if pairs > 1
+                              else differences * 3)
+            won = sum(new < old for old, new in zip(*times))
+            old_ms, new_ms = (statistics.median(side) * 1e3 for side in times)
+            old_import, new_import = (statistics.median(side) * 1e3 for side in imports)
+            print(f"startup, {condition}: old {old_ms:.1f} ms, new {new_ms:.1f} ms; "
+                  f"new - old median {statistics.median(differences) * 1e3:+.1f} ms "
+                  f"(quartiles {low * 1e3:+.1f} to {high * 1e3:+.1f}), new faster in "
+                  f"{won} of {pairs} pairs; er2rds.* import self time old "
+                  f"{old_import:.1f} ms, new {new_import:.1f} ms")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
@@ -421,6 +508,9 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=10,
                         help="timed rounds per workload (default 10; 0 runs "
                              "the checks only)")
+    parser.add_argument("--startup", type=int, default=0, metavar="PAIRS",
+                        help="pairs of fresh interpreters per bytecode condition "
+                             "for the startup workload (default 0: not run)")
     args = parser.parse_args()
     sys.path.insert(0, str(args.new_src.resolve()))  # geninputs imports er2rds by name
     from geninputs import model_spec, step_spec
@@ -438,6 +528,8 @@ def main() -> None:
         differing += check_identity(old, new, Path(work), workloads)
         if args.rounds > 0:
             time_workloads(old, new, workloads, args.rounds)
+    if args.startup > 0:
+        time_startup(args.old_src.resolve(), args.new_src.resolve(), args.startup)
     if differing:
         sys.exit(f"compare_speed: {differing} differences between the two trees")
 
