@@ -9,13 +9,9 @@ schema: relations whose attributes may be underlined (primary key part),
 carry a subtype prefix, or carry a bracketed foreign-key suffix recording
 the relationship name and three cardinality variables.
 
-Both sides are plain records with no I/O, made by ``record`` without
-importing ``dataclasses``, yet readable by ``dataclasses.fields``,
-``replace`` and ``asdict``.  Each of the twelve frozen model values equals
-only a value of its own class and hashes as its fields' tuple, two values do
-not order, and none is a sequence.  The derived operation that the rest of
-the pipeline leans on lives here as well: classifying a relationship's
-cardinality ratio.
+Both sides are plain records with no I/O, made by ``record``.  The derived
+operation that the rest of the pipeline leans on lives here as well:
+classifying a relationship's cardinality ratio.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ def name_prefix(name: str) -> str:
 class _lazy:
     """``functools.cached_property`` without the lock that Python 3.11 takes
     on each first read (1.4 µs a first read, against 0.4 µs here).  Not a
-    field, so equality, hashing and ``asdict`` ignore it."""
+    field, so equality and hashing ignore it."""
 
     def __init__(self, func):
         self.func = func
@@ -58,8 +54,7 @@ class _lazy:
 
 class Factory:
     """A field default made anew for each value: ``Factory(list)`` gives each
-    one its own empty list, as ``dataclasses.field(default_factory=list)``
-    does."""
+    one its own empty list."""
 
     __slots__ = ("make",)
 
@@ -101,58 +96,18 @@ def _setstate(self, state: list) -> None:
         object.__setattr__(self, name, value)
 
 
-def _replace(self, /, **changes):
-    from dataclasses import replace
-
-    return replace(self, **changes)
-
-
-class _DataclassFields:
-    """A record class's ``__dataclass_fields__``, built on first read and then
-    stored on the class, so ``dataclasses.fields``, ``replace``, ``asdict``
-    and ``copy.replace`` work, while importing er2rds loads no
-    ``dataclasses``.  The fields come from the annotations and the
-    constructor's defaults; a field whose name starts with ``_`` stays out
-    of ``repr`` and comparison."""
-
-    def __get__(self, instance, owner):
-        from dataclasses import MISSING, field, make_dataclass
-
-        names = owner.__match_args__
-        defaults = owner.__init__.__defaults__ or ()
-        defaults = (MISSING,) * (len(names) - len(defaults)) + defaults
-        fields = []
-        for name, default in zip(names, defaults):
-            made = isinstance(default, Factory)
-            fields.append((name, owner.__annotations__[name], field(
-                default=MISSING if made else default,
-                default_factory=default.make if made else MISSING,
-                repr=name[0] != "_", compare=name[0] != "_")))
-        table = make_dataclass(owner.__name__, fields).__dataclass_fields__
-        owner.__dataclass_fields__ = table
-        return table
-
-
-_DATACLASS_FIELDS = _DataclassFields()
-
-
 def record(name: str, bases: tuple, namespace: dict, frozen: bool = True) -> type:
     """Make a record class from a class body: ``class C(metaclass=record)``,
     or ``class C(metaclass=record, frozen=False)`` for a mutable one.
 
-    The annotated names are the fields, in order; a default follows the
-    annotation, and ``Factory`` makes one anew per value.  The class gets a
-    constructor with those parameters and defaults that calls
-    ``__post_init__`` if the body defines it, a ``repr`` of the fields, an
-    ``__eq__`` that holds only within the class and compares the fields,
-    and, when frozen, the hash of the fields' tuple and a
-    ``__setattr__``/``__delattr__`` that raise
-    ``dataclasses.FrozenInstanceError``.  A field whose name starts with
-    ``_`` takes no part in ``repr``, equality or hashing.  The fields live
-    in slots, except in a class that caches with ``_lazy``, which needs an
-    instance ``__dict__``; slots copy and pickle through shared
-    ``__getstate__``/``__setstate__``.  The class is made once, by one
-    ``type`` call, and compiles only its constructor."""
+    The annotated names are the fields, in order, as ``__match_args__``
+    lists them; a default follows the annotation, and ``Factory`` makes one
+    anew per value.  The constructor calls ``__post_init__`` if the body
+    defines it.  A field whose name starts with ``_`` takes no part in
+    ``repr``, equality or hashing.  The fields live in slots, except in a
+    class that caches with ``_lazy``, which needs an instance ``__dict__``.
+    The class is made once, by one ``type`` call, and compiles only its
+    constructor; its other methods are the shared ones above."""
     fields = tuple(namespace.get("__annotations__", ()))
     defaults = tuple(namespace.pop(field) for field in fields if field in namespace)
     lazy = any(isinstance(member, _lazy) for member in namespace.values())
@@ -163,8 +118,6 @@ def record(name: str, bases: tuple, namespace: dict, frozen: bool = True) -> typ
         __eq__=_eq,
         __hash__=_hash if frozen else None,
         _compared=attrgetter(*(field for field in fields if field[0] != "_")),
-        __dataclass_fields__=_DATACLASS_FIELDS,
-        __replace__=_replace,
     )
     if frozen:
         namespace.update(__setattr__=refuse_assignment, __delattr__=refuse_deletion)
@@ -182,8 +135,8 @@ def record(name: str, bases: tuple, namespace: dict, frozen: bool = True) -> typ
         lines.append(f"self.__dict__.update({', '.join(f'{f}={f}' for f in fields)})")
     elif frozen:
         # Each field is stored through its slot's __set__, bound here once:
-        # with one object.__setattr__ call per field, as dataclasses does,
-        # tests/compare_speed.py ran at 0.90-0.95 of this speed.
+        # with one object.__setattr__ call per field, tests/compare_speed.py
+        # ran at 0.90-0.95 of this speed.
         scope.update({f"_set_{field}": getattr(cls, field).__set__ for field in fields})
         lines += [f"_set_{field}(self, {field})" for field in fields]
     else:

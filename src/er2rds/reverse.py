@@ -344,11 +344,13 @@ def canonical_model(model: ERModel) -> ERModel:
 
 
 def _walk(path: str, left, right, differences: list[str]) -> None:
-    """Append to ``differences`` each place where ``left`` and ``right``, as
-    ``dataclasses.asdict`` gives them, differ."""
-    if isinstance(left, dict) and isinstance(right, dict):
-        for key in sorted(set(left) | set(right)):
-            _walk(f"{path}.{key}", left.get(key), right.get(key), differences)
+    """Append to ``differences`` each place where ``left`` and ``right``
+    differ: two records of one class field by field, in sorted field order,
+    and two sequences item by item."""
+    if left.__class__ is right.__class__ and hasattr(left, "__match_args__"):
+        for name in sorted(left.__match_args__):
+            _walk(f"{path}.{name}", getattr(left, name), getattr(right, name),
+                  differences)
     elif isinstance(left, (tuple, list)) and isinstance(right, (tuple, list)):
         if len(left) != len(right):
             differences.append(
@@ -366,10 +368,8 @@ def model_diff(expected: ERModel, actual: ERModel) -> list[str]:
     expected, actual = canonical_model(expected), canonical_model(actual)
     if expected == actual:
         return []
-    from dataclasses import asdict  # only two models that differ need it
-
     differences: list[str] = []
-    _walk("model", asdict(expected), asdict(actual), differences)
+    _walk("model", expected, actual, differences)
     return differences
 
 

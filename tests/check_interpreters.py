@@ -24,18 +24,16 @@ equal digests mean identical output.
 The same child then checks the model values' contract, which
 ``model.record`` gives every interpreter by the same code (under
 ``dataclasses``, 3.10 pickled frozen slot classes by other code than 3.11
-and later).  It takes every
-value reachable from the golden model (its ratios and entity partitions
-read first), the ``RdsAttribute`` values of its schema and the diagnostics
-of the colliding texts.  A value fails when it is a tuple, or when
-``copy.copy``, ``copy.deepcopy`` or a ``pickle`` round trip gives a value
-of another class, an unequal value, an unequal hash or another instance
-``__dict__``, or, on 3.13 and later, when ``copy.replace`` gives a value of
-another class, an unequal value or an unequal hash.  The script prints the
-number of values and of failures; they stay out of the digest, because the
-hash of a ``str`` varies between processes.  A second child of each
-interpreter imports ``er2rds.cli`` alone, which must load no
-``dataclasses``.
+and later).  It takes every value reachable through ``__match_args__`` from
+the golden model (its ratios and entity partitions read first), the
+``RdsAttribute`` values of its schema and the diagnostics of the colliding
+texts.  A value fails when it is a tuple, or when ``copy.copy``,
+``copy.deepcopy`` or a ``pickle`` round trip gives a value of another
+class, an unequal value, an unequal hash or another instance ``__dict__``.
+The script prints the number of values and of failures; they stay out of
+the digest, because the hash of a ``str`` varies between processes.  A
+second child of each interpreter imports ``er2rds.cli`` alone, which must
+load no ``dataclasses``.
 
 Where PY can import pytest, it also runs the tier-1 suite (``PY -m pytest
 -q``) in the checkout and prints the suite's last line.  The script exits 1
@@ -49,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import hashlib
 import io
 import json
@@ -112,10 +109,10 @@ def contract_values() -> list:
     values = []
 
     def walk(item) -> None:
-        if dataclasses.is_dataclass(item):
+        if hasattr(item, "__match_args__"):
             values.append(item)
-            for f in dataclasses.fields(item):
-                walk(getattr(item, f.name))
+            for name in item.__match_args__:
+                walk(getattr(item, name))
         elif isinstance(item, tuple):
             for member in item:
                 walk(member)
@@ -142,19 +139,16 @@ def equal(copied, value) -> bool:
 
 
 def check_values(values: list) -> int:
-    """The number of ``values`` that are tuples, that do not copy and pickle
-    to an equal value with an equal ``__dict__``, or whose ``copy.replace``
-    (3.13 and later) is not an equal value.  A replaced value is built anew,
-    so it holds none of what the original read lazily."""
+    """The number of ``values`` that are tuples, or that do not copy and
+    pickle to an equal value with an equal ``__dict__``."""
     failures = 0
     for value in values:
         copies = (copy.copy(value), copy.deepcopy(value),
                   pickle.loads(pickle.dumps(value)))
-        replaced = (copy.replace(value),) if hasattr(copy, "replace") else ()
         failures += isinstance(value, tuple) or not all(
             equal(copied, value)
             and getattr(copied, "__dict__", None) == getattr(value, "__dict__", None)
-            for copied in copies) or not all(equal(copied, value) for copied in replaced)
+            for copied in copies)
     return failures
 
 

@@ -93,12 +93,14 @@ With ``--startup PAIRS`` the script then times a fifth workload,
 a temporary directory and runs PAIRS pairs of child processes, the two
 trees alternating which runs first.  Each child runs with
 ``python -X importtime``, times ``import er2rds.cli`` and one ``roundtrip``
-of ``tests/golden/company.er`` with ``time.perf_counter``, and reports that
-time and the sum of the ``er2rds.*`` self times that ``-X importtime``
-prints.  It runs under two conditions: with ``PYTHONDONTWRITEBYTECODE=1``
-on copies with no bytecode, so that every er2rds module is compiled from
-source in every child, as in the benchmark's set-up; and on copies whose
-bytecode ``compileall`` wrote first.  For each condition it prints each
+with ``time.perf_counter``, and reports that time and the sum of the
+``er2rds.*`` self times that ``-X importtime`` prints.  The round trip is
+of ``tests/golden/company.er``, which succeeds, and, in another PAIRS
+pairs, of ``FAILING_TEXT``, which fails in ``model_diff``.  It runs under
+two conditions: with ``PYTHONDONTWRITEBYTECODE=1`` on copies with no
+bytecode, so that every er2rds module is compiled from source in every
+child, as in the benchmark's set-up; and on copies whose bytecode
+``compileall`` wrote first.  For each model and condition it prints each
 tree's median, the median and quartiles of the paired differences (new
 minus old) with the pairs the new tree won, and each tree's median
 import self time.  ``--startup 0``, the default, skips it.
@@ -152,6 +154,9 @@ STEP_MODELS = 20000
 STEP_SEED = 23
 # Differences printed per check; every one is counted.
 SHOWN = 3
+# A model whose round trip fails in model_diff: the multivalued attribute's
+# relation reads back as an entity of its own.
+FAILING_TEXT = "entity Ivory { key IvoNo; multi IvoryNo; }\n"
 # What each child of the startup workload runs, with the tree's copy and the
 # model as arguments; it prints the seconds from before the import to after
 # the round trip, and the exit code.
@@ -445,13 +450,15 @@ def time_workloads(old, new, workloads: dict[str, list[list[str]]],
               f"range {min(ratios):.3f}-{max(ratios):.3f})")
 
 
-def startup_child(tree: Path, env: dict[str, str]) -> tuple[float, float]:
-    """One fresh interpreter's seconds for the import and the round trip, and
-    the sum of its ``er2rds.*`` import self times in seconds."""
+def startup_child(tree: Path, model: Path, code: int,
+                  env: dict[str, str]) -> tuple[float, float]:
+    """One fresh interpreter's seconds for the import and the round trip of
+    ``model``, which must exit with ``code``, and the sum of its ``er2rds.*``
+    import self times in seconds."""
     child = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", STARTUP_CHILD, str(tree),
-         str(GOLDEN / "company.er")], capture_output=True, text=True, env=env)
-    if child.returncode != 0 or not child.stdout.endswith(" 0\n"):
+         str(model)], capture_output=True, text=True, env=env)
+    if child.returncode != 0 or not child.stdout.endswith(f" {code}\n"):
         sys.exit(f"compare_speed: the startup child of {tree} failed:\n{child.stderr}")
     self_us = 0
     for line in child.stderr.splitlines():
@@ -463,11 +470,13 @@ def startup_child(tree: Path, env: dict[str, str]) -> tuple[float, float]:
 
 
 def time_startup(old_src: Path, new_src: Path, pairs: int) -> None:
-    """Time the startup workload under both bytecode conditions and print
-    the figures of each."""
+    """Time the startup workload on each model under both bytecode
+    conditions and print the figures of each."""
     env = {name: value for name, value in os.environ.items()
            if name not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
     with tempfile.TemporaryDirectory() as work:
+        failing = Path(work) / "failing.er"
+        failing.write_text(FAILING_TEXT, encoding="utf-8")
         for condition, cached in (("compiled from source", False),
                                   ("bytecode cached", True)):
             trees = []
@@ -479,24 +488,29 @@ def time_startup(old_src: Path, new_src: Path, pairs: int) -> None:
                     compileall.compile_dir(tree, quiet=1)
                 trees.append(tree)
             child_env = env if cached else dict(env, PYTHONDONTWRITEBYTECODE="1")
-            times: tuple[list, list] = ([], [])
-            imports: tuple[list, list] = ([], [])
-            for pair in range(pairs):
-                for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
-                    seconds, self_s = startup_child(trees[side], child_env)
-                    times[side].append(seconds)
-                    imports[side].append(self_s)
-            differences = [new - old for old, new in zip(*times)]
-            low, _, high = (statistics.quantiles(differences, n=4) if pairs > 1
-                              else differences * 3)
-            won = sum(new < old for old, new in zip(*times))
-            old_ms, new_ms = (statistics.median(side) * 1e3 for side in times)
-            old_import, new_import = (statistics.median(side) * 1e3 for side in imports)
-            print(f"startup, {condition}: old {old_ms:.1f} ms, new {new_ms:.1f} ms; "
-                  f"new - old median {statistics.median(differences) * 1e3:+.1f} ms "
-                  f"(quartiles {low * 1e3:+.1f} to {high * 1e3:+.1f}), new faster in "
-                  f"{won} of {pairs} pairs; er2rds.* import self time old "
-                  f"{old_import:.1f} ms, new {new_import:.1f} ms")
+            for label, model, code in (("golden", GOLDEN / "company.er", 0),
+                                       ("failing", failing, 2)):
+                times: tuple[list, list] = ([], [])
+                imports: tuple[list, list] = ([], [])
+                for pair in range(pairs):
+                    for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+                        seconds, self_s = startup_child(trees[side], model, code,
+                                                        child_env)
+                        times[side].append(seconds)
+                        imports[side].append(self_s)
+                differences = [new - old for old, new in zip(*times)]
+                low, _, high = (statistics.quantiles(differences, n=4) if pairs > 1
+                                else differences * 3)
+                won = sum(new < old for old, new in zip(*times))
+                old_ms, new_ms = (statistics.median(side) * 1e3 for side in times)
+                old_import, new_import = (statistics.median(side) * 1e3
+                                          for side in imports)
+                print(f"startup {label}, {condition}: old {old_ms:.1f} ms, new "
+                      f"{new_ms:.1f} ms; new - old median "
+                      f"{statistics.median(differences) * 1e3:+.1f} ms (quartiles "
+                      f"{low * 1e3:+.1f} to {high * 1e3:+.1f}), new faster in {won} "
+                      f"of {pairs} pairs; er2rds.* import self time old "
+                      f"{old_import:.1f} ms, new {new_import:.1f} ms")
 
 
 def main() -> None:

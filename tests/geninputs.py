@@ -19,10 +19,9 @@ this module (see its docstring).
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
-from er2rds import emit_rds, transform_model
+from er2rds import FkSuffix, RdsAttribute, emit_rds, transform_model
 from genmodels import generate_model
 
 
@@ -156,9 +155,11 @@ def edited_schema_text(rng: random.Random) -> str:
     elif edit == "flip" and suffixed:
         relation, index, attr = rng.choice(suffixed)
         field, values = rng.choice((("v2", "01"), ("v3", "01"), ("v4", "1n")))
-        other = values.replace(getattr(attr.suffix, field), "")
-        suffix = dataclasses.replace(attr.suffix, **{field: other})
-        relation.attributes[index] = dataclasses.replace(attr, suffix=suffix)
+        old = attr.suffix
+        suffix = {name: getattr(old, name) for name in old.__match_args__}
+        suffix[field] = values.replace(suffix[field], "")
+        relation.attributes[index] = RdsAttribute(attr.name, attr.underlined,
+                                                  attr.prefix, FkSuffix(**suffix))
     elif edit == "drop relation":
         del relations[rng.randrange(len(relations))]
     elif edit == "copy foreign key" and suffixed and len(relations) > 1:
@@ -167,7 +168,8 @@ def edited_schema_text(rng: random.Random) -> str:
     elif edit == "rename prefix" and prefixed:
         relation, index, attr = rng.choice(prefixed)
         prefix = rng.choice(relations).name
-        relation.attributes[index] = dataclasses.replace(attr, prefix=prefix)
+        relation.attributes[index] = RdsAttribute(attr.name, attr.underlined, prefix,
+                                                  attr.suffix)
     return emit_rds(schema)
 
 

@@ -24,7 +24,6 @@ hypothesis or pytest, belong in ``geninputs``.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from itertools import product
 
@@ -185,7 +184,7 @@ def generate_model(seed: int) -> ERModel:
 
     involved = {ep.participant for r in relationships for ep in r.endpoints}
     subtypes = [
-        dataclasses.replace(s, attributes=(names.attr(),))
+        Subtype(s.name, s.supertype, (names.attr(),))
         if not s.attributes and s.name not in involved else s
         for s in subtypes
     ]

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import sys
@@ -359,20 +358,24 @@ def repointed(model, site, target):
     weak entity i, and ("rel", i, j) endpoint j of relationship i."""
     kind, index, *side = site
     if kind == "subtype":
-        field, element = "subtypes", dataclasses.replace(
-            model.subtypes[index], supertype=target)
+        sub = model.subtypes[index]
+        field, element = "subtypes", Subtype(sub.name, target, sub.attributes)
     elif kind == "weak":
-        field, element = "weak_entities", dataclasses.replace(
-            model.weak_entities[index], owner=target)
+        weak = model.weak_entities[index]
+        field, element = "weak_entities", WeakEntityType(
+            weak.name, target, weak.identifying_relationship, weak.partial_key,
+            weak.attributes)
     else:
         rel = model.relationships[index]
         endpoints = list(rel.endpoints)
-        endpoints[side[0]] = dataclasses.replace(endpoints[side[0]], participant=target)
-        field, element = "relationships", dataclasses.replace(
-            rel, endpoints=tuple(endpoints))
-    elements = list(getattr(model, field))
+        endpoints[side[0]] = RelationshipEndpoint(target, endpoints[side[0]].pair)
+        field, element = "relationships", RelationshipType(
+            rel.name, tuple(endpoints), rel.attributes)
+    parts = {name: getattr(model, name) for name in ERModel.__match_args__}
+    elements = list(parts[field])
     elements[index] = element
-    return dataclasses.replace(model, **{field: tuple(elements)})
+    parts[field] = tuple(elements)
+    return ERModel(**parts)
 
 
 class TestStepErrors:
@@ -651,7 +654,8 @@ def _element_list_walks(n):
     base = scaled_model(n)
     counted = {name: _CountingTuple(getattr(base, name))
                for name in ("entities", "subtypes", "relationships")}
-    model = dataclasses.replace(base, **counted)
+    model = ERModel(counted["entities"], counted["subtypes"], base.weak_entities,
+                    counted["relationships"])
     validate_notation(model)
     transform_model(model)
     return {name: elements.iterations for name, elements in counted.items()}
@@ -662,9 +666,9 @@ def _validator_relationship_walks(n):
     # R2.2.1-I needs the participants of the relationships.
     base = scaled_model(n)
     relationships = _CountingTuple(base.relationships)
-    subtypes = tuple(dataclasses.replace(s, attributes=()) for s in base.subtypes)
-    validate_notation(dataclasses.replace(base, subtypes=subtypes,
-                                          relationships=relationships))
+    subtypes = tuple(Subtype(s.name, s.supertype) for s in base.subtypes)
+    validate_notation(ERModel(base.entities, subtypes, base.weak_entities,
+                              relationships))
     return relationships.iterations
 
 
@@ -762,6 +766,16 @@ class TestRepeatedElementName:
             ("REF", "name 'Xray' is already declared", "subtype Xray")]
 
 
+def _fields(value):
+    """``value`` with each record in it, at any depth, as a dict of its fields
+    read through ``__match_args__``."""
+    if hasattr(value, "__match_args__"):
+        return {name: _fields(getattr(value, name)) for name in value.__match_args__}
+    if isinstance(value, tuple):
+        return tuple(map(_fields, value))
+    return value
+
+
 class TestRatiosOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -797,21 +811,22 @@ class TestRatiosOnce:
         transform_model(model, TransformConfig(prefer_regular=True))
         assert calls == list(model.relationships)
 
-    def test_reading_the_ratios_leaves_equality_hash_and_asdict_alone(self,
+    def test_reading_the_ratios_leaves_equality_hash_and_fields_alone(self,
                                                                       company_text):
         (read, _), (unread, _) = parse_er(company_text), parse_er(company_text)
         assert [ratio.kind.value for ratio in read.ratios] == ["1:N", "1:1", "1:1"]
         assert read == unread and hash(read) == hash(unread)
-        assert dataclasses.asdict(read) == dataclasses.asdict(unread)
-        assert "ratios" not in dataclasses.asdict(read)
+        assert _fields(read) == _fields(unread)
+        assert "ratios" not in ERModel.__match_args__
 
 
 class TestEntityPartitions:
     def test_each_entity_is_partitioned_once_per_pipeline(self, company_model):
         counted = tuple(
-            dataclasses.replace(entity, attributes=_CountingTuple(entity.attributes))
+            RegularEntityType(entity.name, _CountingTuple(entity.attributes))
             for entity in company_model.entities)
-        model = dataclasses.replace(company_model, entities=counted)
+        model = ERModel(counted, company_model.subtypes, company_model.weak_entities,
+                        company_model.relationships)
         validate_notation(model)
         transform_model(model)
         normalize_model(model)
@@ -820,7 +835,7 @@ class TestEntityPartitions:
         assert [entity.attributes.iterations for entity in counted] == \
             [3] * len(counted)
 
-    def test_reading_the_partitions_leaves_equality_hash_and_asdict_alone(self):
+    def test_reading_the_partitions_leaves_equality_hash_and_fields_alone(self):
         def department():
             return RegularEntityType("Department", (
                 Attribute("DepNo", AttributeKind.KEY),
@@ -834,8 +849,8 @@ class TestEntityPartitions:
         assert model_module.matching_keys(read)[0].name == "DepNo"
         assert read == unread and unread == read
         assert hash(read) == hash(unread)
-        assert dataclasses.asdict(read) == dataclasses.asdict(unread)
-        assert dataclasses.asdict(read) == {
+        assert _fields(read) == _fields(unread)
+        assert _fields(read) == {
             "name": "Department",
             "attributes": (
                 {"name": "DepNo", "kind": AttributeKind.KEY},

@@ -2,10 +2,7 @@ import copy
 import dataclasses
 import inspect
 import json
-import pathlib
 import pickle
-import subprocess
-import sys
 
 import pytest
 
@@ -32,7 +29,11 @@ from er2rds import (
     ratio_class,
     transform_model,
 )
-from er2rds.model import Ratio, leading_underline_count, matching_keys, name_prefix
+from er2rds.er_text import _RawConstruct
+from er2rds.forward import TraceEntry
+from er2rds.model import (Factory, Ratio, leading_underline_count, matching_keys,
+                          name_prefix)
+from er2rds.reverse import RoundtripReport
 from conftest import assert_well_formed
 
 
@@ -232,15 +233,15 @@ _FROZEN_VALUES = [*_MODEL_VALUES, TransformConfig(), transform_model(_MODEL)[1][
 class TestImmutableValues:
     @pytest.mark.parametrize("value", _FROZEN_VALUES, ids=lambda v: type(v).__name__)
     def test_fields_can_be_neither_assigned_nor_deleted(self, value):
-        for field in dataclasses.fields(value):
+        for name in value.__match_args__:
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, field.name, getattr(value, field.name))
+                setattr(value, name, getattr(value, name))
             with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(value, field.name)
+                delattr(value, name)
 
     @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
     def test_model_values_hash_as_their_equals(self, value):
-        assert hash(value) == hash(dataclasses.replace(value))
+        assert hash(value) == hash(_rebuilt(value))
 
     def test_a_config_keeps_its_own_copy_of_the_side_choices(self):
         choices = {"Consult": "Project"}
@@ -264,11 +265,16 @@ class TestImmutableValues:
 
 def _items(value) -> tuple:
     """The plain tuple of a value's fields, in declaration order."""
-    return tuple(getattr(value, field.name) for field in dataclasses.fields(value))
+    return tuple(getattr(value, name) for name in value.__match_args__)
 
 
-# Each class's fields with their defaults; MISSING marks a required field.
-_REQUIRED = dataclasses.MISSING
+def _rebuilt(value):
+    """A new value of ``value``'s class, built from its fields."""
+    return type(value)(*_items(value))
+
+
+# Each class's fields with their defaults; _REQUIRED marks a required field.
+_REQUIRED = inspect.Parameter.empty
 _DEFAULTS = {
     Attribute: [("name", _REQUIRED), ("kind", AttributeKind.SIMPLE)],
     RegularEntityType: [("name", _REQUIRED), ("attributes", ())],
@@ -292,6 +298,32 @@ _DEFAULTS = {
                  ("element", None)],
 }
 
+# The six record classes besides the twelve model values, with each field's
+# default described.
+_OTHER_DEFAULTS = {
+    Relation: [("name", "required"), ("attributes", "factory list")],
+    RelationalSchema: [("relations", "factory list")],
+    TransformConfig: [("sog_choice", "factory dict"), ("prefer_regular", "False"),
+                      ("extensions", "False")],
+    TraceEntry: [("step", "required"), ("subject", "required"),
+                 ("relation", "required"), ("width", "required"),
+                 ("at_end", "required"), ("_events", "required"),
+                 ("_final", "required"), ("_position", "required")],
+    RoundtripReport: [("ok", "required"), ("schema_text", "''"),
+                      ("second_schema_text", "''"), ("differences", "factory list")],
+    _RawConstruct: [("keyword", "required"), ("name", "required"), ("at", "required"),
+                    ("supertype", "''"), ("owner", "''"), ("via", "''"),
+                    ("endpoints", "factory list"), ("members", "factory list")],
+}
+
+
+def _described(default) -> str:
+    if default is _REQUIRED:
+        return "required"
+    if isinstance(default, Factory):
+        return "factory " + default.make.__name__
+    return repr(default)
+
 
 class TestValueContract:
     """What a caller may rely on in the twelve model values, however they
@@ -300,7 +332,7 @@ class TestValueContract:
 
     @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
     def test_equality_holds_only_within_one_class(self, value):
-        same = dataclasses.replace(value)
+        same = _rebuilt(value)
         assert value == same and not value != same
         items = _items(value)
         assert value != items and items != value
@@ -316,7 +348,7 @@ class TestValueContract:
     @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
     def test_values_are_not_ordered(self, value):
         with pytest.raises(TypeError):
-            value < dataclasses.replace(value)
+            value < _rebuilt(value)
 
     @pytest.mark.parametrize("value", _MODEL_VALUES, ids=lambda v: type(v).__name__)
     def test_a_value_hashes_as_the_tuple_of_its_fields(self, value):
@@ -351,19 +383,16 @@ class TestValueContract:
             assert model_copy.ratios == ratios
 
     @pytest.mark.parametrize("cls", _DEFAULTS, ids=lambda cls: cls.__name__)
-    def test_field_defaults_are_unchanged(self, cls):
-        assert [(f.name, f.default) for f in dataclasses.fields(cls)] == _DEFAULTS[cls]
-        assert all(f.default_factory is _REQUIRED for f in dataclasses.fields(cls))
+    def test_match_args_list_the_fields_in_order(self, cls):
+        assert cls.__match_args__ == tuple(name for name, _ in _DEFAULTS[cls])
 
     def test_every_model_value_class_is_pinned(self):
         assert [type(value) for value in _MODEL_VALUES] == list(_DEFAULTS)
 
-    def test_repr_and_asdict_name_the_fields(self):
+    def test_repr_names_the_fields(self):
         attr = RdsAttribute("AlpNo", underlined=True)
         assert repr(attr) == ("RdsAttribute(name='AlpNo', underlined=True, "
                               "prefix=None, suffix=None)")
-        assert dataclasses.asdict(_ENDPOINTS[0]) == {
-            "participant": "Alpha", "pair": {"min": "1", "max": "n"}}
 
     def test_attributes_keep_no_instance_dict(self):
         # The two most numerous values hold their fields and nothing else.
@@ -404,15 +433,21 @@ class TestValueContract:
 
 
 class TestConstructor:
-    """Each model value's constructor takes its fields in declaration order,
-    with the defaults that ``dataclasses.fields`` reports, and stores each
+    """Each record's constructor takes its fields in declaration order, with
+    the defaults of ``_DEFAULTS`` and ``_OTHER_DEFAULTS``, and stores each
     argument in its own field."""
 
     @pytest.mark.parametrize("cls", _DEFAULTS, ids=lambda cls: cls.__name__)
     def test_the_signature_lists_the_fields_with_their_defaults(self, cls):
         parameters = inspect.signature(cls).parameters.values()
-        assert [(p.name, _REQUIRED if p.default is p.empty else p.default)
-                for p in parameters] == _DEFAULTS[cls]
+        assert [(p.name, p.default) for p in parameters] == _DEFAULTS[cls]
+
+    @pytest.mark.parametrize("cls", _OTHER_DEFAULTS, ids=lambda cls: cls.__name__)
+    def test_the_other_records_list_their_fields_with_their_defaults(self, cls):
+        assert cls.__match_args__ == tuple(name for name, _ in _OTHER_DEFAULTS[cls])
+        assert [(p.name, _described(p.default))
+                for p in inspect.signature(cls).parameters.values()] == \
+            _OTHER_DEFAULTS[cls]
 
     @pytest.mark.parametrize("cls", _DEFAULTS, ids=lambda cls: cls.__name__)
     def test_keywords_and_positions_fill_the_same_fields(self, cls):
@@ -422,113 +457,3 @@ class TestConstructor:
         by_position = cls(*arguments)
         assert cls(**dict(zip(names, arguments))) == by_position
         assert [getattr(by_position, name) for name in names] == arguments
-
-
-# Runs in a fresh interpreter, so that each class's __dataclass_fields__ is
-# first read by one of the five dataclasses functions below (the reader that
-# goes first turns with the class); argv[1] is the src directory.
-_FIRST_READ = """
-import dataclasses, json, sys
-sys.path.insert(0, sys.argv[1])
-from er2rds import (Attribute, AttributeKind, CardinalityPair, Diagnostic, ERModel,
-                    FkSuffix, RatioKind, RdsAttribute, RegularEntityType,
-                    RelationshipEndpoint, RelationshipType, Severity, Subtype,
-                    TransformConfig, WeakEntityType, run_roundtrip, transform_model)
-from er2rds.er_text import _RawConstruct
-from er2rds.model import Ratio
-
-key = Attribute("AlpNo", AttributeKind.KEY)
-pair = CardinalityPair("1", "n")
-endpoint = RelationshipEndpoint("Alpha", pair)
-entity = RegularEntityType("Alpha", (key,))
-model = ERModel((entity,))
-schema, trace = transform_model(model)
-values = [
-    key, entity, Subtype("Sub", "Alpha", (Attribute("Grade"),)),
-    WeakEntityType("Weak", "Alpha", "WeakOf", Attribute("Part", AttributeKind.PARTIAL_KEY)),
-    pair, endpoint, RelationshipType("Grove", (endpoint, endpoint)), model,
-    Ratio(RatioKind.ONE_TO_MANY, n_side=0), FkSuffix("Grove", "1", "1", "n"),
-    RdsAttribute("AlpNo", underlined=True), Diagnostic("FK", Severity.ERROR, "message"),
-    schema.relations[0], schema, TransformConfig(sog_choice={"Grove": "Alpha"}),
-    trace[0], run_roundtrip(model), _RawConstruct("entity", "Alpha", 0),
-]
-readers = [dataclasses.fields, dataclasses.replace, dataclasses.asdict,
-           dataclasses.astuple, dataclasses.is_dataclass]
-
-
-def default(f):
-    if f.default_factory is not dataclasses.MISSING:
-        return "factory " + f.default_factory.__name__
-    return "required" if f.default is dataclasses.MISSING else repr(f.default)
-
-
-rows = {}
-for index, value in enumerate(values):
-    cls = type(value)
-    unread = not isinstance(vars(cls)["__dataclass_fields__"], dict)
-    raised = []
-    for reader in readers[index % 5:] + readers[:index % 5]:
-        try:
-            reader(value)
-        except TypeError:
-            raised.append(reader.__name__)
-    fields = dataclasses.fields(value)
-    names = [f.name for f in fields]
-    rows[cls.__name__] = {
-        "unread": unread,
-        "fields": [[f.name, default(f)] for f in fields],
-        "hidden": [f.name for f in fields if not f.repr or not f.compare],
-        "raised": sorted(raised),
-        "calls": [dataclasses.replace(value) == value,
-                  "asdict" in raised or list(dataclasses.asdict(value)) == names,
-                  "astuple" in raised or len(dataclasses.astuple(value)) == len(names),
-                  dataclasses.is_dataclass(value), dataclasses.is_dataclass(cls)],
-    }
-entry = trace[0]
-moved = dataclasses.replace(entry, _position=entry._position + 1)
-print(json.dumps({"rows": rows, "entry": [repr(entry), moved == entry,
-                                          hash(moved) == hash(entry)]}))
-"""
-
-# The six classes besides the twelve of _DEFAULTS, with each field's default
-# as _FIRST_READ describes it.
-_OTHER_DEFAULTS = {
-    "Relation": [["name", "required"], ["attributes", "factory list"]],
-    "RelationalSchema": [["relations", "factory list"]],
-    "TransformConfig": [["sog_choice", "factory dict"], ["prefer_regular", "False"],
-                        ["extensions", "False"]],
-    "TraceEntry": [["step", "required"], ["subject", "required"],
-                   ["relation", "required"], ["width", "required"],
-                   ["at_end", "required"], ["_events", "required"],
-                   ["_final", "required"], ["_position", "required"]],
-    "RoundtripReport": [["ok", "required"], ["schema_text", "''"],
-                        ["second_schema_text", "''"], ["differences", "factory list"]],
-    "_RawConstruct": [["keyword", "required"], ["name", "required"], ["at", "required"],
-                      ["supertype", "''"], ["owner", "''"], ["via", "''"],
-                      ["endpoints", "factory list"], ["members", "factory list"]],
-}
-
-
-def test_the_dataclass_surface_is_built_on_its_first_read():
-    # In this process other tests may have read it already; a fresh one
-    # shows what the first read builds.
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run([sys.executable, "-c", _FIRST_READ, str(src)],
-                            capture_output=True, text=True)
-    assert result.stderr == ""
-    found = json.loads(result.stdout)
-    expected = {cls.__name__: [[name, "required" if value is _REQUIRED else repr(value)]
-                               for name, value in rows]
-                for cls, rows in _DEFAULTS.items()}
-    expected.update(_OTHER_DEFAULTS)
-    assert {name: row["fields"] for name, row in found["rows"].items()} == expected
-    assert all(row["unread"] and all(row["calls"]) for row in found["rows"].values())
-    # asdict and astuple deep-copy the read-only side choices, which cannot
-    # be copied, as they could not when the class was a dataclass.
-    assert {name: row["raised"] for name, row in found["rows"].items()
-            if row["raised"]} == {"TransformConfig": ["asdict", "astuple"]}
-    assert {name: row["hidden"] for name, row in found["rows"].items()
-            if row["hidden"]} == {"TraceEntry": ["_events", "_final", "_position"]}
-    assert found["entry"] == [
-        "TraceEntry(step='REG', subject='Alpha', relation='Alpha', width=1, "
-        "at_end=True)", True, True]

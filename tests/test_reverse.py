@@ -4,10 +4,14 @@ import random
 import pytest
 
 from er2rds import (
+    Attribute,
+    AttributeKind,
     CardinalityPair,
     Diagnostic,
+    ERModel,
     FkSuffix,
     RdsAttribute,
+    RegularEntityType,
     Relation,
     RelationalSchema,
     RelationshipEndpoint,
@@ -501,6 +505,25 @@ class TestModelComparison:
         other, _ = parse_er("entity Alpha { key AlpNo; }\nentity Bravo { key BraNo; }")
         differences = model_diff(base, other)
         assert any("entities" in line for line in differences)
+
+    def test_the_fields_of_a_record_are_compared_in_sorted_order(self):
+        key = Attribute("AlpNo", AttributeKind.KEY)
+        base = ERModel((RegularEntityType("Alpha", (key,)),))
+        other = ERModel((RegularEntityType("Bravo", (Attribute("BraNo"),)),))
+        assert model_diff(base, other) == [
+            "model.entities[0].attributes[0].kind: "
+            "expected <AttributeKind.KEY: 'key'>, found <AttributeKind.SIMPLE: 'simple'>",
+            "model.entities[0].attributes[0].name: expected 'AlpNo', found 'BraNo'",
+            "model.entities[0].name: expected 'Alpha', found 'Bravo'"]
+
+    def test_a_sequence_against_a_non_sequence_is_one_difference(self):
+        # Only a model built in code can hold something else than a tuple.
+        base = ERModel((RegularEntityType("Alpha", ()),))
+        other = ERModel((RegularEntityType("Alpha", None),))
+        assert model_diff(base, other) == [
+            "model.entities[0].attributes: expected (), found None"]
+        assert model_diff(other, base) == [
+            "model.entities[0].attributes: expected None, found ()"]
 
 
 class TestChoiceRecovery:
