@@ -1,88 +1,48 @@
-"""Compare the speed of two er2rds source trees in one process.
+"""Compare two er2rds source trees in one process: outputs, then speed.
 
-    python tests/compare_speed.py OLD_SRC NEW_SRC [--seed S] [--rounds N]
-                                  [--startup PAIRS]
+    python tests/compare_speed.py OLD_SRC NEW_SRC [--rounds N] [--startup PAIRS]
 
 OLD_SRC and NEW_SRC are directories that each hold an ``er2rds`` package,
 such as the ``src`` directory of two checkouts.  Both trees are loaded under
 distinct package names, so their calls can interleave in one interpreter
-and meet the same phases of a shared host.  Four workloads are run through
-each tree's ``cli.main``, in memory apart from the input files:
-
-- ``corpus``: ``roundtrip`` over 500 models from ``genmodels.generate_model``
-  (model seeds ``500·S … 500·S+499``), with no options, with every
-  combination of ``--sog-choice`` and with ``--prefer-regular``;
-- ``large``: ``roundtrip`` over ``genmodels.scaled_model(n)`` at n = 40, 80
-  and 160 (100, 200 and 400 relations);
-- ``errors``: ``validate`` over 1,000 ``geninputs.colliding_text`` texts
-  (generator seed 91).  Most of them have a diagnostic, so ``parse_er``
-  reads them again with the positioned reader; this workload times that
-  error path;
-- ``schemas``: ``reverse`` and ``ddl`` on the ``.rds`` text of the three
-  scaled models of ``large``, which times ``parse_rds``,
-  ``reverse_transform`` and ``render_ddl`` at scale without the two
-  transforms of a round trip.
+and meet the same phases of a shared host.
 
 First, 20,000 models from ``geninputs.model_spec`` are built in code in
 both trees from one fixed seed (generator seed 19), with names drawn from a
 small alphabet of capitalized, lowercase, plural, non-alphabetic and
-dangling names, and participation pairs drawn from ``geninputs.PAIRS``: the four of the notation and three
-outside it (``2..n``, ``1..5``, ``0..N``).  With ``extensions`` false and
-true, ``validate_notation`` must return the same ``(rule_id, severity,
-message, line, column, element)`` list in both trees for each of them, and
-``forward.gated_transform`` the same emitted schema text (or None), events
-and diagnostics.  Each built model must also have the same ``repr`` and
-``hash`` in both trees, which checks how the model values are stored.
-Parsed text never reaches ``R2.5.2``, a dangling or repeated name or a pair
-outside the notation, since the parser refuses them, so only models built
-in code can show a difference there.  Few of
-these 20,000 pass the gate, so a second batch of 20,000 (generator seed 23,
-``geninputs.step_spec``) draws only clean names: entities, subtypes and
-multivalued attributes of a few names each.  For every run that the gate
-passes, the script also counts how often the new tree's ``parse_er``
-refuses the model's ``emit_er`` text and its ``parse_rds`` the schema's
-``emit_rds`` text, and prints both counts; the gate promises 0.
+dangling names, and participation pairs drawn from ``geninputs.PAIRS``: the
+four of the notation and three outside it (``2..n``, ``1..5``, ``0..N``).
+With ``extensions`` false and true, ``validate_notation`` must return the
+same ``(rule_id, severity, message, line, column, element)`` list in both
+trees for each of them, and ``forward.gated_transform`` the same emitted
+schema text (or None), events and diagnostics.  Each built model must also
+have the same ``repr`` and ``hash`` in both trees.  Parsed text never
+reaches ``R2.5.2``, a dangling or repeated name or a pair outside the
+notation, since the parser refuses them, so only models built in code can
+show a difference there.  A second batch of 20,000 (generator seed 23,
+``geninputs.step_spec``) draws only clean names, so that about one run in
+ten passes the gate.  For every run that the gate passes, the script also
+counts how often the new tree's ``parse_er`` refuses the model's ``emit_er``
+text and its ``parse_rds`` the schema's ``emit_rds`` text; the gate
+promises 0.
 
-Before any timing, every op of the workloads must give the same exit code,
-stdout and stderr in both trees, and so must a wider set of calls that is
-checked but not timed:
+Then every call of ``callset.py`` (39,976 ``cli.main`` calls, run in the
+directory of its inputs with ``COLUMNS=80``) must give the same exit code,
+stdout, stderr and ``-o`` file in both trees.  Each check counts every model
+or call that differs, prints the first three and goes on, so a change that
+alters some outcomes on purpose still reaches the later checks and the
+timing; calls are counted and shown per kind of block, with the block's
+label.  The script stops after the checks with ``--rounds 0``, and exits 1
+at the end, after the checks or after the timing, when anything differed.
 
-- ``validate``, ``transform --trace -o FILE`` (the written file is compared
-  too) and ``roundtrip`` over the 500 corpus models and the 1,000
-  ``colliding_text`` texts of the ``errors`` workload, each with no option,
-  ``--prefer-regular``, ``--extensions``, a malformed and an unknown
-  ``--sog-choice``;
-- ``validate`` and ``roundtrip`` over 1,000 ``geninputs.repeating_text``
-  texts (generator seed 92), which repeat element, ``via``, member and
-  participant names, so they reach the parser's repeated-name and
-  partial-key findings that ``colliding_text`` texts seldom or never do;
-- ``reverse`` and ``ddl`` on every schema those transforms wrote and on the
-  golden schemas;
-- ``reverse -o FILE`` (the written file is compared too) and ``ddl`` over
-  1,000 ``geninputs.schema_text`` texts (generator seed 93), whose
-  relations share three-letter prefixes and so reach the classifier's
-  findings, and over 1,000 ``geninputs.edited_schema_text`` texts
-  (generator seed 94), corpus schemas with one edit each;
-- every command on a missing file and on a file that is not UTF-8, ``-o``
-  into a missing directory, and usage errors, whose argparse exit code is
-  compared;
-- command lines that ``cli.main`` leaves to argparse, on the golden model:
-  an abbreviated flag (``--pref``), ``--output=FILE`` and ``-oFILE`` (the
-  written file is compared too), ``--`` before the input, ``-h`` after the
-  command, and ``--sog-choice`` with a value that starts with ``-``, both
-  as one token and as two; beside them ``--sog-choice`` as two tokens and a
-  repeated flag, which are read without argparse.  A ``SystemExit`` from
-  help or a usage error gives the exit code.
-
-Each check counts every model or call that differs, prints the first three
-and goes on, so a change that alters some outcomes on purpose still reaches
-the later checks and the timing.  The script stops after the checks with
-``--rounds 0``, and exits 1 at the end, after the checks or after the timing,
-when anything differed.  Before timing, it collects and freezes
-the heap (``gc.collect()``, ``gc.freeze()``), as the benchmark's
-worker does after its set-up, so that the input lists and what the identity
-check left behind stay out of the collector's scans; otherwise they inflate
-the collections of a tree that runs with the collector on.  Each round times
+Before timing, it collects and freezes the heap (``gc.collect()``,
+``gc.freeze()``), as the benchmark's worker does after its set-up, so that
+the inputs and what the checks left behind stay out of the collector's
+scans.  Four workloads are the call set's blocks of that name: ``corpus``
+(round trips of 500 models under every side choice), ``large`` (round trips
+of 100 to 400 relations), ``errors`` (``validate`` of texts that mostly
+fail to parse, which times the positioned reader) and ``schemas``
+(``reverse`` and ``ddl`` of the large models' schemas).  Each round times
 one pass of each tree over each workload, and the script prints ops/s per
 tree and the ratio NEW/OLD, both for the summed time and as the median of
 the per-round ratios.  Inside a round the two trees take turns op by op, so
@@ -126,23 +86,8 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+import callset
 
-CORPUS_MODELS = 500
-COLLIDING_TEXTS = 1000
-COLLIDING_SEED = 91
-REPEATING_TEXTS = 1000
-REPEATING_SEED = 92
-SCHEMA_TEXTS = 1000
-SCHEMA_SEED = 93
-EDITED_SCHEMAS = 1000
-EDITED_SEED = 94
-COMMANDS = ("validate", "transform", "reverse", "roundtrip", "ddl")
-# The options of each checked call on a model.
-OPTIONS = ([], ["--prefer-regular"], ["--extensions"],
-           ["--sog-choice", "Malformed"], ["--sog-choice", "Ghost=Nobody"])
-GOLDEN = Path(__file__).parent / "golden"
-LARGE_SIZES = (40, 80, 160)
 # Passes over each workload's ops in one round, so that a round of each
 # workload lasts about as long as one of the corpus.
 REPEATS = {"corpus": 1, "large": 40, "errors": 6, "schemas": 40}
@@ -266,147 +211,23 @@ def gated(package, model, extensions: bool) -> tuple:
             rows(diagnostics))
 
 
-def write_inputs(work: Path, seed: int) -> dict[str, list[list[str]]]:
-    """Write the input models; returns the argv lists of each workload."""
-    from er2rds import emit_er, emit_rds, transform_model
-    from geninputs import colliding_text
-    from genmodels import generate_model, scaled_model, sog_configs
-
-    corpus = []
-    for index in range(CORPUS_MODELS):
-        model = generate_model(seed * CORPUS_MODELS + index)
-        path = work / f"model{index}.er"
-        path.write_text(emit_er(model), encoding="utf-8")
-        corpus.append(["roundtrip", str(path)])
-        for choices in sog_configs(model):
-            if choices:
-                argv = ["roundtrip", str(path)]
-                for relationship, participant in choices.items():
-                    argv += ["--sog-choice", f"{relationship}={participant}"]
-                corpus.append(argv)
-        corpus.append(["roundtrip", str(path), "--prefer-regular"])
-    large, schemas = [], []
-    for n in LARGE_SIZES:
-        model = scaled_model(n)
-        path = work / f"scaled{n}.er"
-        path.write_text(emit_er(model), encoding="utf-8")
-        large.append(["roundtrip", str(path)])
-        path = work / f"scaled{n}.rds"
-        path.write_text(emit_rds(transform_model(model)[0]), encoding="utf-8")
-        schemas += [["reverse", str(path)], ["ddl", str(path)]]
-    errors = []
-    rng = random.Random(COLLIDING_SEED)
-    for index in range(COLLIDING_TEXTS):
-        path = work / f"colliding{index}.er"
-        path.write_text(colliding_text(rng), encoding="utf-8")
-        errors.append(["validate", str(path)])
-    return {"corpus": corpus, "large": large, "errors": errors, "schemas": schemas}
-
-
-def call(main, argv: list[str], output: Path | None = None
-         ) -> tuple[int, str, str, str | None]:
-    """The exit code, stdout and stderr of one call, and the text it wrote to
-    ``output``, which is then removed.  A usage error's SystemExit gives the
-    exit code."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    written = None
-    if output is not None and output.exists():
-        written = output.read_text(encoding="utf-8")
-        output.unlink()
-    return code, out.getvalue(), err.getvalue(), written
-
-
-def check_identity(old, new, work: Path, workloads: dict[str, list[list[str]]]) -> int:
-    """Count the calls whose outcome differs between the two trees and print
-    the first few; print how many calls were compared.  Returns the number
-    of differences."""
-    from geninputs import edited_schema_text, repeating_text, schema_text
-
-    count = 0
-    differences: list[str] = []
-
-    def same(argv: list[str], output: Path | None = None):
-        nonlocal count
-        count += 1
-        outcome = call(old, argv, output)
-        if outcome != call(new, argv, output):
-            differences.append(f"{' '.join(argv)} differs between the two trees")
-        return outcome
-
-    for workload, argvs in workloads.items():
-        before = len(differences)
-        for argv in argvs:
-            same(argv)
-        print(f"{workload}: {len(argvs)} ops give "
-              f"{show(workload, differences[before:])} exit codes, stdout and stderr")
-
-    models = sorted(work.glob("model*.er"))
-    models += [Path(argv[1]) for argv in workloads["errors"]]
-    output = work / "out.rds"
-    schemas = {path.read_text(encoding="utf-8")
-               for path in (GOLDEN / "company.rds", GOLDEN / "company_consult_project.rds")}
-    for path in models:
-        for options in OPTIONS:
-            same(["validate", str(path), *options])
-            written = same(["transform", str(path), "--trace", "-o", str(output),
-                            *options], output)[3]
-            if written is not None:
-                schemas.add(written)
-            same(["roundtrip", str(path), *options])
-    rng = random.Random(REPEATING_SEED)
-    for index in range(REPEATING_TEXTS):
-        path = work / f"repeating{index}.er"
-        path.write_text(repeating_text(rng), encoding="utf-8")
-        same(["validate", str(path)])
-        same(["roundtrip", str(path)])
-    produced = work / "produced.rds"
-    for schema in sorted(schemas):
-        produced.write_text(schema, encoding="utf-8")
-        same(["reverse", str(produced)])
-        same(["ddl", str(produced)])
-    rng, edited_rng = random.Random(SCHEMA_SEED), random.Random(EDITED_SEED)
-    drawn = [*(schema_text(rng) for _ in range(SCHEMA_TEXTS)),
-             *(edited_schema_text(edited_rng) for _ in range(EDITED_SCHEMAS))]
-    reversed_er = work / "reversed.er"
-    for index, text in enumerate(drawn):
-        path = work / f"schema{index}.rds"
-        path.write_text(text, encoding="utf-8")
-        same(["reverse", str(path), "-o", str(reversed_er)], reversed_er)
-        same(["ddl", str(path)])
-
-    latin = work / "latin.er"
-    latin.write_bytes(b"entity Dep\xff { key DepNo; }")
-    for command in COMMANDS:
-        same([command, str(work / "absent.er")])
-        same([command, str(latin)])
-    for command, source in (("transform", models[0]), ("reverse", produced),
-                            ("ddl", produced)):
-        same([command, str(source), "-o", str(work / "missing" / "out")])
-    for argv in ([], ["bogus"], ["validate"], ["ddl", str(produced), "--trace"],
-                 ["transform", str(models[0]), "--sog-choice"]):
-        same(argv)
-    company, written = str(GOLDEN / "company.er"), work / "written.rds"
-    for argv in (["roundtrip", company, "--pref"],
-                 ["transform", company, f"--output={written}"],
-                 ["transform", company, f"-o{written}"],
-                 ["roundtrip", "--", company],
-                 ["roundtrip", "-h"],
-                 ["roundtrip", company, "-h"],
-                 ["roundtrip", company, "--sog-choice", "-Consult=Project"],
-                 ["roundtrip", company, "--sog-choice=-Consult=Project"],
-                 ["roundtrip", company, "--sog-choice", "Consult=Project"],
-                 ["roundtrip", company, "--prefer-regular", "--prefer-regular"]):
-        same(argv, written)
-    print(f"identity: {count} calls give {show('identity', differences)} exit "
-          f"codes, stdout, stderr and -o files ({len(models)} models, "
-          f"{REPEATING_TEXTS} repeating texts, {len(schemas)} schemas, "
-          f"{SCHEMA_TEXTS} drawn and {EDITED_SCHEMAS} edited schema texts)")
-    return len(differences)
+def check_calls(old, new, kinds: dict[str, list[tuple[str, list[str]]]]) -> int:
+    """Count the calls of each kind whose outcome differs between the two
+    trees and print the first few with their block's label; print how many
+    calls were compared.  Returns the number of differences."""
+    differing = 0
+    for kind, calls in kinds.items():
+        differences = [f"{' '.join(argv)} differs between the two trees, in "
+                       f"block {label}"
+                       for label, argv in calls
+                       if callset.outcome(old, argv) != callset.outcome(new, argv)]
+        print(f"{kind}: {len(calls)} calls give {show(kind, differences)} exit "
+              f"codes, stdout, stderr and -o files")
+        differing += len(differences)
+    print(f"identity: {sum(map(len, kinds.values()))} calls give "
+          f"{f'{differing} differing' if differing else 'identical'} exit codes, "
+          f"stdout, stderr and -o files")
+    return differing
 
 
 def timed_round(old, new, argvs: list[list[str]], flip: bool) -> tuple[float, float]:
@@ -488,7 +309,7 @@ def time_startup(old_src: Path, new_src: Path, pairs: int) -> None:
                     compileall.compile_dir(tree, quiet=1)
                 trees.append(tree)
             child_env = env if cached else dict(env, PYTHONDONTWRITEBYTECODE="1")
-            for label, model, code in (("golden", GOLDEN / "company.er", 0),
+            for label, model, code in (("golden", callset.GOLDEN / "company.er", 0),
                                        ("failing", failing, 2)):
                 times: tuple[list, list] = ([], [])
                 imports: tuple[list, list] = ([], [])
@@ -517,8 +338,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
-    parser.add_argument("--seed", type=int, default=1,
-                        help="corpus seed (default 1)")
     parser.add_argument("--rounds", type=int, default=10,
                         help="timed rounds per workload (default 10; 0 runs "
                              "the checks only)")
@@ -537,11 +356,18 @@ def main() -> None:
                                  STEP_SEED)
     old, new = old_package.cli.main, new_package.cli.main
 
+    os.environ["COLUMNS"] = callset.COLUMNS
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
-        workloads = write_inputs(Path(work), args.seed)
-        differing += check_identity(old, new, Path(work), workloads)
+        kinds: dict[str, list[tuple[str, list[str]]]] = {}
+        for label, calls in callset.write_inputs(Path(work)):
+            kinds.setdefault(label.split()[0], []).extend((label, argv) for argv in calls)
+        os.chdir(work)
+        differing += check_calls(old, new, kinds)
         if args.rounds > 0:
-            time_workloads(old, new, workloads, args.rounds)
+            time_workloads(old, new, {kind: [argv for _, argv in kinds[kind]]
+                                      for kind in REPEATS}, args.rounds)
+        os.chdir(home)
     if args.startup > 0:
         time_startup(args.old_src.resolve(), args.new_src.resolve(), args.startup)
     if differing:
